@@ -1,11 +1,16 @@
 """Exact rational linear algebra and linear-programming feasibility.
 
 Every geometric decision in this package reduces to the primitives kept
-here: Gaussian elimination over ``fractions.Fraction`` (ranks, linear
-solves), a phase-one primal simplex for feasibility of equality systems
-over nonnegative variables (Dantzig pivoting with a permanent Bland
-anti-cycling fallback), and exact substitution checks.  There is no
-floating point on any decision path.
+here: Gauss-Jordan elimination (ranks, linear solves), a phase-one primal
+simplex for feasibility of equality systems over nonnegative variables
+(Dantzig pivoting with a permanent Bland anti-cycling fallback), and exact
+substitution checks.  There is no floating point on any decision path.
+
+Both eliminations pivot on integers over one common denominator (Edmonds
+1967, Bareiss 1968): the input is scaled to integers once, every update is
+an exact integer division, and ``fractions.Fraction`` appears only in the
+values read in and returned.  The pivots are the ones rational arithmetic
+would choose, so every result is the same rational.
 
 Rationals serialize as decimal integer strings or ``"p/q"`` strings with
 positive denominator; that is the only numeric wire format used anywhere
@@ -14,6 +19,7 @@ in the package.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -166,40 +172,60 @@ class QMatrix:
         return "QMatrix(%s)" % ", ".join(repr(r) for r in self.rows)
 
 
-def _reduced_echelon(cells: list) -> list:
-    """In-place Gauss-Jordan elimination; returns the pivot column indices.
+def _integer_rows(rows) -> tuple:
+    """The rows times ``scale``, the lcm of all their denominators, as lists
+    of ints; returns ``(table, scale)``.
 
-    Deterministic: pivots on the first nonzero entry scanning top to bottom,
-    left to right.
+    One scale for the whole system keeps every ratio between entries, in a
+    row and across rows, as it was.
     """
-    num_rows = len(cells)
-    num_cols = len(cells[0]) if num_rows else 0
+    scale = math.lcm(*{v.denominator for row in rows for v in row})
+    table = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    return table, scale
+
+
+def _reduced_echelon(rows) -> tuple:
+    """Fraction-free Gauss-Jordan elimination; returns ``(pivots, table,
+    denominator)``.
+
+    ``pivots`` are the pivot column indices and the reduced row echelon form
+    of ``rows`` is ``table / denominator`` cell by cell.  The rows are scaled
+    to integers once and every step is the integer update
+    ``(p*T[i] - T[i][c]*T[r]) // D`` with ``D`` the previous pivot, so no
+    Fraction is made during elimination (Bareiss 1968; every division is
+    exact by Sylvester's identity).  Deterministic: pivots on the first
+    nonzero entry scanning top to bottom, left to right.
+    """
+    table, _ = _integer_rows(rows)
+    num_rows = len(table)
+    num_cols = len(table[0]) if num_rows else 0
     pivots = []
+    denominator = 1
     row = 0
     for col in range(num_cols):
         if row == num_rows:
             break
-        pivot_row = next((i for i in range(row, num_rows) if cells[i][col] != 0), None)
+        pivot_row = next((i for i in range(row, num_rows) if table[i][col]), None)
         if pivot_row is None:
             continue
-        cells[row], cells[pivot_row] = cells[pivot_row], cells[row]
-        pv = cells[row][col]
-        if pv != 1:
-            cells[row] = [v / pv for v in cells[row]]
-        lead = cells[row]
+        table[row], table[pivot_row] = table[pivot_row], table[row]
+        lead = table[row]
+        pivot = lead[col]
         for i in range(num_rows):
-            if i != row and cells[i][col] != 0:
-                f = cells[i][col]
-                cells[i] = [a - f * b for a, b in zip(cells[i], lead)]
+            if i != row:
+                f = table[i][col]
+                table[i] = [
+                    (pivot * a - f * b) // denominator for a, b in zip(table[i], lead)
+                ]
+        denominator = pivot
         pivots.append(col)
         row += 1
-    return pivots
+    return pivots, table, denominator
 
 
 def rank(matrix: QMatrix) -> int:
-    """Exact rank via rational Gaussian elimination."""
-    cells = [list(row.entries) for row in matrix.rows]
-    return len(_reduced_echelon(cells))
+    """Exact rank via fraction-free Gaussian elimination."""
+    return len(_reduced_echelon([row.entries for row in matrix.rows])[0])
 
 
 class LinearSolution(NamedTuple):
@@ -217,13 +243,14 @@ def solve_linear(matrix: QMatrix, rhs: QVector) -> Optional[LinearSolution]:
     if rhs.dim != matrix.num_rows:
         raise MalformedInputError("right-hand side length does not match row count")
     n = matrix.num_cols
-    cells = [list(row.entries) + [b] for row, b in zip(matrix.rows, rhs)]
-    pivots = _reduced_echelon(cells)
+    pivots, table, denominator = _reduced_echelon(
+        [list(row.entries) + [b] for row, b in zip(matrix.rows, rhs)]
+    )
     if pivots and pivots[-1] == n:
         return None
     particular = [_ZERO] * n
     for r, c in enumerate(pivots):
-        particular[c] = cells[r][n]
+        particular[c] = Fraction(table[r][n], denominator)
     pivot_set = set(pivots)
     kernel = []
     for free in range(n):
@@ -232,7 +259,7 @@ def solve_linear(matrix: QMatrix, rhs: QVector) -> Optional[LinearSolution]:
         vec = [_ZERO] * n
         vec[free] = _ONE
         for r, c in enumerate(pivots):
-            vec[c] = -cells[r][free]
+            vec[c] = Fraction(-table[r][free], denominator)
         kernel.append(QVector(vec))
     return LinearSolution(QVector(particular), tuple(kernel))
 
@@ -283,20 +310,27 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     cycle.  Artificial columns are never stored: an artificial variable that
     leaves the basis is dropped for good, which is sound because any feasible
     point of the system is expressible in original columns alone.
+
+    The tableau is integers over one common denominator ``D`` (Edmonds
+    1967).  The whole system is scaled once by ``L``, the lcm of its
+    denominators; a pivot on ``p`` maps every other row to
+    ``(p*T[i] - T[i][e]*T[r]) // D``, exact by Sylvester's identity, and
+    sets ``D = p``.  A row whose basic variable is original then reads
+    ``T / D`` and a row still held by an artificial, like the cost row, reads
+    ``T / (D*L)``.  Each row keeps its own ratios and the cost row is a
+    positive multiple of the rational one, so the pivot rules choose exactly
+    the pivots rational arithmetic would.  Fractions are made only for the
+    returned values.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m == 0:
         return [_ZERO] * n, _ZERO
 
-    tableau = []
-    for row, b in zip(rows, rhs):
-        vals = list(row)
-        if b < 0:
-            vals = [-v for v in vals]
-            b = -b
-        vals.append(b)
-        tableau.append(vals)
+    tableau, scale = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
+    for i, vals in enumerate(tableau):
+        if vals[-1] < 0:
+            tableau[i] = [-v for v in vals]
     # Basic variable per row; artificial for row i is indexed n + i so that
     # Bland tie-breaking prefers original variables.
     basis = [n + i for i in range(m)]
@@ -305,6 +339,7 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     # basis: column j prices to the negated column sum, the objective cell to
     # the negated right-hand-side sum.
     cost = [-sum(tableau[i][j] for i in range(m)) for j in range(n + 1)]
+    denominator = 1
 
     bland = False
     stall = 0
@@ -317,7 +352,7 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
                     enter = j
                     break
         else:
-            best = _ZERO
+            best = 0
             for j in range(n):
                 cj = cost[j]
                 if cj < best:
@@ -326,7 +361,7 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
         if enter < 0:
             break
         leave = -1
-        best_num = best_den = _ZERO
+        best_num = best_den = 0
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:
@@ -360,31 +395,23 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
 
         lead = tableau[leave]
         pivot = lead[enter]
-        if pivot != 1:
-            inv = 1 / pivot
-            lead = [v * inv for v in lead]
-            tableau[leave] = lead
-        updates = [(j, v) for j, v in enumerate(lead) if v]
         for i in range(m):
             if i != leave:
                 f = tableau[i][enter]
-                if f:
-                    row = tableau[i]
-                    for j, v in updates:
-                        row[j] -= f * v
+                tableau[i] = [
+                    (pivot * a - f * b) // denominator for a, b in zip(tableau[i], lead)
+                ]
         f = cost[enter]
-        if f:
-            for j, v in updates:
-                cost[j] -= f * v
+        cost = [(pivot * a - f * b) // denominator for a, b in zip(cost, lead)]
+        denominator = pivot
         basis[leave] = enter
 
-    infeasibility = -cost[-1]
-    if infeasibility != 0:
-        return None, infeasibility
+    if cost[-1]:
+        return None, Fraction(-cost[-1], denominator * scale)
     solution = [_ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
-            solution[var] = tableau[i][-1]
+            solution[var] = Fraction(tableau[i][-1], denominator)
     return solution, _ZERO
 
 
@@ -398,11 +425,12 @@ def lp_feasible(constraints, dim: int) -> Optional[QVector]:
     system is infeasible.
 
     Variables are free; internally each is split into a nonnegative pair and
-    LE rows receive slacks.  A strict constraint ``n.x < r`` is decided as
-    ``n.x <= r - 1``: every strict system built by this package (separations
-    with margins, positive functionals) is positively scalable, so the unit
-    margin loses nothing.  The returned point is substituted back into every
-    constraint before it is returned.
+    LE rows receive slacks.  A system with strict rows ``C x < d`` beside
+    ``A x <= b`` and ``E x = e`` is decided through one more variable ``t``:
+    ``{A y <= b t, E y = e t, C y <= d t - 1, t >= 1}`` is feasible exactly
+    when the original system is (scale a solution ``x`` by a large enough
+    ``t``), and ``x = y / t``.  The returned point is substituted back into
+    every constraint before it is returned.
     """
     constraints = list(constraints)
     if dim < 1:
@@ -412,6 +440,34 @@ def lp_feasible(constraints, dim: int) -> Optional[QVector]:
             raise MalformedInputError(
                 f"constraint dimension {c.normal.dim} does not match {dim}"
             )
+    if any(c.relation is Relation.LT for c in constraints):
+        lifted = [
+            LinearConstraint(
+                QVector(c.normal.entries + (-c.rhs,)),
+                Relation.LE if c.relation is Relation.LT else c.relation,
+                -_ONE if c.relation is Relation.LT else _ZERO,
+            )
+            for c in constraints
+        ]
+        t_at_least_one = QVector([_ZERO] * dim + [-_ONE])
+        lifted.append(LinearConstraint(t_at_least_one, Relation.LE, -_ONE))
+        solution = _free_solution(lifted, dim + 1)
+        if solution is not None:
+            solution = [v / solution[dim] for v in solution[:dim]]
+    else:
+        solution = _free_solution(constraints, dim)
+    if solution is None:
+        return None
+    point = QVector(solution)
+    for c in constraints:
+        if not c.holds_at(point):
+            raise AssertionError("simplex produced a point violating a constraint")
+    return point
+
+
+def _free_solution(constraints, dim: int) -> Optional[list]:
+    """Free variables satisfying EQ and LE constraints, through the phase-one
+    simplex in standard form, or None."""
     slack_count = sum(1 for c in constraints if c.relation is not Relation.EQ)
     width = 2 * dim + slack_count
     rows = []
@@ -426,15 +482,11 @@ def lp_feasible(constraints, dim: int) -> Optional[QVector]:
             row[slack_at] = _ONE
             slack_at += 1
         rows.append(row)
-        rhs.append(c.rhs - _ONE if c.relation is Relation.LT else c.rhs)
+        rhs.append(c.rhs)
     solution = standard_form_feasible(rows, rhs)
     if solution is None:
         return None
-    point = QVector(solution[j] - solution[dim + j] for j in range(dim))
-    for c in constraints:
-        if not c.holds_at(point):
-            raise AssertionError("simplex produced a point violating a constraint")
-    return point
+    return [solution[j] - solution[dim + j] for j in range(dim)]
 
 
 def strict_separation(points_p, points_q):

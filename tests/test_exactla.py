@@ -12,6 +12,7 @@ from transversals.exactla import (
     QVector,
     Relation,
     _phase_one,
+    _reduced_echelon,
     format_rational,
     lp_feasible,
     parse_rational,
@@ -146,6 +147,22 @@ class TestLpFeasible:
     def test_strict_relation_margin(self):
         point = lp_feasible([LinearConstraint(QVector([1]), Relation.LT, 0)], 1)
         assert point is not None and point[0] < 0
+
+    def test_strict_row_with_fractional_bounds(self):
+        # 1/4 <= x < 1/2 is feasible, but not with a unit margin on x < 1/2
+        constraints = [
+            LinearConstraint(QVector([-1]), Relation.LE, F(-1, 4)),
+            LinearConstraint(QVector([1]), Relation.LT, F(1, 2)),
+        ]
+        point = lp_feasible(constraints, 1)
+        assert point is not None and F(1, 4) <= point[0] < F(1, 2)
+
+    def test_strict_rows_stay_infeasible(self):
+        constraints = [
+            LinearConstraint(QVector([1]), Relation.LT, F(1, 2)),
+            LinearConstraint(QVector([-1]), Relation.LT, F(-1, 2)),
+        ]
+        assert lp_feasible(constraints, 1) is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(MalformedInputError):
@@ -298,3 +315,222 @@ class TestSimplexTermination:
                 for row, b in zip(rows, rhs):
                     assert sum(a * x for a, x in zip(row, solution)) == b
                 assert all(x >= 0 for x in solution)
+
+
+# ---------------------------------------------------------------------------
+# Rational reference kernels.  These are the Fraction implementations the
+# fraction-free kernels replaced; the fraction-free ones must return the same
+# values, pivot for pivot.
+
+
+def reference_reduced_echelon(cells: list) -> list:
+    """In-place rational Gauss-Jordan elimination; returns the pivot columns."""
+    num_rows = len(cells)
+    num_cols = len(cells[0]) if num_rows else 0
+    pivots = []
+    row = 0
+    for col in range(num_cols):
+        if row == num_rows:
+            break
+        pivot_row = next((i for i in range(row, num_rows) if cells[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        cells[row], cells[pivot_row] = cells[pivot_row], cells[row]
+        pv = cells[row][col]
+        if pv != 1:
+            cells[row] = [v / pv for v in cells[row]]
+        lead = cells[row]
+        for i in range(num_rows):
+            if i != row and cells[i][col] != 0:
+                f = cells[i][col]
+                cells[i] = [a - f * b for a, b in zip(cells[i], lead)]
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+def reference_phase_one(rows, rhs, switched=None):
+    """Rational phase-one simplex; ``switched`` (a list) receives whether the
+    run switched to Bland's rule."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0:
+        return [F(0)] * n, F(0)
+
+    tableau = []
+    for row, b in zip(rows, rhs):
+        vals = list(row)
+        if b < 0:
+            vals = [-v for v in vals]
+            b = -b
+        vals.append(b)
+        tableau.append(vals)
+    basis = [n + i for i in range(m)]
+    cost = [-sum(tableau[i][j] for i in range(m)) for j in range(n + 1)]
+
+    bland = False
+    stall = 0
+    stall_limit = 3 * (m + n) + 10
+    while True:
+        enter = -1
+        if bland:
+            for j in range(n):
+                if cost[j] < 0:
+                    enter = j
+                    break
+        else:
+            best = F(0)
+            for j in range(n):
+                cj = cost[j]
+                if cj < best:
+                    best = cj
+                    enter = j
+        if enter < 0:
+            break
+        leave = -1
+        best_num = best_den = F(0)
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                b = tableau[i][-1]
+                if leave < 0:
+                    leave, best_num, best_den = i, b, a
+                else:
+                    diff = b * best_den - best_num * a
+                    if diff < 0:
+                        leave, best_num, best_den = i, b, a
+                    elif diff == 0:
+                        if bland:
+                            better = basis[i] < basis[leave]
+                        else:
+                            better = basis[i] > basis[leave]
+                        if better:
+                            leave, best_num, best_den = i, b, a
+        if leave < 0:
+            raise AssertionError("phase-one simplex reported unbounded")
+        if best_num == 0:
+            stall += 1
+            if stall > stall_limit:
+                bland = True
+        else:
+            stall = 0
+
+        lead = tableau[leave]
+        pivot = lead[enter]
+        if pivot != 1:
+            inv = 1 / pivot
+            lead = [v * inv for v in lead]
+            tableau[leave] = lead
+        updates = [(j, v) for j, v in enumerate(lead) if v]
+        for i in range(m):
+            if i != leave:
+                f = tableau[i][enter]
+                if f:
+                    row = tableau[i]
+                    for j, v in updates:
+                        row[j] -= f * v
+        f = cost[enter]
+        if f:
+            for j, v in updates:
+                cost[j] -= f * v
+        basis[leave] = enter
+
+    if switched is not None:
+        switched.append(bland)
+    infeasibility = -cost[-1]
+    if infeasibility != 0:
+        return None, infeasibility
+    solution = [F(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            solution[var] = tableau[i][-1]
+    return solution, F(0)
+
+
+def random_rational(rng, denominators):
+    return F(rng.randint(-9, 9), rng.choice(denominators))
+
+
+def beale_system(u, beta, scale):
+    """Beale's cycling example with its objective held by an artificial row.
+
+    The columns are reordered so that Dantzig's rule, with this kernel's
+    tie-breaks, pivots degenerately until the stall counter switches to
+    Bland's rule.
+    """
+    rows = [
+        [0, 0, u, -20, F(3, 4), -6, F(1, 2) + u],
+        [0, 1, 0, -8, F(1, 4), 9, -1],
+        [1, 0, 0, -12, F(1, 2), 3, F(-1, 2)],
+        [0, 0, 1, 0, 0, 0, 1],
+    ]
+    rhs = [beta + u, 0, 0, 1]
+    return [[F(v) * scale for v in row] for row in rows], [F(b) * scale for b in rhs]
+
+
+class TestFractionFreeKernels:
+    def test_phase_one_matches_rational_reference(self):
+        rng = random.Random(7411)
+        seen = {"infeasible": 0, "feasible": 0, "negative_rhs": 0, "bland": 0}
+        cases = []
+        for trial in range(300):
+            m = rng.randint(1, 6)
+            n = rng.randint(1, 8)
+            denominators = rng.choice([(1,), (1, 2, 3), (8,), (8, 9, 16), (1, 27, 64)])
+            rows = [
+                [random_rational(rng, denominators) for _ in range(n)] for _ in range(m)
+            ]
+            if trial % 4 == 0 and m > 1:
+                rows[-1] = list(rows[0])  # duplicated constraint
+            if trial % 5 == 0:
+                rhs = [F(0)] * m  # every pivot degenerate
+            else:
+                rhs = [random_rational(rng, denominators) for _ in range(m)]
+            cases.append((rows, rhs))
+        for u in (-1, 3):
+            for beta in (1, 2, 5):
+                for scale in (F(1), F(1, 8), F(3, 16)):
+                    cases.append(beale_system(u, beta, scale))
+        for rows, rhs in cases:
+            switched = []
+            expected = reference_phase_one(rows, rhs, switched)
+            assert _phase_one(rows, rhs) == expected
+            seen["infeasible" if expected[0] is None else "feasible"] += 1
+            seen["negative_rhs"] += any(b < 0 for b in rhs)
+            seen["bland"] += switched[0]
+        assert min(seen.values()) >= 10, seen
+
+    def test_infeasibility_is_unscaled(self):
+        # x = 1/8 and x = 3/8 at once: the optimum is 1/4 in the input's units,
+        # not in the units of the integer tableau (8 times larger).
+        rows = [[F(1, 8)], [F(1, 8)]]
+        rhs = [F(1, 64), F(3, 64)]
+        expected = (None, F(1, 32))
+        assert _phase_one(rows, rhs) == reference_phase_one(rows, rhs) == expected
+
+    def test_reduced_echelon_matches_rational_reference(self):
+        rng = random.Random(2718)
+        negative_pivots = deficient = 0
+        for trial in range(300):
+            num_rows = rng.randint(1, 6)
+            num_cols = rng.randint(1, 7)
+            denominators = rng.choice([(1,), (1, 2, 3), (8,), (8, 9, 16)])
+            cells = [
+                [random_rational(rng, denominators) for _ in range(num_cols)]
+                for _ in range(num_rows)
+            ]
+            if trial % 3 == 0 and num_rows > 2:
+                # a combination of two other rows
+                c = random_rational(rng, denominators)
+                cells[-1] = [a + c * b for a, b in zip(cells[0], cells[1])]
+            if trial % 7 == 0:
+                for row in cells:
+                    row[0] = F(0)  # an all-zero column
+            reference = [list(row) for row in cells]
+            expected_pivots = reference_reduced_echelon(reference)
+            pivots, table, denominator = _reduced_echelon(cells)
+            assert pivots == expected_pivots
+            assert [[F(v, denominator) for v in row] for row in table] == reference
+            negative_pivots += denominator < 0
+            deficient += len(pivots) < min(num_rows, num_cols)
+        assert negative_pivots >= 10 and deficient >= 10
