@@ -14,7 +14,6 @@ from .exactla import (
     PreconditionError,
     QMatrix,
     QVector,
-    Rational,
     Relation,
     format_rational,
     lp_feasible,
@@ -32,8 +31,6 @@ from .convex import (
     affine_span,
     common_point,
     contains,
-    hull_union,
-    orthogonal_projection,
 )
 from .transversal import (
     ColorfulReport,

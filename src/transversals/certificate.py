@@ -15,7 +15,6 @@ certificate exists, which is possible only above the guarantee dimension.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -291,9 +290,7 @@ def _structural_checks(complexes, assignments):
     return checks, record
 
 
-def verify_claim(
-    instance: Instance, assignments, jobs: int = 1
-) -> CertificateReport:
+def verify_claim(instance: Instance, assignments) -> CertificateReport:
     """Check the origin-avoidance property on every maximal join simplex.
 
     For each simplex, the smallest subfamily of each chain pins one member
@@ -344,8 +341,7 @@ def verify_claim(
             point_cache[selector] = point
         return point_cache[selector]
 
-    def check_simplex(item):
-        index, simplex = item
+    def check_simplex(index, simplex):
         first_tuple = []
         last_tuple = []
         for chain in simplex:
@@ -399,15 +395,8 @@ def verify_claim(
             ),
         )
 
-    items = list(enumerate(join.maximal_simplices))
-    if jobs > 1:
-        # The shared point cache is only an optimization; recomputing a tuple
-        # in two threads yields identical exact points.
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            simplex_checks = list(pool.map(check_simplex, items))
-    else:
-        simplex_checks = [check_simplex(item) for item in items]
-    checks.extend(simplex_checks)
+    for index, simplex in enumerate(join.maximal_simplices):
+        checks.append(check_simplex(index, simplex))
 
     return CertificateReport(CERTIFICATE_COMPLETE, checks)
 
@@ -441,7 +430,7 @@ def _product(values) -> int:
     return result
 
 
-def full_certificate(instance: Instance, jobs: int = 1) -> CertificateReport:
+def full_certificate(instance: Instance) -> CertificateReport:
     """Run the whole pipeline on a colorful instance.
 
     Tries to assign separators to every family.  The first family with an
@@ -451,7 +440,7 @@ def full_certificate(instance: Instance, jobs: int = 1) -> CertificateReport:
     verdict is CERTIFICATE-COMPLETE, which only instances above the
     guarantee dimension can reach.
     """
-    colorful = check_colorful(instance, jobs=jobs)
+    colorful = check_colorful(instance)
     if not colorful.holds:
         raise ColorfulViolationError(
             f"colorful intersection fails at tuple {colorful.failing_tuple}"
@@ -482,4 +471,4 @@ def full_certificate(instance: Instance, jobs: int = 1) -> CertificateReport:
                 failing_partition=outcome,
             )
         assignments.append(outcome)
-    return verify_claim(instance, assignments, jobs=jobs)
+    return verify_claim(instance, assignments)

@@ -21,6 +21,7 @@ import tempfile
 from .certificate import (
     CertificateInconsistencyError,
     ColorfulViolationError,
+    assign_normals,
     full_certificate,
 )
 from .convex import AffineFlat, UnsupportedRepresentationError, VPolytope
@@ -45,7 +46,6 @@ from .transversal import (
     partitions,
     verify_theorem,
 )
-from .exactla import strict_separation
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -60,6 +60,22 @@ class InstanceFormatError(ValueError):
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def _is_int(value) -> bool:
+    """JSON integers only: ``true`` and ``false`` load as ``bool``, which
+    Python counts as ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(obj, key: str, where: str = ""):
+    """``obj[key]`` of a JSON object; ``where`` locates ``obj`` in the
+    document (empty at the top level)."""
+    if not isinstance(obj, dict):
+        raise InstanceFormatError(f"{where or 'top level'}: expected an object")
+    if key not in obj:
+        raise InstanceFormatError(f"{where + '.' if where else ''}{key}: missing")
+    return obj[key]
 
 
 def _vector_to_json(vector: QVector):
@@ -140,7 +156,7 @@ def instance_from_json(doc):
     if not isinstance(doc, dict):
         raise InstanceFormatError("top level: expected an object")
     dim = doc.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InstanceFormatError("dimension: expected a positive integer")
     families_obj = doc.get("families")
     if not isinstance(families_obj, list) or not families_obj:
@@ -151,7 +167,7 @@ def instance_from_json(doc):
         if not isinstance(fam_obj, dict):
             raise InstanceFormatError(f"{where}: expected an object")
         k = fam_obj.get("k")
-        if not isinstance(k, int) or k < 0:
+        if not _is_int(k) or k < 0:
             raise InstanceFormatError(f"{where}.k: expected a non-negative integer")
         sets = fam_obj.get("sets")
         if not isinstance(sets, list) or not sets:
@@ -208,7 +224,16 @@ def partition_to_json(partition: Partition) -> dict:
 
 
 def partition_from_json(obj) -> Partition:
-    return Partition(tuple(obj["a"]), tuple(obj["b"]))
+    blocks = []
+    for key in ("a", "b"):
+        block = _field(obj, key, "partition")
+        if not isinstance(block, list) or not all(_is_int(i) for i in block):
+            raise InstanceFormatError(f"partition.{key}: expected member indices")
+        blocks.append(tuple(block))
+    try:
+        return Partition(*blocks)
+    except MalformedInputError as exc:
+        raise InstanceFormatError(f"partition: {exc}") from exc
 
 
 def flat_to_json(flat: AffineFlat) -> dict:
@@ -231,20 +256,34 @@ def witness_to_json(witness: TransversalWitness) -> dict:
 
 
 def witness_from_json(obj) -> TransversalWitness:
-    flat = AffineFlat(
-        _vector_from_json(obj["flat"]["base"], "flat.base"),
-        tuple(
-            _vector_from_json(d, "flat.directions")
-            for d in obj["flat"]["directions"]
-        ),
+    flat_obj = _field(obj, "flat")
+    base = _vector_from_json(_field(flat_obj, "base", "flat"), "flat.base")
+    directions = _field(flat_obj, "directions", "flat")
+    if not isinstance(directions, list):
+        raise InstanceFormatError("flat.directions: expected a list")
+    dirs = tuple(
+        _vector_from_json(d, f"flat.directions[{i}]")
+        for i, d in enumerate(directions)
     )
+    try:
+        flat = AffineFlat(base, dirs)
+    except MalformedInputError as exc:
+        raise InstanceFormatError(f"flat: {exc}") from exc
+    anchors_obj = _field(obj, "anchors")
+    if not isinstance(anchors_obj, list):
+        raise InstanceFormatError("anchors: expected a list")
+    anchors = []
+    for i, anchor in enumerate(anchors_obj):
+        where = f"anchors[{i}]"
+        member = _field(anchor, "member", where)
+        if not _is_int(member):
+            raise InstanceFormatError(f"{where}.member: expected an integer")
+        point = _vector_from_json(_field(anchor, "point", where), f"{where}.point")
+        anchors.append((member, point))
     return TransversalWitness(
-        partition_from_json(obj["partition"]),
-        _vector_from_json(obj["crossing_point"], "crossing_point"),
-        tuple(
-            (a["member"], _vector_from_json(a["point"], "anchors"))
-            for a in obj["anchors"]
-        ),
+        partition_from_json(_field(obj, "partition")),
+        _vector_from_json(_field(obj, "crossing_point"), "crossing_point"),
+        tuple(anchors),
         flat,
     )
 
@@ -258,13 +297,13 @@ def _emit(report_doc, out):
 # commands
 
 
-def cmd_check_colorful(path: str, out=None, jobs: int = 1) -> int:
+def cmd_check_colorful(path: str, out=None) -> int:
     try:
         instance, _ = load_instance(path)
     except InstanceFormatError as exc:
         print(f"error: {exc}")
         return EXIT_PRECONDITION
-    report = check_colorful(instance, jobs=jobs)
+    report = check_colorful(instance)
     if report.holds:
         print(f"colorful-property holds tuples={len(report.witnesses)} PASS")
         doc = {
@@ -335,15 +374,16 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
             out,
         )
         return EXIT_OK
+    assignment = assign_normals(family, family_index)
+    if isinstance(assignment, Partition):
+        print(
+            f"error: family {family_index}: partition {assignment.label()} is "
+            "inseparable yet no transversal was found"
+        )
+        return EXIT_THEOREM_VIOLATION
     separations = []
     for part in partitions(family.k + 2):
-        side_a = []
-        for idx in part.part_a:
-            side_a.extend(family.bodies[idx - 1].generators)
-        side_b = []
-        for idx in part.part_b:
-            side_b.extend(family.bodies[idx - 1].generators)
-        normal, offset = strict_separation(side_b, side_a)
+        normal, offset = assignment.normal_for(part.part_a)
         print(
             f"separated partition={part.label()} "
             f"normal=({','.join(format_rational(e) for e in normal)}) "
@@ -369,7 +409,7 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
     return EXIT_NEGATIVE
 
 
-def cmd_verify_theorem(path: str, out=None, jobs: int = 1) -> int:
+def cmd_verify_theorem(path: str, out=None) -> int:
     try:
         instance, _ = load_instance(path)
     except InstanceFormatError as exc:
@@ -384,7 +424,7 @@ def cmd_verify_theorem(path: str, out=None, jobs: int = 1) -> int:
         )
         return EXIT_PRECONDITION
     try:
-        report = verify_theorem(instance, jobs=jobs)
+        report = verify_theorem(instance)
     except TheoremPreconditionError as exc:
         print(f"error: {exc}")
         return EXIT_PRECONDITION
@@ -449,14 +489,14 @@ def cmd_generate(
     return EXIT_OK
 
 
-def cmd_certificate(path: str, out=None, jobs: int = 1) -> int:
+def cmd_certificate(path: str, out=None) -> int:
     try:
         instance, _ = load_instance(path)
     except InstanceFormatError as exc:
         print(f"error: {exc}")
         return EXIT_PRECONDITION
     try:
-        report = full_certificate(instance, jobs=jobs)
+        report = full_certificate(instance)
     except ColorfulViolationError as exc:
         print(f"error: {exc}")
         return EXIT_PRECONDITION
@@ -519,10 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--family", type=int, required=True, help="family index, 1-based"
             )
-        else:
-            p.add_argument(
-                "--jobs", type=int, default=1, help="parallelism hint for solves"
-            )
 
     p = sub.add_parser("check-colorful", help="decide the colorful intersection property")
     add_common(p)
@@ -554,13 +590,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "check-colorful":
-            return cmd_check_colorful(args.instance, args.out, args.jobs)
+            return cmd_check_colorful(args.instance, args.out)
         if args.command == "transversal":
             return cmd_transversal(args.instance, args.family, args.out)
         if args.command == "verify-theorem":
-            return cmd_verify_theorem(args.instance, args.out, args.jobs)
+            return cmd_verify_theorem(args.instance, args.out)
         if args.command == "certificate":
-            return cmd_certificate(args.instance, args.out, args.jobs)
+            return cmd_certificate(args.instance, args.out)
         if args.command == "generate":
             return cmd_generate(
                 args.kind, args.ks, args.seed, args.representation, args.out, args.dim

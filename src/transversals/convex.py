@@ -2,9 +2,8 @@
 
 Two representations are supported: V-polytopes (convex hulls of finitely
 many rational points, redundancy allowed) and affine flats (base point
-plus independent directions).  Intersection, membership and projection
-all reduce to solves in :mod:`transversals.exactla`; nothing here is ever
-approximate.
+plus independent directions).  Intersection and membership reduce to
+solves in :mod:`transversals.exactla`; nothing here is ever approximate.
 """
 
 from __future__ import annotations
@@ -236,24 +235,6 @@ def common_point(bodies) -> Optional[QVector]:
     return QVector(solution[c] - solution[d + c] for c in range(d))
 
 
-def hull_union(polytopes) -> VPolytope:
-    """Hull of a union of V-polytopes: the pooled generator list (exact,
-    since conv of a union of hulls is the hull of pooled generators)."""
-    polytopes = list(polytopes)
-    if not polytopes:
-        raise MalformedInputError("need at least one polytope")
-    for p in polytopes:
-        if not isinstance(p, VPolytope):
-            raise UnsupportedRepresentationError(
-                "hull_union is defined for V-polytopes only"
-            )
-    _common_dim(polytopes)
-    gens = []
-    for p in polytopes:
-        gens.extend(p.generators)
-    return VPolytope(tuple(gens))
-
-
 def affine_span(points) -> AffineFlat:
     """Affine span of a point set: base at the first point, directions a
     maximal independent subset of the differences, scanned in input order."""
@@ -279,23 +260,3 @@ def affine_span(points) -> AffineFlat:
         echelon.append([v / pv for v in residue])
         directions.append(QVector(candidate))
     return AffineFlat(base, tuple(directions))
-
-
-def orthogonal_projection(flat: AffineFlat, point: QVector) -> QVector:
-    """Unique point of the flat whose difference from ``point`` is orthogonal
-    to every direction, via the Gram normal equations (exactly solvable
-    because the directions are independent)."""
-    if point.dim != flat.dim:
-        raise MalformedInputError("point dimension does not match flat")
-    if not flat.directions:
-        return flat.base
-    dirs = flat.directions
-    gram = QMatrix(QVector(a.dot(b) for b in dirs) for a in dirs)
-    rhs = QVector(d.dot(point - flat.base) for d in dirs)
-    solution = solve_linear(gram, rhs)
-    if solution is None or solution.kernel_basis:
-        raise AssertionError("Gram system of independent directions must be regular")
-    result = flat.base
-    for t, direction in zip(solution.particular, dirs):
-        result = result + t * direction
-    return result

@@ -26,8 +26,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

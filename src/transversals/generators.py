@@ -22,7 +22,13 @@ from fractions import Fraction
 from .convex import AffineFlat, VPolytope
 from .exactla import MalformedInputError, QMatrix, QVector, rank, solve_linear
 from .reporting import CheckRecord
-from .transversal import Family, Instance, check_colorful, k_transversal
+from .transversal import (
+    Family,
+    Instance,
+    _member_tuples,
+    check_colorful,
+    k_transversal,
+)
 
 FLATS = "flats"
 TRUNCATED = "truncated"
@@ -49,8 +55,8 @@ class CounterexampleInvalidError(ValueError):
 
 
 def derive_seed(*parts) -> int:
-    """Stable sub-seed from labels and integers; hash-based so parallel and
-    serial generation draw identical streams."""
+    """Stable sub-seed from labels and integers; hash-based, so it does not
+    depend on ``PYTHONHASHSEED`` or the interpreter."""
     text = ":".join(str(p) for p in parts)
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
@@ -70,10 +76,6 @@ class CounterexampleInstance:
     representation: str  # FLATS or TRUNCATED
     tuple_points: dict  # member tuple (1-based) -> QVector
     certificate: GeneralPositionCertificate
-
-
-def _member_tuples(ks):
-    return itertools.product(*[range(1, k + 3) for k in ks])
 
 
 def _difference_rows(points):
@@ -127,7 +129,7 @@ def _general_position_checks(ks, points):
         family_rows.append(_difference_rows(group))
 
     tuple_points = {}
-    for selector in _member_tuples(ks):
+    for selector in _member_tuples(k + 2 for k in ks):
         rows = []
         rhs = []
         for i, choice in enumerate(selector):
@@ -149,6 +151,20 @@ def _general_position_checks(ks, points):
             tuple_points[selector] = solution.particular
 
     return ok, checks, parts, family_rows, tuple_points
+
+
+def _truncated_families(ks, tuple_points):
+    """Member j of family i becomes the hull of the tuple points whose i-th
+    choice is j, taken in sorted tuple order."""
+    order = sorted(tuple_points)
+    families = []
+    for i, k in enumerate(ks):
+        members = []
+        for j in range(1, k + 3):
+            gens = [tuple_points[t] for t in order if t[i] == j]
+            members.append(VPolytope(tuple(gens)))
+        families.append(Family(k, tuple(members)))
+    return tuple(families)
 
 
 def counterexample_from_points(ks, points, representation: str = TRUNCATED) -> CounterexampleInstance:
@@ -175,8 +191,10 @@ def counterexample_from_points(ks, points, representation: str = TRUNCATED) -> C
 
     certificate = GeneralPositionCertificate(tuple(points), tuple(parts), checks)
 
-    families = []
-    if representation == FLATS:
+    if representation == TRUNCATED:
+        families = _truncated_families(ks, tuple_points)
+    else:
+        families = []
         for i, group in enumerate(parts):
             span_rows = family_rows[i]
             fibers = []
@@ -186,15 +204,6 @@ def counterexample_from_points(ks, points, representation: str = TRUNCATED) -> C
                 )
                 fibers.append(AffineFlat(anchor, kernel.kernel_basis))
             families.append(Family(ks[i], tuple(fibers)))
-    else:
-        for i in range(n):
-            members = []
-            for j in range(1, ks[i] + 3):
-                gens = [
-                    tuple_points[t] for t in sorted(tuple_points) if t[i] == j
-                ]
-                members.append(VPolytope(tuple(gens)))
-            families.append(Family(ks[i], tuple(members)))
 
     instance = Instance(d, tuple(families))
     return CounterexampleInstance(instance, representation, tuple_points, certificate)
@@ -235,21 +244,7 @@ def gen_counterexample(
     )
 
 
-def _truncated_families(ce: CounterexampleInstance):
-    if ce.representation == TRUNCATED:
-        return ce.instance.families
-    ks = [f.k for f in ce.instance.families]
-    families = []
-    for i, k in enumerate(ks):
-        members = []
-        for j in range(1, k + 3):
-            gens = [ce.tuple_points[t] for t in sorted(ce.tuple_points) if t[i] == j]
-            members.append(VPolytope(tuple(gens)))
-        families.append(Family(k, tuple(members)))
-    return tuple(families)
-
-
-def verify_counterexample(ce: CounterexampleInstance, jobs: int = 1):
+def verify_counterexample(ce: CounterexampleInstance):
     """Re-verify both halves of the optimality claim.
 
     (1) the colorful property holds on the instance as represented, (2) each
@@ -261,7 +256,7 @@ def verify_counterexample(ce: CounterexampleInstance, jobs: int = 1):
     """
     checks = []
 
-    colorful = check_colorful(ce.instance, jobs=jobs)
+    colorful = check_colorful(ce.instance)
     record = CheckRecord(
         "colorful-property",
         f"tuples={len(ce.tuple_points)}",
@@ -280,7 +275,10 @@ def verify_counterexample(ce: CounterexampleInstance, jobs: int = 1):
         if not passed:
             raise CounterexampleInvalidError(record)
 
-    for i, fam in enumerate(_truncated_families(ce), start=1):
+    families = ce.instance.families
+    if ce.representation != TRUNCATED:
+        families = _truncated_families([f.k for f in families], ce.tuple_points)
+    for i, fam in enumerate(families, start=1):
         witness = k_transversal(fam)
         record = CheckRecord(
             "no-transversal",
@@ -327,7 +325,7 @@ def gen_planted(dim: int, ks, seed: int) -> Instance:
             point = point + rng.randint(-5, 5) * direction
         planted.append(point)
 
-    anchors = {t: random_point() for t in _member_tuples(ks)}
+    anchors = {t: random_point() for t in _member_tuples(k + 2 for k in ks)}
 
     families = []
     for i, k in enumerate(ks):
@@ -372,7 +370,7 @@ def gen_colorful_random(ks, seed: int) -> Instance:
 
     anchors = {
         t: QVector(rng.randint(-50, 50) for _ in range(dim))
-        for t in _member_tuples(ks)
+        for t in _member_tuples(k + 2 for k in ks)
     }
 
     families = []

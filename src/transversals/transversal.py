@@ -11,7 +11,6 @@ the feasible combination.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -251,41 +250,24 @@ class ColorfulReport:
     failing_tuple: Optional[tuple] = None
 
 
-def _member_tuples(instance: Instance):
-    return itertools.product(
-        *[range(1, len(f.bodies) + 1) for f in instance.families]
-    )
+def _member_tuples(sizes):
+    """Every choice of one member per family, as 1-based indices, in
+    lexicographic order; ``sizes`` are the member counts."""
+    return itertools.product(*[range(1, size + 1) for size in sizes])
 
 
-def check_colorful(instance: Instance, jobs: int = 1) -> ColorfulReport:
+def check_colorful(instance: Instance) -> ColorfulReport:
     """Decide the colorful intersection property: every choice of one member
     per family must have a common point.
 
-    Returns per-tuple witness points when it holds, otherwise the
-    lexicographically first failing tuple.  ``jobs`` may parallelize the
-    independent per-tuple solves; the report is reduced in canonical tuple
-    order either way.
+    Tuples are solved in lexicographic order.  Returns per-tuple witness
+    points when the property holds, otherwise the first failing tuple.
     """
     families = instance.families
-    tuples = list(_member_tuples(instance))
-
-    def solve(selector):
-        bodies = [
-            families[i].bodies[selector[i] - 1] for i in range(len(families))
-        ]
-        return common_point(bodies)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(solve, tuples))
-        for selector, point in zip(tuples, points):
-            if point is None:
-                return ColorfulReport(False, {}, selector)
-        return ColorfulReport(True, dict(zip(tuples, points)))
-
     witnesses = {}
-    for selector in tuples:
-        point = solve(selector)
+    for selector in _member_tuples(len(f.bodies) for f in families):
+        bodies = [families[i].bodies[c - 1] for i, c in enumerate(selector)]
+        point = common_point(bodies)
         if point is None:
             return ColorfulReport(False, {}, selector)
         witnesses[selector] = point
@@ -300,7 +282,7 @@ class TheoremReport:
     witness: TransversalWitness
 
 
-def verify_theorem(instance: Instance, jobs: int = 1) -> TheoremReport:
+def verify_theorem(instance: Instance) -> TheoremReport:
     """Check the transversal guarantee on a theorem-mode instance.
 
     Preconditions are verified, not assumed: the ambient dimension must be
@@ -321,7 +303,7 @@ def verify_theorem(instance: Instance, jobs: int = 1) -> TheoremReport:
             raise TheoremPreconditionError(
                 f"family {i} needs {fam.k + 2} members, has {len(fam.bodies)}"
             )
-    colorful = check_colorful(instance, jobs=jobs)
+    colorful = check_colorful(instance)
     if not colorful.holds:
         raise TheoremPreconditionError(
             f"colorful intersection fails at tuple {colorful.failing_tuple}"

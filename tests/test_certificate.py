@@ -267,12 +267,3 @@ class TestFullCertificate:
             assert isinstance(outcome, NormalAssignment)
         outcome = assign_normals(instance.families[index - 1], index)
         assert isinstance(outcome, Partition)
-
-    def test_jobs_parameter_gives_identical_report(self):
-        ce = gen_counterexample([1, 0], seed=2)
-        serial = full_certificate(ce.instance, jobs=1)
-        threaded = full_certificate(ce.instance, jobs=3)
-        assert serial.verdict == threaded.verdict
-        assert [c.ledger_line() for c in serial.checks] == [
-            c.ledger_line() for c in threaded.checks
-        ]

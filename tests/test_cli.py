@@ -3,11 +3,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transversals.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_PRECONDITION,
+    EXIT_THEOREM_VIOLATION,
+    InstanceFormatError,
     cmd_certificate,
     cmd_check_colorful,
     cmd_generate,
@@ -19,10 +22,11 @@ from transversals.cli import (
     main,
     save_instance,
     witness_from_json,
+    witness_to_json,
 )
 from transversals.convex import AffineFlat, VPolytope
 from transversals.exactla import QVector
-from transversals.transversal import Family, Instance, validate_witness
+from transversals.transversal import Family, Instance, k_transversal, validate_witness
 
 
 def vec(*entries):
@@ -106,11 +110,19 @@ class TestFileFormat:
                 },
                 "families[0].sets[0].points[0]",
             ),
+            ({"dimension": True, "families": []}, "dimension"),
+            (
+                {
+                    "dimension": 1,
+                    "families": [
+                        {"k": False, "sets": [{"type": "vpolytope", "points": [["0"]]}]}
+                    ],
+                },
+                "families[0].k",
+            ),
         ],
     )
     def test_schema_errors_carry_location(self, doc, location):
-        from transversals.cli import InstanceFormatError
-
         with pytest.raises(InstanceFormatError, match=__import__("re").escape(location)):
             instance_from_json(doc)
 
@@ -287,18 +299,6 @@ class TestDeterminism:
             tmp_path / "b.json.cert.txt"
         ).read_bytes()
 
-    def test_reports_identical_across_jobs(self, tmp_path):
-        path = tmp_path / "inst.json"
-        cmd_generate("random", [1, 1], 2, out_path=str(path))
-        serial = tmp_path / "serial.json"
-        threaded = tmp_path / "threaded.json"
-        assert cmd_check_colorful(str(path), str(serial), jobs=1) == EXIT_OK
-        assert cmd_check_colorful(str(path), str(threaded), jobs=4) == EXIT_OK
-        assert serial.read_bytes() == threaded.read_bytes()
-        assert cmd_certificate(str(path), str(serial), jobs=1) == EXIT_OK
-        assert cmd_certificate(str(path), str(threaded), jobs=4) == EXIT_OK
-        assert serial.read_bytes() == threaded.read_bytes()
-
 
 class TestGeneratorExhaustionPath:
     def test_exit_four(self, tmp_path, monkeypatch):
@@ -323,7 +323,7 @@ class TestTheoremViolationPath:
         path = tmp_path / "inst.json"
         save_instance(str(path), interval_instance())
 
-        def explode(instance, jobs=1):
+        def explode(instance):
             raise TheoremViolationError("forced for the triage path")
 
         monkeypatch.setattr(cli_module, "verify_theorem", explode)
@@ -333,13 +333,36 @@ class TestTheoremViolationPath:
         assert '"dimension": 1' in printed  # full instance dumped for triage
 
 
+class TestInseparableNegativePath:
+    def test_exit_three(self, tmp_path, monkeypatch, capsys):
+        import transversals.certificate as certificate_module
+
+        path = tmp_path / "apart.json"
+        family = Family(
+            1, (VPolytope((vec(0, 0),)), VPolytope((vec(1, 1),)), VPolytope((vec(2, 0),)))
+        )
+        save_instance(str(path), Instance(2, (family,)))
+        monkeypatch.setattr(
+            certificate_module, "strict_separation", lambda positive, negative: None
+        )
+        assert cmd_transversal(str(path), 1) == EXIT_THEOREM_VIOLATION
+        assert "partition {1}/{2,3} is inseparable" in capsys.readouterr().out
+
+
 class TestEntryPoint:
     def test_main_dispatch(self, tmp_path):
         path = tmp_path / "r.json"
         code = main(["generate", "random", "--ks", "0,0", "--seed", "1", "--out", str(path)])
         assert code == EXIT_OK
         assert main(["check-colorful", str(path)]) == EXIT_OK
-        assert main(["verify-theorem", str(path), "--jobs", "2"]) == EXIT_OK
+        assert main(["verify-theorem", str(path)]) == EXIT_OK
+
+    def test_jobs_flag_is_rejected(self, tmp_path):
+        path = tmp_path / "inst.json"
+        save_instance(str(path), interval_instance())
+        with pytest.raises(SystemExit) as exc:
+            main(["check-colorful", str(path), "--jobs", "2"])
+        assert exc.value.code == EXIT_PRECONDITION
 
     def test_console_script_subprocess(self, tmp_path):
         path = tmp_path / "inst.json"
@@ -368,3 +391,83 @@ class TestEntryPoint:
         )
         assert result.returncode == EXIT_OK
         assert "theorem family=" in result.stdout
+
+
+class TestReportLoaders:
+    @pytest.mark.parametrize(
+        "doc,location",
+        [
+            ({}, "flat: missing"),
+            ({"flat": {"base": ["0"]}}, "flat.directions: missing"),
+            ({"flat": 3}, "flat: expected an object"),
+            ([], "top level: expected an object"),
+        ],
+    )
+    def test_malformed_witness_names_the_field(self, doc, location):
+        with pytest.raises(InstanceFormatError, match=__import__("re").escape(location)):
+            witness_from_json(doc)
+
+
+def _fuzz_documents():
+    """Valid documents to mutate: (loader, document, keys it may omit)."""
+    mixed = Instance(
+        2,
+        (
+            Family(
+                1,
+                (
+                    segment([0, 0], [1, 0]),
+                    VPolytope((vec(2, 2),)),
+                    AffineFlat(vec(0, 1), (vec(1, -3),)),
+                ),
+            ),
+        ),
+    )
+    collinear = Family(
+        1, (VPolytope((vec(0, 0),)), VPolytope((vec(1, 0),)), VPolytope((vec(2, 0),)))
+    )
+    witness = witness_to_json(k_transversal(collinear))
+    return [
+        (instance_from_json, instance_to_json(interval_instance()), set()),
+        (instance_from_json, instance_to_json(mixed, {"seed": 1}), {"directions"}),
+        (witness_from_json, witness, set()),
+    ]
+
+
+def _locations(node, path=()):
+    """Every location below ``node`` except inside ``meta``, whose content
+    is free-form."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        if key != "meta":
+            yield path + (key,), child
+            yield from _locations(child, path + (key,))
+
+
+_JSON_VALUES = [None, True, False, 0, 7, 1.5, "x", "1/2", [], [["0"]], {}, {"k": 0}]
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_raise_instance_format_error(self, data):
+        loader, doc, optional = data.draw(st.sampled_from(_fuzz_documents()))
+        mutated = json.loads(json.dumps(doc))
+        path, original = data.draw(st.sampled_from(list(_locations(mutated))))
+        parent = mutated
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        droppable = isinstance(key, str) and key not in optional
+        wrong = [v for v in _JSON_VALUES if type(v) is not type(original)]
+        if droppable and data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(st.sampled_from(wrong))
+        with pytest.raises(InstanceFormatError):
+            loader(mutated)

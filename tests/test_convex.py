@@ -2,21 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from transversals.convex import (
     AffineFlat,
-    UnsupportedRepresentationError,
     VPolytope,
     affine_span,
     common_point,
     contains,
-    hull_union,
-    orthogonal_projection,
 )
 from transversals.exactla import MalformedInputError, QVector, solve_linear, QMatrix
-
-rationals = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 
 
 def vec(*entries):
@@ -85,59 +79,6 @@ class TestCommonPoint:
                 assert all(contains(b, point) for b in bodies)
 
 
-class TestHullUnion:
-    def test_two_points(self):
-        union = hull_union([VPolytope((vec(0),)), VPolytope((vec(1),))])
-        assert union.generators == (vec(0), vec(1))
-
-    def test_single_input_is_identity(self):
-        poly = segment(0, 1)
-        assert hull_union([poly]).generators == poly.generators
-
-    def test_pools_generators(self):
-        union = hull_union([segment(0, 1), segment(2, 3)])
-        assert union.generators == (vec(0), vec(1), vec(2), vec(3))
-        assert contains(union, vec(F(3, 2)))
-
-    def test_rejects_flats(self):
-        with pytest.raises(UnsupportedRepresentationError):
-            hull_union([AffineFlat(vec(0))])
-
-    def test_membership_is_inherited(self):
-        rng = random.Random(777)
-        for _ in range(40):
-            dim = rng.choice([1, 2])
-            polys = [
-                VPolytope(
-                    tuple(
-                        QVector([rng.randint(-4, 4) for _ in range(dim)])
-                        for _ in range(rng.randint(1, 3))
-                    )
-                )
-                for _ in range(rng.randint(2, 3))
-            ]
-            union = hull_union(polys)
-            # a random convex combination of one input's generators
-            chosen = polys[rng.randrange(len(polys))].generators
-            weights = [F(rng.randint(0, 5)) for _ in chosen]
-            total = sum(weights) or F(1)
-            probe = QVector([F(0)] * dim)
-            for w, g in zip(weights, chosen):
-                probe = probe + (w / total) * g
-            if sum(weights) == 0:
-                probe = chosen[0]
-            assert contains(union, probe)
-
-    def test_associative_and_order_insensitive(self):
-        a, b, c = segment(0, 1), segment(2, 3), segment(-2, -1)
-        nested = hull_union([hull_union([a, b]), c])
-        flat = hull_union([a, b, c])
-        assert set(nested.generators) == set(flat.generators)
-        assert sorted(hull_union([a, b]).generators, key=str) == sorted(
-            hull_union([b, a]).generators, key=str
-        )
-
-
 class TestAffineSpan:
     def test_single_point(self):
         assert affine_span([vec(0, 0)]).dimension == 0
@@ -149,45 +90,6 @@ class TestAffineSpan:
 
     def test_spanning_points(self):
         assert affine_span([vec(0, 0), vec(1, 0), vec(0, 1)]).dimension == 2
-
-
-class TestOrthogonalProjection:
-    def test_onto_axis(self):
-        axis = AffineFlat(vec(0, 0), (vec(1, 0),))
-        assert orthogonal_projection(axis, vec(3, 4)) == vec(3, 0)
-
-    def test_idempotent_on_flat_points(self):
-        line = AffineFlat(vec(0, 1), (vec(1, 1),))
-        on_flat = vec(2, 3)
-        assert orthogonal_projection(line, on_flat) == on_flat
-
-    def test_diagonal_line(self):
-        line = AffineFlat(vec(0, 1), (vec(1, 1),))
-        assert orthogonal_projection(line, vec(1, 1)) == vec(F(1, 2), F(3, 2))
-
-    def test_point_flat(self):
-        assert orthogonal_projection(AffineFlat(vec(5, 5)), vec(1, 2)) == vec(5, 5)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.data())
-    def test_minimizes_squared_distance(self, data):
-        dim = data.draw(st.integers(2, 3))
-        base = QVector(data.draw(st.lists(rationals, min_size=dim, max_size=dim)))
-        direction = QVector(
-            data.draw(st.lists(rationals, min_size=dim, max_size=dim))
-        )
-        if all(e == 0 for e in direction):
-            return
-        flat = AffineFlat(base, (direction,))
-        point = QVector(data.draw(st.lists(rationals, min_size=dim, max_size=dim)))
-        projected = orthogonal_projection(flat, point)
-        assert orthogonal_projection(flat, projected) == projected
-        other = base + data.draw(rationals) * direction
-        gap_projected = point - projected
-        gap_other = point - other
-        assert gap_projected.dot(gap_projected) <= gap_other.dot(gap_other)
-        if other != projected:
-            assert gap_projected.dot(gap_projected) < gap_other.dot(gap_other)
 
 
 class TestContains:

@@ -238,13 +238,6 @@ class TestCheckColorful:
         assert not report.holds
         assert report.failing_tuple == (1, 1)
 
-    def test_jobs_gives_same_answer(self):
-        instance = self.intervals_instance()
-        serial = check_colorful(instance, jobs=1)
-        parallel = check_colorful(instance, jobs=3)
-        assert serial.holds == parallel.holds
-        assert serial.witnesses == parallel.witnesses
-
     def test_order_invariant_and_monotone(self):
         from transversals.generators import gen_colorful_random
 
