@@ -5,8 +5,9 @@ commands on it through ``main``.  The digest of every file a command writes,
 and of everything it prints, is compared with a recorded value, so any change
 to a decision or to a report byte fails here.  The theorem-mode instance has
 coordinates with denominators up to 8, so its LPs have fractional entries;
-the counterexample instance exercises the rank certificates, the negative
-transversal ledger and the join certificate.
+the counterexample instances exercise the rank certificates, the negative
+transversal ledger and the join certificate.  The ``--ks 2,1`` counterexample
+checks the claim on 144 join simplices and audits 15 of them.
 """
 
 import hashlib
@@ -42,6 +43,23 @@ COUNTEREXAMPLE = [
     (["certificate", "inst.json", "--out", "certificate.json"], EXIT_OK),
 ]
 
+JOIN = [
+    (
+        ["generate", "counterexample", "--ks", "2,1", "--seed", "5", "--out", "inst.json"],
+        EXIT_OK,
+    ),
+    (["check-colorful", "inst.json", "--out", "colorful.json"], EXIT_OK),
+    (
+        ["transversal", "inst.json", "--family", "1", "--out", "family1.json"],
+        EXIT_NEGATIVE,
+    ),
+    (
+        ["transversal", "inst.json", "--family", "2", "--out", "family2.json"],
+        EXIT_NEGATIVE,
+    ),
+    (["certificate", "inst.json", "--out", "certificate.json"], EXIT_OK),
+]
+
 GOLDEN = {
     "theorem": {
         "inst.json": "28be2faa9a1e5b1d0e824431ef5cf3bb1caeb9cd3b82a0bf20811e35fbc88f19",
@@ -61,6 +79,15 @@ GOLDEN = {
         "certificate.json": "a4fa4a7f4a19628723fcf5c728de88186c160ee64e5e0e9ac9d5d42824c058d8",
         "stdout": "ba514971e62ff59521ac3e89a4d5279470ddcaad8036bc167594863ed92ce9f0",
     },
+    "join": {
+        "inst.json": "032d0527aafc38233660ccde4031bdc95b54bb8789d5d0d1f49e34ed1681ec6c",
+        "inst.json.cert.txt": "65d12fec09fc9c473432a2e8faedf6422f2f36f04d0aafcf2e80d300e1919ffa",
+        "colorful.json": "3bd4273e32df9fde4e8d5510170f4a516b66f0c15d57eb57be91df5d9a0d516d",
+        "family1.json": "2758395ffc15df53cc1d92b8ebd538f8c094817656ecc27a9f57bacff23f21b7",
+        "family2.json": "04802202a49f3b2b0def02c82986028a6b0c8e32dad9abd29897cebd5c3ac90e",
+        "certificate.json": "888cb70aa09b47cfe686f0fa8a64991382300d3e30dc7850000801e474d19b9e",
+        "stdout": "76d9c307de9ec980d233e0961d2853aa36cc7e017ab5d0bb4cc23210333e1ab4",
+    },
 }
 
 
@@ -69,7 +96,8 @@ def sha256(data: bytes) -> str:
 
 
 @pytest.mark.parametrize(
-    "name,pipeline", [("theorem", THEOREM), ("counterexample", COUNTEREXAMPLE)]
+    "name,pipeline",
+    [("theorem", THEOREM), ("counterexample", COUNTEREXAMPLE), ("join", JOIN)],
 )
 def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
