@@ -15,21 +15,19 @@ certificate exists, which is possible only above the guarantee dimension.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .convex import UnsupportedRepresentationError, VPolytope, common_point
 from .exactla import (
-    LinearConstraint,
     MalformedInputError,
     PreconditionError,
-    QVector,
-    Relation,
     _ONE,
     _ZERO,
     format_rational,
-    lp_feasible,
     positive_functional,
+    standard_form_feasible,
     strict_separation,
 )
 from .reporting import CheckRecord
@@ -48,6 +46,10 @@ CERTIFICATE_COMPLETE = "CERTIFICATE-COMPLETE"
 
 # Deterministic sampling stride for the LP audit of claim checks.
 _AUDIT_STRIDE = 10
+
+# Most maximal join simplices a certificate run may enumerate; the count is
+# prod((k_i + 2)!), which --ks 4,4 already takes to 518400.
+_JOIN_BUDGET = 100_000
 
 
 class ColorfulViolationError(ValueError):
@@ -323,9 +325,9 @@ def verify_claim(instance: Instance, assignments) -> CertificateReport:
     )
     record(
         "join-maximal-count",
-        "expected=%d" % _product(len(c.maximal_chains) for c in complexes),
+        "expected=%d" % math.prod(len(c.maximal_chains) for c in complexes),
         len(join.maximal_simplices)
-        == _product(len(c.maximal_chains) for c in complexes),
+        == math.prod(len(c.maximal_chains) for c in complexes),
     )
 
     point_cache = {}
@@ -402,32 +404,28 @@ def verify_claim(instance: Instance, assignments) -> CertificateReport:
 
 
 def origin_in_hull(vectors) -> bool:
-    """Exact test whether the origin is a convex combination of the vectors."""
+    """Exact test whether the origin is a convex combination of the vectors.
+
+    Decides ``{w >= 0 : sum_j w_j v_j = 0, sum_j w_j = 1}`` with the
+    phase-one simplex in standard form, the system ``convex.contains``
+    builds for a V-polytope.  Weights it finds are substituted back
+    exactly before the answer is trusted.
+    """
     vectors = list(vectors)
     if not vectors:
         return False
-    count = len(vectors)
     d = vectors[0].dim
-    constraints = []
-    for c in range(d):
-        constraints.append(
-            LinearConstraint(QVector(v[c] for v in vectors), Relation.EQ, _ZERO)
-        )
-    constraints.append(
-        LinearConstraint(QVector([_ONE] * count), Relation.EQ, _ONE)
-    )
-    for j in range(count):
-        row = [_ZERO] * count
-        row[j] = -_ONE
-        constraints.append(LinearConstraint(QVector(row), Relation.LE, _ZERO))
-    return lp_feasible(constraints, count) is not None
-
-
-def _product(values) -> int:
-    result = 1
-    for v in values:
-        result *= v
-    return result
+    if any(v.dim != d for v in vectors):
+        raise MalformedInputError("mixed dimensions in hull input")
+    rows = [[v[c] for v in vectors] for c in range(d)]
+    rows.append([_ONE] * len(vectors))
+    weights = standard_form_feasible(rows, [_ZERO] * d + [_ONE])
+    if weights is None:
+        return False
+    combination = [sum(w * v[c] for w, v in zip(weights, vectors)) for c in range(d)]
+    if min(weights) < 0 or sum(weights) != 1 or any(combination):
+        raise AssertionError("simplex produced weights outside the hull system")
+    return True
 
 
 def full_certificate(instance: Instance) -> CertificateReport:
@@ -439,7 +437,16 @@ def full_certificate(instance: Instance) -> CertificateReport:
     happens).  If every family separates, the join claim is verified and the
     verdict is CERTIFICATE-COMPLETE, which only instances above the
     guarantee dimension can reach.
+
+    Raises MalformedInputError before any other work when the join would
+    have more than ``_JOIN_BUDGET`` maximal simplices.
     """
+    simplices = math.prod(math.factorial(f.k + 2) for f in instance.families)
+    if simplices > _JOIN_BUDGET:
+        raise MalformedInputError(
+            f"the certificate join has {simplices} maximal simplices, "
+            f"above the budget of {_JOIN_BUDGET}"
+        )
     colorful = check_colorful(instance)
     if not colorful.holds:
         raise ColorfulViolationError(

@@ -58,6 +58,10 @@ class InstanceFormatError(ValueError):
     """Malformed instance document; the message carries the JSON location."""
 
 
+class ReportWriteError(Exception):
+    """An output file could not be written; the message names its path."""
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -187,16 +191,22 @@ def _dump_json(doc) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory, removed again on failure; an OSError surfaces as
+    ReportWriteError naming ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ReportWriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def save_instance(path: str, instance: Instance, meta=None) -> None:
@@ -601,7 +611,7 @@ def main(argv=None) -> int:
             return cmd_generate(
                 args.kind, args.ks, args.seed, args.representation, args.out, args.dim
             )
-    except MalformedInputError as exc:
+    except (MalformedInputError, ReportWriteError) as exc:
         print(f"error: {exc}")
         return EXIT_PRECONDITION
     raise AssertionError("unreachable command dispatch")

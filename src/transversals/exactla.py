@@ -10,7 +10,9 @@ Both eliminations pivot on integers over one common denominator (Edmonds
 1967, Bareiss 1968): the input is scaled to integers once, every update is
 an exact integer division, and ``fractions.Fraction`` appears only in the
 values read in and returned.  The pivots are the ones rational arithmetic
-would choose, so every result is the same rational.
+would choose, so every result is the same rational.  Dot products are
+integer too: a vector keeps its numerators over the lcm of its
+denominators, and a product of two such forms makes one Fraction.
 
 Rationals serialize as decimal integer strings or ``"p/q"`` strings with
 positive denominator; that is the only numeric wire format used anywhere
@@ -20,6 +22,7 @@ in the package.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -67,9 +70,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 class QVector:
-    """Immutable vector of exact rationals."""
+    """Immutable vector of exact rationals.
 
-    __slots__ = ("entries",)
+    Besides ``entries``, a vector keeps its integer form once ``dot`` has
+    asked for it: the numerators scaled by the lcm of the denominators,
+    and that lcm.  The form is derived from ``entries`` alone, so equality,
+    hashing and ``repr`` ignore it.
+    """
+
+    __slots__ = ("entries", "_integer")
 
     def __init__(self, entries: Iterable) -> None:
         object.__setattr__(self, "entries", tuple(as_rational(e) for e in entries))
@@ -114,8 +123,23 @@ class QVector:
     __rmul__ = __mul__
 
     def dot(self, other: "QVector") -> Fraction:
+        """Exact inner product, summed on integers: with ``a / da`` and
+        ``b / db`` the two integer forms, it is ``(a . b) / (da * db)``, so
+        one Fraction is made per product."""
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), _ZERO)
+        a, da = self._integer_form()
+        b, db = other._integer_form()
+        return Fraction(sum(map(operator.mul, a, b)), da * db)
+
+    def _integer_form(self) -> tuple:
+        """``(numerators, scale)`` with ``entries == numerators / scale``,
+        ``scale`` the lcm of the denominators; computed once per vector."""
+        try:
+            return self._integer
+        except AttributeError:
+            (numerators,), scale = _integer_rows([self.entries])
+            object.__setattr__(self, "_integer", (numerators, scale))
+            return numerators, scale
 
     def _check_dim(self, other: "QVector") -> None:
         if not isinstance(other, QVector) or other.dim != self.dim:

@@ -1,8 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from transversals import certificate as certificate_module
 from transversals.certificate import (
     CERTIFICATE_COMPLETE,
     THEOREM_CONFIRMED,
@@ -19,7 +21,13 @@ from transversals.certificate import (
     verify_claim,
 )
 from transversals.convex import VPolytope
-from transversals.exactla import QVector
+from transversals.exactla import (
+    LinearConstraint,
+    MalformedInputError,
+    QVector,
+    Relation,
+    lp_feasible,
+)
 from transversals.generators import (
     TRUNCATED,
     counterexample_from_points,
@@ -31,6 +39,22 @@ from transversals.transversal import Family, Instance, Partition, partitions
 
 def vec(*entries):
     return QVector(entries)
+
+
+def reference_origin_in_hull(vectors):
+    """The origin-in-hull system in free variables: ``sum_j w_j v_j = 0``,
+    ``sum_j w_j = 1`` and ``-w_j <= 0``, decided by ``lp_feasible``."""
+    count = len(vectors)
+    constraints = [
+        LinearConstraint(QVector(v[c] for v in vectors), Relation.EQ, 0)
+        for c in range(vectors[0].dim)
+    ]
+    constraints.append(LinearConstraint(QVector([1] * count), Relation.EQ, 1))
+    for j in range(count):
+        row = [0] * count
+        row[j] = -1
+        constraints.append(LinearConstraint(QVector(row), Relation.LE, 0))
+    return lp_feasible(constraints, count) is not None
 
 
 def segment(a, b):
@@ -205,6 +229,58 @@ class TestVerifyClaim:
         assert origin_in_hull([vec(1, 0), vec(-1, 0)])
         assert not origin_in_hull([vec(1, 0), vec(0, 1)])
         assert origin_in_hull([vec(1, 1), vec(-1, 0), vec(0, -1)])
+
+    def test_origin_in_hull_matches_free_variable_reference(self):
+        rng = random.Random(4242)
+        cases = [
+            [vec(0, 0)],
+            [vec(0, 0, 0), vec(1, 2, 3)],
+            [vec(1, 0), vec(-2, 0)],  # the origin on an edge
+            [vec(1, 1), vec(-1, -1), vec(5, 0)],  # on an edge of a triangle
+            [vec(1, 2), vec(1, 2), vec(3, -1)],
+            [vec(1, 2), vec(1, 2), vec(-1, -2)],
+            [vec(Fraction(1, 3)), vec(Fraction(-1, 7))],
+            [vec(Fraction(1, 3)), vec(Fraction(2, 7))],
+        ]
+        for _ in range(300):
+            dim = rng.randint(1, 4)
+            count = rng.randint(1, 6)
+            vectors = [
+                QVector(
+                    Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 8)))
+                    for _ in range(dim)
+                )
+                for _ in range(count)
+            ]
+            if rng.random() < 0.3:
+                vectors.append(rng.choice(vectors))  # duplicated vector
+            if rng.random() < 0.3:
+                # keep one open halfspace so that infeasible sets are common
+                vectors = [v if v[0] > 0 else -v for v in vectors if v[0] != 0]
+                vectors = vectors or [QVector([1] * dim)]
+            cases.append(vectors)
+        answers = []
+        for vectors in cases:
+            expected = reference_origin_in_hull(vectors)
+            assert origin_in_hull(vectors) is expected, vectors
+            answers.append(expected)
+        assert answers[:8] == [True, True, True, True, False, True, True, False]
+        assert answers.count(True) >= 50 and answers.count(False) >= 50
+
+    def test_origin_in_hull_checks_the_weights(self, monkeypatch):
+        monkeypatch.setattr(
+            certificate_module,
+            "standard_form_feasible",
+            lambda rows, rhs: [Fraction(1, 2), Fraction(1, 2)],
+        )
+        with pytest.raises(AssertionError):
+            origin_in_hull([vec(1, 0), vec(0, 1)])
+
+    def test_origin_in_hull_rejects_mixed_dimensions(self):
+        with pytest.raises(MalformedInputError):
+            origin_in_hull([vec(1, 0), vec(-1, 0, 0)])
+        with pytest.raises(MalformedInputError):
+            origin_in_hull([vec(1, 0), vec(-1)])
 
     def test_claim_certifies_origin_avoidance_on_random_sample(self):
         ce = gen_counterexample([1, 1], seed=8)

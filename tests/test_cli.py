@@ -349,6 +349,48 @@ class TestInseparableNegativePath:
         assert "partition {1}/{2,3} is inseparable" in capsys.readouterr().out
 
 
+class TestUnwritableOutput:
+    def test_generate_exits_two_naming_the_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        argv = ["generate", "random", "--ks", "1,1", "--seed", "1", "--out", str(out)]
+        assert main(argv) == EXIT_PRECONDITION
+        assert f"error: cannot write {out}:" in capsys.readouterr().out
+        assert not (tmp_path / "missing").exists()
+
+    def test_report_into_a_directory_leaves_no_temporary(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        save_instance(str(path), interval_instance())
+        target = tmp_path / "reports"
+        target.mkdir()
+        code = main(["check-colorful", str(path), "--out", str(target)])
+        assert code == EXIT_PRECONDITION
+        assert f"error: cannot write {target}:" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json", "reports"]
+        assert list(target.iterdir()) == []
+
+
+class TestJoinBudget:
+    def test_limit_is_inclusive_and_checked_first(self, tmp_path, monkeypatch, capsys):
+        import transversals.certificate as certificate_module
+
+        monkeypatch.setattr(certificate_module, "_JOIN_BUDGET", 144)
+        at_limit = str(tmp_path / "c21.json")
+        above = str(tmp_path / "c22.json")
+        assert cmd_generate("counterexample", [2, 1], 5, out_path=at_limit) == EXIT_OK
+        assert cmd_generate("counterexample", [2, 2], 5, out_path=above) == EXIT_OK
+        assert main(["certificate", at_limit]) == EXIT_OK
+        assert "verdict CERTIFICATE-COMPLETE" in capsys.readouterr().out
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started above the join budget")
+
+        for name in ("check_colorful", "build_chain_complex", "assign_normals"):
+            monkeypatch.setattr(certificate_module, name, forbidden)
+        assert main(["certificate", above]) == EXIT_PRECONDITION
+        printed = capsys.readouterr().out
+        assert "576 maximal simplices" in printed and "budget of 144" in printed
+
+
 class TestEntryPoint:
     def test_main_dispatch(self, tmp_path):
         path = tmp_path / "r.json"

@@ -534,3 +534,87 @@ class TestFractionFreeKernels:
             negative_pivots += denominator < 0
             deficient += len(pivots) < min(num_rows, num_cols)
         assert negative_pivots >= 10 and deficient >= 10
+
+
+def reference_dot(u, v):
+    """The inner product summed in Fractions, term by term."""
+    return sum((a * b for a, b in zip(u.entries, v.entries)), F(0))
+
+
+def random_entry(rng, kind):
+    if kind == "zero":
+        return F(0)
+    if kind == "integer":
+        return F(rng.randint(-10**6, 10**6))
+    if kind == "small":
+        return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 8, 9, 16)))
+    return F(rng.randint(-(2**70), 2**70), rng.randint(1, 2**64))
+
+
+def random_qvector(rng, dim):
+    kinds = rng.choice(
+        [("zero",), ("integer",), ("small",), ("huge",), ("zero", "small", "huge")]
+    )
+    return QVector(random_entry(rng, rng.choice(kinds)) for _ in range(dim))
+
+
+class TestIntegerDot:
+    def test_matches_fraction_reference(self):
+        rng = random.Random(9173)
+        # one long-lived vector per dimension, dotted against many others, so
+        # the integer form stored on it is read back again and again
+        shared = {dim: random_qvector(rng, dim) for dim in range(1, 9)}
+        seen = {"zero": 0, "negative": 0, "integer": 0, "self": 0, "shared": 0}
+        for trial in range(800):
+            dim = rng.randint(1, 8)
+            u = random_qvector(rng, dim)
+            mode = trial % 4
+            if mode == 0:
+                v = u
+            elif mode == 1:
+                v = shared[dim]
+            else:
+                v = random_qvector(rng, dim)
+            expected = reference_dot(u, v)
+            assert u.dot(v) == expected
+            assert v.dot(u) == expected
+            assert u.dot(v) == expected  # both integer forms stored by now
+            seen["zero"] += expected == 0
+            seen["negative"] += expected < 0
+            seen["integer"] += all(e.denominator == 1 for e in u.entries + v.entries)
+            seen["self"] += v is u
+            seen["shared"] += v is shared[dim]
+        for v in shared.values():
+            # a fresh vector equal to a shared one gives the same products
+            twin = QVector(v.entries)
+            assert twin.dot(v) == v.dot(twin) == reference_dot(v, v)
+        assert min(seen.values()) >= 50, seen
+
+    def test_lcm_not_first_denominator(self):
+        u = QVector([F(1, 2), F(1, 3), F(5, 7)])
+        v = QVector([F(3), F(-1, 5), F(2, 2**64 + 1)])
+        assert u.dot(v) == reference_dot(u, v)
+        assert u.dot(u) == F(1, 4) + F(1, 9) + F(25, 49)
+
+    def test_dim_mismatch_after_integer_form(self):
+        u = QVector([F(1, 3), 2])
+        u.dot(u)
+        with pytest.raises(MalformedInputError):
+            u.dot(QVector([1, 2, 3]))
+        with pytest.raises(MalformedInputError):
+            QVector([1, 2, 3]).dot(u)
+
+    def test_identity_and_immutability_ignore_integer_form(self):
+        u = QVector([F(1, 3), F(-2, 5), 0])
+        before = (repr(u), hash(u))
+        assert u.dot(QVector([1, 1, 1])) == F(-1, 15)
+        fresh = QVector([F(1, 3), F(-2, 5), 0])
+        assert u == fresh and fresh == u
+        assert (repr(u), hash(u)) == before == (repr(fresh), hash(fresh))
+        assert repr(u) == "QVector(1/3, -2/5, 0)"
+        assert len({u, fresh}) == 1
+        for name in ("entries", "_integer", "other"):
+            with pytest.raises(AttributeError):
+                setattr(u, name, None)
+        assert u.entries == (F(1, 3), F(-2, 5), F(0))
+        assert u.dot(u) == F(1, 9) + F(4, 25)
