@@ -8,12 +8,18 @@ coordinates with denominators up to 8, so its LPs have fractional entries;
 the counterexample instances exercise the rank certificates, the negative
 transversal ledger and the join certificate.  The ``--ks 2,1`` counterexample
 checks the claim on 144 join simplices and audits 15 of them.
+
+Each pipeline also records every distinct ``(rows, rhs)`` system the
+phase-one simplex receives.  The digest of that sorted set is compared too,
+so a system builder that reorders columns or rows fails here even when it
+happens to find the same witnesses.
 """
 
 import hashlib
 
 import pytest
 
+from transversals import exactla
 from transversals.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_PRECONDITION, main
 
 THEOREM = [
@@ -69,6 +75,7 @@ GOLDEN = {
         "family2.json": "3bb0829495032f4319799ffd624f88d610e1f66ab8293f6972fb16323892a6d6",
         "certificate.json": "fb0b0cd3dc11a8cac88e55bc308285bc12131020ca9b6bf5a6a933f90e52a9c0",
         "stdout": "25e3af24bd60d941530cd58b294f3b620df352ff4e4d4b2779c41a0b06b01980",
+        "lp-systems": "57bda9a2e5924872827a8754e6f2e98c7f8a67be280b533635e294fa8e90531e",
     },
     "counterexample": {
         "inst.json": "029a6e86f86f9fb8e4f8e775eb8ee68c87454c5b9e749d3dc143463074126bc4",
@@ -78,6 +85,7 @@ GOLDEN = {
         "family2.json": "7683e6cbf261538d0723256057f6646634c723a9521bd4a7d42988c57d035c71",
         "certificate.json": "a4fa4a7f4a19628723fcf5c728de88186c160ee64e5e0e9ac9d5d42824c058d8",
         "stdout": "ba514971e62ff59521ac3e89a4d5279470ddcaad8036bc167594863ed92ce9f0",
+        "lp-systems": "ce71f53ccec5e552861f815c48a19664ddfa07b0a1fc1b9f4229452ec13c69c6",
     },
     "join": {
         "inst.json": "032d0527aafc38233660ccde4031bdc95b54bb8789d5d0d1f49e34ed1681ec6c",
@@ -87,6 +95,7 @@ GOLDEN = {
         "family2.json": "04802202a49f3b2b0def02c82986028a6b0c8e32dad9abd29897cebd5c3ac90e",
         "certificate.json": "888cb70aa09b47cfe686f0fa8a64991382300d3e30dc7850000801e474d19b9e",
         "stdout": "76d9c307de9ec980d233e0961d2853aa36cc7e017ab5d0bb4cc23210333e1ab4",
+        "lp-systems": "5fa1f8986937cb74825a7a38461783bb067104437c0040e2f1da771ef05e0df7",
     },
 }
 
@@ -101,10 +110,21 @@ def sha256(data: bytes) -> str:
 )
 def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    systems = set()
+    phase_one = exactla._phase_one
+
+    def recording_phase_one(rows, rhs):
+        systems.add(
+            repr(([[str(v) for v in row] for row in rows], [str(b) for b in rhs]))
+        )
+        return phase_one(rows, rhs)
+
+    monkeypatch.setattr(exactla, "_phase_one", recording_phase_one)
     for argv, expected in pipeline:
         assert main(argv) == expected, argv
     digests = {
         path.name: sha256(path.read_bytes()) for path in sorted(tmp_path.iterdir())
     }
     digests["stdout"] = sha256(capsys.readouterr().out.encode("utf-8"))
+    digests["lp-systems"] = sha256("\n".join(sorted(systems)).encode("utf-8"))
     assert digests == GOLDEN[name]
