@@ -19,15 +19,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .convex import UnsupportedRepresentationError, VPolytope, common_point
+from .convex import UnsupportedRepresentationError, VPolytope, hull_weights, weighted_sum
 from .exactla import (
     MalformedInputError,
     PreconditionError,
-    _ONE,
+    QVector,
     _ZERO,
     format_rational,
     positive_functional,
-    standard_form_feasible,
     strict_separation,
 )
 from .reporting import CheckRecord
@@ -292,17 +291,18 @@ def _structural_checks(complexes, assignments):
     return checks, record
 
 
-def verify_claim(instance: Instance, assignments) -> CertificateReport:
+def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
     """Check the origin-avoidance property on every maximal join simplex.
 
-    For each simplex, the smallest subfamily of each chain pins one member
-    and the complement of the largest pins another; their two tuple
-    intersection points straddle every separator of the simplex, so their
-    difference is a functional strictly positive on all of the simplex's
-    normals, excluding the origin from their hull (and from every
-    subsimplex's, by monotonicity).  Every tenth simplex is audited
-    independently: the LP asking for a zero convex combination of the
-    normals must be infeasible.
+    ``points`` maps every member tuple to a common point of its members, as
+    ``check_colorful`` returns them in ``witnesses``.  For each simplex, the
+    smallest subfamily of each chain pins one member and the complement of
+    the largest pins another; their two tuple points straddle every
+    separator of the simplex, so their difference is a functional strictly
+    positive on all of the simplex's normals, excluding the origin from
+    their hull (and from every subsimplex's, by monotonicity).  Every
+    tenth simplex is audited independently: the LP asking for a zero
+    convex combination of the normals must be infeasible.
     """
     families = instance.families
     assignments = list(assignments)
@@ -330,31 +330,16 @@ def verify_claim(instance: Instance, assignments) -> CertificateReport:
         == math.prod(len(c.maximal_chains) for c in complexes),
     )
 
-    point_cache = {}
-
-    def intersection_point(selector):
-        if selector not in point_cache:
-            bodies = [families[i].bodies[selector[i] - 1] for i in range(n)]
-            point = common_point(bodies)
-            if point is None:
-                raise ColorfulViolationError(
-                    f"tuple {selector} has empty intersection"
-                )
-            point_cache[selector] = point
-        return point_cache[selector]
-
     def check_simplex(index, simplex):
         first_tuple = []
         last_tuple = []
         for chain in simplex:
-            smallest = min(chain, key=lambda v: len(v.subset))
-            largest = max(chain, key=lambda v: len(v.subset))
-            (first_member,) = smallest.subset
-            (last_member,) = involution(largest).subset
+            (first_member,) = chain[0].subset
+            (last_member,) = involution(chain[-1]).subset
             first_tuple.append(first_member)
             last_tuple.append(last_member)
-        above = intersection_point(tuple(first_tuple))
-        below = intersection_point(tuple(last_tuple))
+        above = points[tuple(first_tuple)]
+        below = points[tuple(last_tuple)]
 
         normals = []
         offsets = []
@@ -406,10 +391,10 @@ def verify_claim(instance: Instance, assignments) -> CertificateReport:
 def origin_in_hull(vectors) -> bool:
     """Exact test whether the origin is a convex combination of the vectors.
 
-    Decides ``{w >= 0 : sum_j w_j v_j = 0, sum_j w_j = 1}`` with the
-    phase-one simplex in standard form, the system ``convex.contains``
-    builds for a V-polytope.  Weights it finds are substituted back
-    exactly before the answer is trusted.
+    Decides ``{w >= 0 : sum_j w_j v_j = 0, sum_j w_j = 1}``, which is
+    ``convex.hull_weights`` with one block and the origin as target.
+    Weights it finds are substituted back exactly before the answer is
+    trusted.
     """
     vectors = list(vectors)
     if not vectors:
@@ -417,13 +402,11 @@ def origin_in_hull(vectors) -> bool:
     d = vectors[0].dim
     if any(v.dim != d for v in vectors):
         raise MalformedInputError("mixed dimensions in hull input")
-    rows = [[v[c] for v in vectors] for c in range(d)]
-    rows.append([_ONE] * len(vectors))
-    weights = standard_form_feasible(rows, [_ZERO] * d + [_ONE])
-    if weights is None:
+    found = hull_weights([vectors], [0], QVector([_ZERO] * d))
+    if found is None:
         return False
-    combination = [sum(w * v[c] for w, v in zip(weights, vectors)) for c in range(d)]
-    if min(weights) < 0 or sum(weights) != 1 or any(combination):
+    (weights,) = found
+    if min(weights) < 0 or sum(weights) != 1 or any(weighted_sum(weights, vectors)):
         raise AssertionError("simplex produced weights outside the hull system")
     return True
 
@@ -478,4 +461,4 @@ def full_certificate(instance: Instance) -> CertificateReport:
                 failing_partition=outcome,
             )
         assignments.append(outcome)
-    return verify_claim(instance, assignments)
+    return verify_claim(instance, assignments, colorful.witnesses)

@@ -17,6 +17,7 @@ from .exactla import (
     QVector,
     _ONE,
     _ZERO,
+    _reduced_echelon,
     rank,
     solve_linear,
     standard_form_feasible,
@@ -89,8 +90,63 @@ def _common_dim(bodies) -> int:
     return dims.pop()
 
 
+def hull_weights(blocks, groups, target=None) -> Optional[list]:
+    """Convex weights under which pooled generator hulls meet, or None.
+
+    ``blocks`` are generator sequences in column order and ``groups[i]`` is
+    the group, 0, 1, ..., of block i; a group's hull pools its blocks.  The
+    system has one weight column per generator and nonnegative weights
+    summing to one in each group.  Its coordinate rows put group 0's
+    combination equal to ``target`` when one is given, and otherwise equal
+    to each other group's combination in turn.  Polytope membership,
+    polytope intersection, the partition test of ``k_transversal`` and the
+    origin audit of the join certificate all ask this system of the
+    phase-one simplex; the weights come back split per block.
+    """
+    columns = [(group, g) for block, group in zip(blocks, groups) for g in block]
+    count = max(groups) + 1
+    d = columns[0][1].dim
+    rows = []
+    rhs = []
+    if target is not None:
+        for c in range(d):
+            rows.append([g[c] if group == 0 else _ZERO for group, g in columns])
+            rhs.append(target[c])
+    else:
+        for other in range(1, count):
+            for c in range(d):
+                rows.append(
+                    [
+                        g[c] if group == 0 else -g[c] if group == other else _ZERO
+                        for group, g in columns
+                    ]
+                )
+                rhs.append(_ZERO)
+    for index in range(count):
+        rows.append([_ONE if group == index else _ZERO for group, _ in columns])
+        rhs.append(_ONE)
+    solution = standard_form_feasible(rows, rhs)
+    if solution is None:
+        return None
+    weights = []
+    at = 0
+    for block in blocks:
+        weights.append(solution[at : at + len(block)])
+        at += len(block)
+    return weights
+
+
+def weighted_sum(weights, points) -> QVector:
+    """Exact ``sum_j w_j p_j``, skipping zero weights."""
+    total = QVector([_ZERO] * points[0].dim)
+    for w, p in zip(weights, points):
+        if w:
+            total = total + w * p
+    return total
+
+
 def contains(body: ConvexBody, point: QVector) -> bool:
-    """Exact membership: a convex-combination feasibility system for
+    """Exact membership: ``hull_weights`` with the point as target for
     polytopes, a linear solve for flats."""
     if point.dim != body.dim:
         raise MalformedInputError("point dimension does not match body")
@@ -102,23 +158,18 @@ def contains(body: ConvexBody, point: QVector) -> bool:
             QVector(d[c] for d in columns) for c in range(body.dim)
         )
         return solve_linear(matrix, point - body.base) is not None
-    gens = body.generators
-    d = body.dim
-    rows = []
-    for c in range(d):
-        rows.append([g[c] for g in gens])
-    rows.append([_ONE] * len(gens))
-    rhs = list(point.entries) + [_ONE]
-    return standard_form_feasible(rows, rhs) is not None
+    return hull_weights([body.generators], [0], point) is not None
 
 
 def common_point(bodies) -> Optional[QVector]:
     """Exact point in the intersection of the bodies, or None iff empty.
 
-    All-flat inputs are decided by one linear solve.  Otherwise a single
-    feasibility system is built whose unknowns are the ambient point, one
-    convex-combination weight per polytope generator, and one free
-    parameter per flat direction.
+    All-flat inputs are decided by one linear solve, and all-polytope
+    inputs by ``hull_weights`` with one group per polytope; the point is
+    the first polytope's combination.  Mixed inputs get one feasibility
+    system whose unknowns are the ambient point, one convex-combination
+    weight per polytope generator, and one free parameter per flat
+    direction.
     """
     bodies = list(bodies)
     if not bodies:
@@ -149,42 +200,12 @@ def common_point(bodies) -> Optional[QVector]:
     flats = [b for b in bodies if isinstance(b, AffineFlat)]
 
     if not flats:
-        # Pure polytope case: presolve the ambient point away by pinning it
-        # to the first polytope's combination, leaving only weight columns.
-        sizes = [len(p.generators) for p in polytopes]
-        width = sum(sizes)
-        starts = []
-        at = 0
-        for s in sizes:
-            starts.append(at)
-            at += s
-        rows = []
-        rhs = []
-        first = polytopes[0].generators
-        for other_index in range(1, len(polytopes)):
-            other = polytopes[other_index].generators
-            for c in range(d):
-                row = [_ZERO] * width
-                for j, g in enumerate(first):
-                    row[j] = g[c]
-                for j, g in enumerate(other):
-                    row[starts[other_index] + j] = -g[c]
-                rows.append(row)
-                rhs.append(_ZERO)
-        for index, size in enumerate(sizes):
-            row = [_ZERO] * width
-            for j in range(size):
-                row[starts[index] + j] = _ONE
-            rows.append(row)
-            rhs.append(_ONE)
-        solution = standard_form_feasible(rows, rhs)
-        if solution is None:
+        weights = hull_weights(
+            [p.generators for p in polytopes], range(len(polytopes))
+        )
+        if weights is None:
             return None
-        point = QVector([_ZERO] * d)
-        for weight, g in zip(solution, first):
-            if weight:
-                point = point + weight * g
-        return point
+        return weighted_sum(weights[0], polytopes[0].generators)
 
     num_weights = sum(len(p.generators) for p in polytopes)
     num_params = sum(len(f.directions) for f in flats)
@@ -236,27 +257,17 @@ def common_point(bodies) -> Optional[QVector]:
 
 
 def affine_span(points) -> AffineFlat:
-    """Affine span of a point set: base at the first point, directions a
-    maximal independent subset of the differences, scanned in input order."""
+    """Affine span of a point set: base at the first point, directions the
+    differences from it that are independent of the earlier ones, in input
+    order.  Those are the pivot columns of the echelon form of the matrix
+    whose columns are the differences."""
     points = [p if isinstance(p, QVector) else QVector(p) for p in points]
     if not points:
         raise MalformedInputError("need at least one point")
     _common_dim(points)
     base = points[0]
-    directions = []
-    echelon = []
-    for p in points[1:]:
-        candidate = list((p - base).entries)
-        residue = list(candidate)
-        for lead in echelon:
-            col = next(j for j, v in enumerate(lead) if v != 0)
-            f = residue[col]
-            if f:
-                residue = [a - f * b for a, b in zip(residue, lead)]
-        pivot = next((j for j, v in enumerate(residue) if v != 0), None)
-        if pivot is None:
-            continue
-        pv = residue[pivot]
-        echelon.append([v / pv for v in residue])
-        directions.append(QVector(candidate))
-    return AffineFlat(base, tuple(directions))
+    differences = [p - base for p in points[1:]]
+    pivots, _, _ = _reduced_echelon(
+        [[v[c] for v in differences] for c in range(base.dim)]
+    )
+    return AffineFlat(base, tuple(differences[j] for j in pivots))

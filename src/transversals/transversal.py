@@ -21,8 +21,10 @@ from .convex import (
     affine_span,
     common_point,
     contains,
+    hull_weights,
+    weighted_sum,
 )
-from .exactla import MalformedInputError, QVector, _ONE, _ZERO, standard_form_feasible
+from .exactla import MalformedInputError, QVector, _ZERO
 
 
 class TheoremPreconditionError(ValueError):
@@ -134,52 +136,17 @@ class TransversalWitness:
     flat: AffineFlat
 
 
-def _partition_solution(members, part: Partition):
-    """Feasibility system for 'pooled hull of A meets pooled hull of B' with
-    one weight block per member; returns per-member weight lists or None."""
-    d = members[0].dim
-    sizes = [len(m.generators) for m in members]
-    width = sum(sizes)
-    offsets = []
-    at = 0
-    for s in sizes:
-        offsets.append(at)
-        at += s
-    in_a = set(part.part_a)
-    rows = []
-    rhs = []
-    for c in range(d):
-        row = [_ZERO] * width
-        for idx, member in enumerate(members, start=1):
-            sign = _ONE if idx in in_a else -_ONE
-            for j, g in enumerate(member.generators):
-                row[offsets[idx - 1] + j] = sign * g[c]
-        rows.append(row)
-        rhs.append(_ZERO)
-    for block in (part.part_a, part.part_b):
-        row = [_ZERO] * width
-        for idx in block:
-            for j in range(sizes[idx - 1]):
-                row[offsets[idx - 1] + j] = _ONE
-        rows.append(row)
-        rhs.append(_ONE)
-    solution = standard_form_feasible(rows, rhs)
-    if solution is None:
-        return None
-    return [
-        solution[offsets[i] : offsets[i] + sizes[i]] for i in range(len(members))
-    ]
-
-
 def k_transversal(family: Family) -> Optional[TransversalWitness]:
     """Decide whether the family admits a k-dimensional transversal flat.
 
     Requires exactly k+2 members, all V-polytopes.  Scans the canonical
-    partitions in order and, on the first feasible one, reconstructs anchors
-    from the weight blocks: a member with positive aggregate weight
-    contributes its weighted generator average, a zero-weight member its
-    first generator (any of its points is valid).  Returns None exactly when
-    every partition's pooled hulls are disjoint.
+    partitions in order and asks ``hull_weights`` whether the pooled hull
+    of block A (group 0) meets that of block B (group 1), with one weight
+    block per member in member order.  On the first feasible partition it
+    reconstructs anchors from the weight blocks: a member with positive
+    aggregate weight contributes its weighted generator average, a
+    zero-weight member its first generator (any of its points is valid).
+    Returns None exactly when every partition's pooled hulls are disjoint.
     """
     for body in family.bodies:
         if not isinstance(body, VPolytope):
@@ -192,21 +159,21 @@ def k_transversal(family: Family) -> Optional[TransversalWitness]:
             f"need exactly k+2 = {size} members, got {len(family.bodies)}"
         )
     members = family.bodies
+    blocks = [member.generators for member in members]
     for part in partitions(size):
-        weights = _partition_solution(members, part)
+        in_a = set(part.part_a)
+        weights = hull_weights(
+            blocks, [0 if idx in in_a else 1 for idx in range(1, size + 1)]
+        )
         if weights is None:
             continue
         anchors = []
-        in_a = set(part.part_a)
         crossing = QVector([_ZERO] * family.dim)
         for idx, member in enumerate(members, start=1):
             block = weights[idx - 1]
             total = sum(block, _ZERO)
             if total > 0:
-                combo = QVector([_ZERO] * family.dim)
-                for w, g in zip(block, member.generators):
-                    if w:
-                        combo = combo + w * g
+                combo = weighted_sum(block, member.generators)
                 anchors.append((idx, (1 / total) * combo))
                 if idx in in_a:
                     crossing = crossing + combo

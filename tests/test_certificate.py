@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from transversals import certificate as certificate_module
+from transversals import convex as convex_module
 from transversals.certificate import (
     CERTIFICATE_COMPLETE,
     THEOREM_CONFIRMED,
@@ -34,7 +34,13 @@ from transversals.generators import (
     gen_colorful_random,
     gen_counterexample,
 )
-from transversals.transversal import Family, Instance, Partition, partitions
+from transversals.transversal import (
+    Family,
+    Instance,
+    Partition,
+    check_colorful,
+    partitions,
+)
 
 
 def vec(*entries):
@@ -196,7 +202,11 @@ class TestVerifyClaim:
 
     def test_hand_case_all_simplices_pass(self):
         instance = self.hand_instance()
-        report = verify_claim(instance, self.assignments_for(instance))
+        report = verify_claim(
+            instance,
+            self.assignments_for(instance),
+            check_colorful(instance).witnesses,
+        )
         claim_checks = [c for c in report.checks if c.name == "claim-simplex"]
         assert len(claim_checks) == 4
         assert report.passed
@@ -210,7 +220,11 @@ class TestVerifyClaim:
         instance = Instance(
             1, (Family(0, (VPolytope((vec(0),)), VPolytope((vec(1),)))),)
         )
-        report = verify_claim(instance, self.assignments_for(instance))
+        report = verify_claim(
+            instance,
+            self.assignments_for(instance),
+            check_colorful(instance).witnesses,
+        )
         claim_checks = [c for c in report.checks if c.name == "claim-simplex"]
         assert len(claim_checks) == 2
         assert "v=(-1)" in claim_checks[0].details
@@ -223,7 +237,7 @@ class TestVerifyClaim:
         normal, offset = assignments[0].normals[subset]
         assignments[0].normals[subset] = (normal, offset - 10)
         with pytest.raises(CertificateInconsistencyError):
-            verify_claim(instance, assignments)
+            verify_claim(instance, assignments, check_colorful(instance).witnesses)
 
     def test_origin_in_hull_oracle(self):
         assert origin_in_hull([vec(1, 0), vec(-1, 0)])
@@ -269,7 +283,7 @@ class TestVerifyClaim:
 
     def test_origin_in_hull_checks_the_weights(self, monkeypatch):
         monkeypatch.setattr(
-            certificate_module,
+            convex_module,
             "standard_form_feasible",
             lambda rows, rhs: [Fraction(1, 2), Fraction(1, 2)],
         )
