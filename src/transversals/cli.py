@@ -298,9 +298,13 @@ def witness_from_json(obj) -> TransversalWitness:
     )
 
 
-def _emit(report_doc, out):
+def _report(lines, doc, out) -> None:
+    """Write ``doc`` to ``out`` when one is given, then print ``lines``, so
+    a report that cannot be written prints no verdict."""
     if out:
-        atomic_write(out, _dump_json(report_doc))
+        atomic_write(out, _dump_json(doc))
+    for line in lines:
+        print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +319,6 @@ def cmd_check_colorful(path: str, out=None) -> int:
         return EXIT_PRECONDITION
     report = check_colorful(instance)
     if report.holds:
-        print(f"colorful-property holds tuples={len(report.witnesses)} PASS")
         doc = {
             "command": "check-colorful",
             "holds": True,
@@ -324,10 +327,12 @@ def cmd_check_colorful(path: str, out=None) -> int:
                 for t, p in sorted(report.witnesses.items())
             ],
         }
-        _emit(doc, out)
+        _report(
+            [f"colorful-property holds tuples={len(report.witnesses)} PASS"], doc, out
+        )
         return EXIT_OK
-    print(f"colorful-property tuple={report.failing_tuple} FAIL empty intersection")
-    _emit(
+    _report(
+        [f"colorful-property tuple={report.failing_tuple} FAIL empty intersection"],
         {
             "command": "check-colorful",
             "holds": False,
@@ -360,11 +365,9 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
         print(f"error: {exc}")
         return EXIT_PRECONDITION
     if witness is not None:
-        print(
+        lines = [
             f"transversal family={family_index} k={family.k} "
-            f"partition={witness.partition.label()} PASS"
-        )
-        print(
+            f"partition={witness.partition.label()} PASS",
             "  flat base=(%s) directions=[%s]"
             % (
                 ",".join(format_rational(e) for e in witness.flat.base),
@@ -372,9 +375,10 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
                     "(%s)" % ",".join(format_rational(e) for e in d)
                     for d in witness.flat.directions
                 ),
-            )
-        )
-        _emit(
+            ),
+        ]
+        _report(
+            lines,
             {
                 "command": "transversal",
                 "family": family_index,
@@ -391,10 +395,11 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
             "inseparable yet no transversal was found"
         )
         return EXIT_THEOREM_VIOLATION
+    lines = []
     separations = []
     for part in partitions(family.k + 2):
         normal, offset = assignment.normal_for(part.part_a)
-        print(
+        lines.append(
             f"separated partition={part.label()} "
             f"normal=({','.join(format_rational(e) for e in normal)}) "
             f"offset={format_rational(offset)}"
@@ -406,8 +411,11 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
                 "offset": format_rational(offset),
             }
         )
-    print(f"transversal family={family_index} k={family.k} FAIL all partitions separated")
-    _emit(
+    lines.append(
+        f"transversal family={family_index} k={family.k} FAIL all partitions separated"
+    )
+    _report(
+        lines,
         {
             "command": "transversal",
             "family": family_index,
@@ -447,11 +455,11 @@ def cmd_verify_theorem(path: str, out=None) -> int:
         print(_dump_json(instance_to_json(instance)), end="")
         return EXIT_THEOREM_VIOLATION
     witness = report.witness
-    print(
-        f"theorem family={report.family_index} "
-        f"partition={witness.partition.label()} PASS"
-    )
-    _emit(
+    _report(
+        [
+            f"theorem family={report.family_index} "
+            f"partition={witness.partition.label()} PASS"
+        ],
         {
             "command": "verify-theorem",
             "family": report.family_index,
@@ -519,8 +527,6 @@ def cmd_certificate(path: str, out=None) -> int:
     except CertificateInconsistencyError as exc:
         print(f"error: certificate inconsistency: {exc}")
         return EXIT_THEOREM_VIOLATION
-    for line in report.ledger_lines():
-        print(line)
     doc = {
         "command": "certificate",
         "verdict": report.verdict,
@@ -537,7 +543,7 @@ def cmd_certificate(path: str, out=None) -> int:
     if report.confirmed_family is not None:
         doc["family"] = report.confirmed_family
         doc["witness"] = witness_to_json(report.confirmed_witness)
-    _emit(doc, out)
+    _report(report.ledger_lines(), doc, out)
     return EXIT_OK
 
 

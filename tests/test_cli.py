@@ -368,6 +368,28 @@ class TestUnwritableOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json", "reports"]
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-colorful", "inst.json"],
+            ["transversal", "inst.json", "--family", "1"],
+            ["transversal", "apart.json", "--family", "1"],
+            ["verify-theorem", "inst.json"],
+            ["certificate", "inst.json"],
+        ],
+    )
+    def test_no_result_is_printed_before_the_report_is_written(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        save_instance("inst.json", interval_instance())
+        apart = Family(0, (segment([0], [1]), segment([2], [3])))
+        save_instance("apart.json", Instance(1, (apart,)))
+        out = tmp_path / "missing" / "r.json"
+        assert main(argv + ["--out", str(out)]) == EXIT_PRECONDITION
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}:")
+
 
 class TestJoinBudget:
     def test_limit_is_inclusive_and_checked_first(self, tmp_path, monkeypatch, capsys):
