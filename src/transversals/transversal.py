@@ -11,6 +11,7 @@ the feasible combination.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,6 +26,14 @@ from .convex import (
     weighted_sum,
 )
 from .exactla import MalformedInputError, QVector, _ZERO
+
+# Most canonical partitions one family may enumerate, one LP each; a family
+# of k + 2 members has 2^(k+1) - 1 of them, so k = 16 is the first above.
+_PARTITION_BUDGET = 100_000
+
+# Most member tuples the colorful check may solve, one LP each; the count is
+# the product of the family sizes.
+_TUPLE_BUDGET = 100_000
 
 
 class TheoremPreconditionError(ValueError):
@@ -111,9 +120,18 @@ class Partition:
 
 def partitions(size: int):
     """All canonical two-block partitions of {1..size}: exactly
-    2^(size-1) - 1 of them, ordered by |A| ascending then lexicographically."""
+    2^(size-1) - 1 of them, ordered by |A| ascending then lexicographically.
+
+    Raises MalformedInputError before building any when there are more than
+    ``_PARTITION_BUDGET``."""
     if size < 2:
         raise MalformedInputError("partitions need size >= 2")
+    count = 2 ** (size - 1) - 1
+    if count > _PARTITION_BUDGET:
+        raise MalformedInputError(
+            f"a family of {size} members has {count} partitions, "
+            f"above the budget of {_PARTITION_BUDGET}"
+        )
     rest = tuple(range(2, size + 1))
     result = []
     for a_size in range(1, size):
@@ -229,8 +247,16 @@ def check_colorful(instance: Instance) -> ColorfulReport:
 
     Tuples are solved in lexicographic order.  Returns per-tuple witness
     points when the property holds, otherwise the first failing tuple.
+    Raises MalformedInputError before solving any when there are more than
+    ``_TUPLE_BUDGET`` tuples.
     """
     families = instance.families
+    count = math.prod(len(f.bodies) for f in families)
+    if count > _TUPLE_BUDGET:
+        raise MalformedInputError(
+            f"the colorful check has {count} member tuples, "
+            f"above the budget of {_TUPLE_BUDGET}"
+        )
     witnesses = {}
     for selector in _member_tuples(len(f.bodies) for f in families):
         bodies = [families[i].bodies[c - 1] for i, c in enumerate(selector)]

@@ -24,9 +24,17 @@ from transversals.cli import (
     witness_from_json,
     witness_to_json,
 )
+from transversals import convex as convex_module
+from transversals import transversal as transversal_module
 from transversals.convex import AffineFlat, VPolytope
 from transversals.exactla import QVector
-from transversals.transversal import Family, Instance, k_transversal, validate_witness
+from transversals.transversal import (
+    Family,
+    Instance,
+    k_transversal,
+    partitions,
+    validate_witness,
+)
 
 
 def vec(*entries):
@@ -411,6 +419,43 @@ class TestJoinBudget:
         assert main(["certificate", above]) == EXIT_PRECONDITION
         printed = capsys.readouterr().out
         assert "576 maximal simplices" in printed and "budget of 144" in printed
+
+
+class TestEnumerationBudgets:
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("work started above an enumeration budget")
+
+    def test_partition_limit_is_inclusive_and_checked_first(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(transversal_module, "_PARTITION_BUDGET", 15)
+        assert len(partitions(5)) == 15
+        path = str(tmp_path / "c10.json")
+        assert cmd_generate("counterexample", [1, 0], 5, out_path=path) == EXIT_OK
+        monkeypatch.setattr(transversal_module, "_PARTITION_BUDGET", 3)
+        assert main(["transversal", path, "--family", "1"]) == EXIT_NEGATIVE
+        capsys.readouterr()
+        monkeypatch.setattr(transversal_module, "_PARTITION_BUDGET", 2)
+        monkeypatch.setattr(convex_module, "standard_form_feasible", self.forbidden)
+        assert main(["transversal", path, "--family", "1"]) == EXIT_PRECONDITION
+        printed = capsys.readouterr().out
+        assert "3 partitions" in printed and "budget of 2" in printed
+
+    def test_tuple_limit_is_inclusive_and_checked_first(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        at_limit = str(tmp_path / "r11.json")
+        above = str(tmp_path / "r111.json")
+        assert cmd_generate("random", [1, 1], 5, out_path=at_limit) == EXIT_OK
+        assert cmd_generate("random", [1, 1, 1], 5, out_path=above) == EXIT_OK
+        monkeypatch.setattr(transversal_module, "_TUPLE_BUDGET", 9)
+        assert main(["check-colorful", at_limit]) == EXIT_OK
+        assert "tuples=9 PASS" in capsys.readouterr().out
+        monkeypatch.setattr(transversal_module, "common_point", self.forbidden)
+        for command in ("check-colorful", "verify-theorem", "certificate"):
+            assert main([command, above]) == EXIT_PRECONDITION
+            printed = capsys.readouterr().out
+            assert "27 member tuples" in printed and "budget of 9" in printed
 
 
 class TestEntryPoint:
