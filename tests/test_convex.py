@@ -79,7 +79,70 @@ class TestCommonPoint:
                 assert all(contains(b, point) for b in bodies)
 
 
+def reference_affine_span(points):
+    """The incremental Fraction echelon ``affine_span`` used before it read
+    the pivot columns of ``_reduced_echelon``: each difference from the first
+    point is reduced against the stored normalised rows and kept when a
+    nonzero residue remains."""
+    base = points[0]
+    directions = []
+    echelon = []
+    for p in points[1:]:
+        candidate = list((p - base).entries)
+        residue = list(candidate)
+        for lead in echelon:
+            col = next(j for j, v in enumerate(lead) if v != 0)
+            f = residue[col]
+            if f:
+                residue = [a - f * b for a, b in zip(residue, lead)]
+        pivot = next((j for j, v in enumerate(residue) if v != 0), None)
+        if pivot is None:
+            continue
+        pv = residue[pivot]
+        echelon.append([v / pv for v in residue])
+        directions.append(QVector(candidate))
+    return AffineFlat(base, tuple(directions))
+
+
 class TestAffineSpan:
+    def test_matches_incremental_fraction_reference(self):
+        rng = random.Random(2718)
+
+        def entry():
+            return F(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 7, 12)))
+
+        dropped = kept_all = 0
+        for case in range(360):
+            dim = rng.randint(1, 5)
+            kind = case % 4
+            count = rng.randint(1, 7)
+            if kind == 0:  # general points, possibly fewer or more than dim + 1
+                points = [QVector(entry() for _ in range(dim)) for _ in range(count)]
+            elif kind == 1:  # collinear: base + t * direction
+                base = QVector(entry() for _ in range(dim))
+                direction = QVector(entry() for _ in range(dim))
+                points = [base + entry() * direction for _ in range(count)]
+            elif kind == 2:  # affinely dependent: combinations of a few points
+                seeds = [QVector(entry() for _ in range(dim)) for _ in range(2)]
+                points = list(seeds)
+                for _ in range(count):
+                    t = entry()
+                    points.append(t * seeds[0] + (1 - t) * seeds[1])
+                rng.shuffle(points)
+            else:  # duplicates, including copies of the base (zero differences)
+                points = [QVector(entry() for _ in range(dim)) for _ in range(2)]
+                for _ in range(count):
+                    points.append(rng.choice(points))
+            expected = reference_affine_span(points)
+            flat = affine_span(points)
+            assert flat.base == expected.base
+            assert flat.directions == expected.directions, points
+            if flat.dimension < len(points) - 1:
+                dropped += 1
+            else:
+                kept_all += 1
+        assert dropped >= 150 and kept_all >= 50, (dropped, kept_all)
+
     def test_single_point(self):
         assert affine_span([vec(0, 0)]).dimension == 0
 
