@@ -298,13 +298,11 @@ def witness_from_json(obj) -> TransversalWitness:
     )
 
 
-def _report(lines, doc, out) -> None:
-    """Write ``doc`` to ``out`` when one is given, then print ``lines``, so
-    a report that cannot be written prints no verdict."""
+def _emit(report_doc, out):
+    """Write the report to ``out`` when one is given.  Commands call it
+    before printing their result, so an unwritable ``out`` prints none."""
     if out:
-        atomic_write(out, _dump_json(doc))
-    for line in lines:
-        print(line)
+        atomic_write(out, _dump_json(report_doc))
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +325,10 @@ def cmd_check_colorful(path: str, out=None) -> int:
                 for t, p in sorted(report.witnesses.items())
             ],
         }
-        _report(
-            [f"colorful-property holds tuples={len(report.witnesses)} PASS"], doc, out
-        )
+        _emit(doc, out)
+        print(f"colorful-property holds tuples={len(report.witnesses)} PASS")
         return EXIT_OK
-    _report(
-        [f"colorful-property tuple={report.failing_tuple} FAIL empty intersection"],
+    _emit(
         {
             "command": "check-colorful",
             "holds": False,
@@ -340,6 +336,7 @@ def cmd_check_colorful(path: str, out=None) -> int:
         },
         out,
     )
+    print(f"colorful-property tuple={report.failing_tuple} FAIL empty intersection")
     return EXIT_NEGATIVE
 
 
@@ -365,20 +362,7 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
         print(f"error: {exc}")
         return EXIT_PRECONDITION
     if witness is not None:
-        lines = [
-            f"transversal family={family_index} k={family.k} "
-            f"partition={witness.partition.label()} PASS",
-            "  flat base=(%s) directions=[%s]"
-            % (
-                ",".join(format_rational(e) for e in witness.flat.base),
-                " ".join(
-                    "(%s)" % ",".join(format_rational(e) for e in d)
-                    for d in witness.flat.directions
-                ),
-            ),
-        ]
-        _report(
-            lines,
+        _emit(
             {
                 "command": "transversal",
                 "family": family_index,
@@ -386,6 +370,20 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
                 "witness": witness_to_json(witness),
             },
             out,
+        )
+        print(
+            f"transversal family={family_index} k={family.k} "
+            f"partition={witness.partition.label()} PASS"
+        )
+        print(
+            "  flat base=(%s) directions=[%s]"
+            % (
+                ",".join(format_rational(e) for e in witness.flat.base),
+                " ".join(
+                    "(%s)" % ",".join(format_rational(e) for e in d)
+                    for d in witness.flat.directions
+                ),
+            )
         )
         return EXIT_OK
     assignment = assign_normals(family, family_index)
@@ -411,11 +409,7 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
                 "offset": format_rational(offset),
             }
         )
-    lines.append(
-        f"transversal family={family_index} k={family.k} FAIL all partitions separated"
-    )
-    _report(
-        lines,
+    _emit(
         {
             "command": "transversal",
             "family": family_index,
@@ -424,6 +418,9 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
         },
         out,
     )
+    for line in lines:
+        print(line)
+    print(f"transversal family={family_index} k={family.k} FAIL all partitions separated")
     return EXIT_NEGATIVE
 
 
@@ -455,17 +452,17 @@ def cmd_verify_theorem(path: str, out=None) -> int:
         print(_dump_json(instance_to_json(instance)), end="")
         return EXIT_THEOREM_VIOLATION
     witness = report.witness
-    _report(
-        [
-            f"theorem family={report.family_index} "
-            f"partition={witness.partition.label()} PASS"
-        ],
+    _emit(
         {
             "command": "verify-theorem",
             "family": report.family_index,
             "witness": witness_to_json(witness),
         },
         out,
+    )
+    print(
+        f"theorem family={report.family_index} "
+        f"partition={witness.partition.label()} PASS"
     )
     return EXIT_OK
 
@@ -543,7 +540,9 @@ def cmd_certificate(path: str, out=None) -> int:
     if report.confirmed_family is not None:
         doc["family"] = report.confirmed_family
         doc["witness"] = witness_to_json(report.confirmed_witness)
-    _report(report.ledger_lines(), doc, out)
+    _emit(doc, out)
+    for line in report.ledger_lines():
+        print(line)
     return EXIT_OK
 
 

@@ -251,14 +251,15 @@ def check_colorful(instance: Instance) -> ColorfulReport:
     ``_TUPLE_BUDGET`` tuples.
     """
     families = instance.families
-    count = math.prod(len(f.bodies) for f in families)
+    sizes = [len(f.bodies) for f in families]
+    count = math.prod(sizes)
     if count > _TUPLE_BUDGET:
         raise MalformedInputError(
             f"the colorful check has {count} member tuples, "
             f"above the budget of {_TUPLE_BUDGET}"
         )
     witnesses = {}
-    for selector in _member_tuples(len(f.bodies) for f in families):
+    for selector in _member_tuples(sizes):
         bodies = [families[i].bodies[c - 1] for i, c in enumerate(selector)]
         point = common_point(bodies)
         if point is None:
