@@ -19,25 +19,26 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .convex import UnsupportedRepresentationError, VPolytope, hull_weights, weighted_sum
+from .convex import hull_weights, weighted_sum
 from .exactla import (
     MalformedInputError,
     PreconditionError,
     QVector,
     _ZERO,
+    farkas_separator,
     format_rational,
     positive_functional,
-    strict_separation,
 )
 from .reporting import CheckRecord
 from .transversal import (
     Family,
     Instance,
     Partition,
+    PartitionScan,
     TransversalWitness,
     check_colorful,
-    k_transversal,
     partitions,
+    scan_partitions,
 )
 
 THEOREM_CONFIRMED = "THEOREM-CONFIRMED"
@@ -160,16 +161,25 @@ def assign_normals(
 
     Returns the failing partition instead when some pair cannot be strictly
     separated, which by the Radon-type characterization means the family has
-    a k-transversal.
+    a k-transversal.  One ``scan_partitions`` decides every pair, and
+    ``assign_from_scan`` turns its Farkas vectors into separators.
     """
-    for body in family.bodies:
-        if not isinstance(body, VPolytope):
-            raise UnsupportedRepresentationError(
-                "normal assignment needs V-polytopes; truncate flats first"
-            )
+    return assign_from_scan(family, scan_partitions(family), family_index)
+
+
+def assign_from_scan(
+    family: Family, scan: PartitionScan, family_index: int = 1
+) -> Union[NormalAssignment, Partition]:
+    """``assign_normals`` from a finished scan of the family.
+
+    Each partition's Farkas vector, whose group 0 is block A, becomes a
+    small separator by ``farkas_separator``: an integer normal with block A
+    strictly below the simplest offset and block B strictly above.  Block A
+    takes its negation, so its own members are on the positive side.
+    Returns the first partition that has no Farkas vector: the witness's
+    partition when the family has a transversal.
+    """
     size = family.k + 2
-    if len(family.bodies) != size:
-        raise MalformedInputError(f"need exactly k+2 = {size} members")
 
     def pooled(block):
         gens = []
@@ -179,12 +189,14 @@ def assign_normals(
 
     normals = {}
     for part in partitions(size):
-        separation = strict_separation(pooled(part.part_b), pooled(part.part_a))
-        if separation is None:
+        farkas = scan.farkas.get(part)
+        if farkas is None:
             return part
-        normal, offset = separation
-        normals[frozenset(part.part_a)] = (normal, offset)
-        normals[frozenset(part.part_b)] = (-normal, -offset)
+        normal, offset = farkas_separator(
+            farkas, pooled(part.part_a), pooled(part.part_b)
+        )
+        normals[frozenset(part.part_a)] = (-normal, -offset)
+        normals[frozenset(part.part_b)] = (normal, offset)
     return NormalAssignment(family_index, size, normals)
 
 
@@ -414,10 +426,11 @@ def origin_in_hull(vectors) -> bool:
 def full_certificate(instance: Instance) -> CertificateReport:
     """Run the whole pipeline on a colorful instance.
 
-    Tries to assign separators to every family.  The first family with an
-    inseparable pair settles the matter: that family has a transversal and
-    the verdict is THEOREM-CONFIRMED (at the guarantee dimension this always
-    happens).  If every family separates, the join claim is verified and the
+    Scans each family's partitions once.  The first family with an
+    inseparable pair settles the matter: the scan's witness is its
+    transversal and the verdict is THEOREM-CONFIRMED (at the guarantee
+    dimension this always happens).  If every family separates, the scans'
+    Farkas vectors become its separators, the join claim is verified and the
     verdict is CERTIFICATE-COMPLETE, which only instances above the
     guarantee dimension can reach.
 
@@ -437,18 +450,13 @@ def full_certificate(instance: Instance) -> CertificateReport:
         )
     assignments = []
     for i, fam in enumerate(instance.families, start=1):
-        outcome = assign_normals(fam, i)
-        if isinstance(outcome, Partition):
-            witness = k_transversal(fam)
-            if witness is None:
-                raise CertificateInconsistencyError(
-                    f"family {i}: pair {outcome.label()} is inseparable yet no "
-                    "transversal was found"
-                )
+        scan = scan_partitions(fam)
+        if scan.witness is not None:
+            partition = scan.witness.partition
             checks = [
                 CheckRecord(
                     "inseparable-pair",
-                    f"family={i} partition={outcome.label()}",
+                    f"family={i} partition={partition.label()}",
                     True,
                     "transversal witness recovered",
                 )
@@ -457,8 +465,14 @@ def full_certificate(instance: Instance) -> CertificateReport:
                 THEOREM_CONFIRMED,
                 checks,
                 confirmed_family=i,
-                confirmed_witness=witness,
-                failing_partition=outcome,
+                confirmed_witness=scan.witness,
+                failing_partition=partition,
+            )
+        outcome = assign_from_scan(fam, scan, i)
+        if isinstance(outcome, Partition):
+            raise CertificateInconsistencyError(
+                f"family {i}: pair {outcome.label()} is inseparable yet no "
+                "transversal was found"
             )
         assignments.append(outcome)
     return verify_claim(instance, assignments, colorful.witnesses)

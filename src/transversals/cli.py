@@ -21,7 +21,7 @@ import tempfile
 from .certificate import (
     CertificateInconsistencyError,
     ColorfulViolationError,
-    assign_normals,
+    assign_from_scan,
     full_certificate,
 )
 from .convex import AffineFlat, UnsupportedRepresentationError, VPolytope
@@ -42,8 +42,8 @@ from .transversal import (
     TheoremViolationError,
     TransversalWitness,
     check_colorful,
-    k_transversal,
     partitions,
+    scan_partitions,
     verify_theorem,
 )
 
@@ -351,7 +351,7 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
         return EXIT_PRECONDITION
     family = instance.families[family_index - 1]
     try:
-        witness = k_transversal(family)
+        scan = scan_partitions(family)
     except UnsupportedRepresentationError:
         print(
             "error: family contains affine flats; regenerate with "
@@ -361,6 +361,7 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
     except MalformedInputError as exc:
         print(f"error: {exc}")
         return EXIT_PRECONDITION
+    witness = scan.witness
     if witness is not None:
         _emit(
             {
@@ -386,7 +387,7 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
             )
         )
         return EXIT_OK
-    assignment = assign_normals(family, family_index)
+    assignment = assign_from_scan(family, scan, family_index)
     if isinstance(assignment, Partition):
         print(
             f"error: family {family_index}: partition {assignment.label()} is "

@@ -17,6 +17,8 @@ from .exactla import (
     QVector,
     _ONE,
     _ZERO,
+    _hull_system,
+    _per_block,
     _reduced_echelon,
     rank,
     solve_linear,
@@ -99,41 +101,17 @@ def hull_weights(blocks, groups, target=None) -> Optional[list]:
     summing to one in each group.  Its coordinate rows put group 0's
     combination equal to ``target`` when one is given, and otherwise equal
     to each other group's combination in turn.  Polytope membership,
-    polytope intersection, the partition test of ``k_transversal`` and the
-    origin audit of the join certificate all ask this system of the
-    phase-one simplex; the weights come back split per block.
+    polytope intersection and the origin audit of the join certificate ask
+    this system of the phase-one simplex; the weights come back split per
+    block.  The partition scan of ``k_transversal`` asks the same system,
+    built by the same ``exactla._hull_system``, through
+    ``exactla.hull_certificate``, which also answers "no" with a Farkas
+    vector.
     """
-    columns = [(group, g) for block, group in zip(blocks, groups) for g in block]
-    count = max(groups) + 1
-    d = columns[0][1].dim
-    rows = []
-    rhs = []
-    if target is not None:
-        for c in range(d):
-            rows.append([g[c] if group == 0 else _ZERO for group, g in columns])
-            rhs.append(target[c])
-    else:
-        for other in range(1, count):
-            for c in range(d):
-                rows.append(
-                    [
-                        g[c] if group == 0 else -g[c] if group == other else _ZERO
-                        for group, g in columns
-                    ]
-                )
-                rhs.append(_ZERO)
-    for index in range(count):
-        rows.append([_ONE if group == index else _ZERO for group, _ in columns])
-        rhs.append(_ONE)
-    solution = standard_form_feasible(rows, rhs)
+    solution = standard_form_feasible(*_hull_system(blocks, groups, target))
     if solution is None:
         return None
-    weights = []
-    at = 0
-    for block in blocks:
-        weights.append(solution[at : at + len(block)])
-        at += len(block)
-    return weights
+    return _per_block(solution, blocks)
 
 
 def weighted_sum(weights, points) -> QVector:

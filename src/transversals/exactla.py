@@ -6,6 +6,14 @@ simplex for feasibility of equality systems over nonnegative variables
 (Dantzig pivoting with a permanent Bland anti-cycling fallback), and exact
 substitution checks.  There is no floating point on any decision path.
 
+Every LP answers both ways.  A feasible system returns its point; an
+infeasible one returns a Farkas vector ``y`` with ``y . column <= 0`` for
+every column and ``y . rhs > 0`` (Farkas 1902), the dual read from the
+final basis (Chvatal 1983) and checked by substitution.  On the system
+asking whether two pooled hulls meet, ``y`` holds a strictly separating
+direction; ``farkas_separator`` rounds it to a small integer normal, with
+the simplest rational offset inside the gap, and checks it exactly.
+
 Both eliminations pivot on integers over one common denominator (Edmonds
 1967, Bareiss 1968): the input is scaled to integers once, every update is
 an exact integer division, and ``fractions.Fraction`` appears only in the
@@ -323,9 +331,12 @@ class LinearConstraint:
 def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Phase-one simplex for ``{x >= 0 : rows @ x = rhs}``.
 
-    Returns ``(solution, infeasibility)``: a list of Fractions and exact zero
-    when feasible, or ``(None, optimum)`` with the certifiably positive
-    optimum of the artificial objective when not.
+    Returns ``(solution, None)`` with a list of Fractions when the system is
+    feasible, and ``(None, farkas)`` when it is not: ``farkas`` is a list
+    ``y`` of Fractions, one per row, with ``y . column <= 0`` for every
+    column of ``rows`` and ``y . rhs > 0`` (Farkas 1902).  ``y . rhs`` is the
+    optimum of the artificial objective, because ``y`` is the optimal dual
+    read from the final basis (Chvatal 1983).
 
     Pivoting starts with Dantzig's rule and switches permanently to Bland's
     rule after a run of degenerate pivots, so degenerate systems cannot
@@ -347,12 +358,10 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m == 0:
-        return [_ZERO] * n, _ZERO
+        return [_ZERO] * n, None
 
-    tableau, scale = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
-    for i, vals in enumerate(tableau):
-        if vals[-1] < 0:
-            tableau[i] = [-v for v in vals]
+    original, _ = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
+    tableau = [[-v for v in vals] if vals[-1] < 0 else vals for vals in original]
     # Basic variable per row; artificial for row i is indexed n + i so that
     # Bland tie-breaking prefers original variables.
     basis = [n + i for i in range(m)]
@@ -429,12 +438,48 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
         basis[leave] = enter
 
     if cost[-1]:
-        return None, Fraction(-cost[-1], denominator * scale)
+        return None, _farkas(original, basis, n)
     solution = [_ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
             solution[var] = Fraction(tableau[i][-1], denominator)
-    return solution, _ZERO
+    return solution, None
+
+
+def _farkas(original, basis, n: int) -> list:
+    """Farkas vector of an infeasible system from its final phase-one basis.
+
+    ``original`` is the system ``[rows | rhs]`` as integers, before any row
+    was negated.  The vector is the dual ``y`` of the final basis, solved
+    from ``B^T y = c_B``: a basic original column costs 0, and a row still
+    held by its artificial costs 1 on the unit column of that row.  The
+    simplex negated the rows with ``rhs < 0``; the equations here are
+    written in the unnegated rows, which flips those rows back: a column
+    equation is the same either way, and the artificial's ``y_i = 1`` in a
+    negated row reads ``y_i = -1``.  The result is checked by exact integer
+    substitution before it is returned.
+    """
+    m = len(original)
+    system = []
+    for i, var in enumerate(basis):
+        if var < n:
+            system.append([original[k][var] for k in range(m)] + [0])
+        else:
+            unit = [0] * (m + 1)
+            unit[i] = 1
+            unit[m] = -1 if original[i][-1] < 0 else 1
+            system.append(unit)
+    pivots, table, denominator = _reduced_echelon(system)
+    if pivots != list(range(m)):
+        raise AssertionError("final phase-one basis is singular")
+    sign = 1 if denominator > 0 else -1
+    y = [sign * row[m] for row in table]
+    for j in range(n):
+        if sum(yi * row[j] for yi, row in zip(y, original)) > 0:
+            raise AssertionError("Farkas vector fails a column")
+    if not sum(yi * row[n] for yi, row in zip(y, original)) > 0:
+        raise AssertionError("Farkas vector fails the right-hand side")
+    return [Fraction(v, sign * denominator) for v in y]
 
 
 def standard_form_feasible(rows, rhs):
@@ -511,14 +556,119 @@ def _free_solution(constraints, dim: int) -> Optional[list]:
     return [solution[j] - solution[dim + j] for j in range(dim)]
 
 
+def _hull_system(blocks, groups, target=None) -> tuple:
+    """``(rows, rhs)`` of the hull-weight system; see ``convex.hull_weights``.
+
+    One weight column per generator, in block order; ``groups[i]`` is the
+    group of block i.  Coordinate rows come first: group 0's combination
+    equals ``target`` when one is given, and otherwise each other group's
+    combination in turn.  One row per group then sums its weights to one.
+    """
+    columns = [(group, g) for block, group in zip(blocks, groups) for g in block]
+    count = max(groups) + 1
+    d = columns[0][1].dim
+    rows = []
+    rhs = []
+    if target is not None:
+        for c in range(d):
+            rows.append([g[c] if group == 0 else _ZERO for group, g in columns])
+            rhs.append(target[c])
+    else:
+        for other in range(1, count):
+            for c in range(d):
+                rows.append(
+                    [
+                        g[c] if group == 0 else -g[c] if group == other else _ZERO
+                        for group, g in columns
+                    ]
+                )
+                rhs.append(_ZERO)
+    for index in range(count):
+        rows.append([_ONE if group == index else _ZERO for group, _ in columns])
+        rhs.append(_ONE)
+    return rows, rhs
+
+
+def _per_block(solution, blocks) -> list:
+    """A hull system's solution split into one weight list per block."""
+    weights = []
+    at = 0
+    for block in blocks:
+        weights.append(solution[at : at + len(block)])
+        at += len(block)
+    return weights
+
+
+def hull_certificate(blocks, groups) -> tuple:
+    """The hull-weight system without target, answered both ways by one
+    phase-one solve: ``(weights, None)`` with one weight list per block when
+    the pooled group hulls meet, ``(None, farkas)`` when they do not.
+
+    With two groups the Farkas vector is ``(u, alpha, beta)``: ``u`` over
+    the coordinate rows, then one entry per group row.  Every generator
+    ``g`` of group 0 has ``u . g <= -alpha``, every one of group 1 has
+    ``u . g >= beta``, and ``alpha + beta > 0``, so ``u`` separates the two
+    groups strictly; ``farkas_separator`` rounds it to a small separator.
+    """
+    solution, farkas = _phase_one(*_hull_system(blocks, groups))
+    if solution is None:
+        return None, farkas
+    return _per_block(solution, blocks), None
+
+
+def _simplest_between(low: Fraction, high: Fraction) -> Fraction:
+    """The simplest rational strictly between ``low < high``: least
+    denominator, then least absolute numerator.  Found by descending the
+    Stern-Brocot tree, one continued-fraction term at a time."""
+    if low < 0 < high:
+        return _ZERO
+    if high <= 0:
+        return -_simplest_between(-high, -low)
+    whole = math.floor(low)
+    if whole + 1 < high:
+        return Fraction(whole + 1)
+    # Both ends lie in [whole, whole + 1]: the answer is whole + 1/x with x
+    # the simplest rational between the reciprocals of the fractional parts.
+    if low == whole:
+        inner = Fraction(math.floor(1 / (high - whole)) + 1)
+    else:
+        inner = _simplest_between(1 / (high - whole), 1 / (low - whole))
+    return whole + 1 / inner
+
+
+def farkas_separator(farkas, first, second) -> tuple:
+    """Small strict separator from a two-group ``hull_certificate`` Farkas
+    vector whose group 0 is ``first`` and group 1 is ``second``.
+
+    Returns ``(normal, offset)`` with ``normal . p < offset`` for every p in
+    ``first`` and ``normal . q > offset`` for every q in ``second``.  The
+    direction ``u`` of the Farkas vector is scaled so that its largest entry
+    has absolute value ``2^t`` and rounded to integers, for t = 1, 2, ...
+    until exact dot products show a strict gap; strict separation is an open
+    condition that ``u`` itself meets, so some t succeeds.  The offset is
+    the simplest rational inside the gap.
+    """
+    u = farkas[: first[0].dim]
+    top = max(abs(e) for e in u)
+    power = 2
+    while True:
+        normal = QVector(round(e * power / top) for e in u)
+        low = max(normal.dot(p) for p in first)
+        high = min(normal.dot(q) for q in second)
+        if low < high:
+            return normal, _simplest_between(low, high)
+        power *= 2
+
+
 def strict_separation(points_p, points_q):
     """Hyperplane strictly separating two finite point sets.
 
     Returns ``(normal, offset)`` with ``normal . p < offset`` for every p in
     the first set and ``normal . q > offset`` for every q in the second, or
-    None exactly when the two convex hulls intersect.  Found by the
-    margin-one feasibility system over the hyperplane coefficients, which is
-    complete here because both hulls are compact.
+    None exactly when the two convex hulls intersect.  Decided by one
+    ``hull_certificate`` solve with the first set as group 0; the separator
+    is its Farkas vector rounded by ``farkas_separator``, with an integer
+    normal, the simplest offset, and every inequality checked exactly.
     """
     points_p = list(points_p)
     points_q = list(points_q)
@@ -528,29 +678,10 @@ def strict_separation(points_p, points_q):
     for p in points_p + points_q:
         if p.dim != d:
             raise MalformedInputError("mixed dimensions in separation input")
-    constraints = []
-    for p in points_p:
-        constraints.append(
-            LinearConstraint(QVector(list(p.entries) + [-1]), Relation.LE, Fraction(-1))
-        )
-    for q in points_q:
-        constraints.append(
-            LinearConstraint(
-                QVector([-e for e in q.entries] + [1]), Relation.LE, Fraction(-1)
-            )
-        )
-    solution = lp_feasible(constraints, d + 1)
-    if solution is None:
+    _, farkas = hull_certificate([points_p, points_q], [0, 1])
+    if farkas is None:
         return None
-    normal = QVector(solution.entries[:d])
-    offset = solution[d]
-    for p in points_p:
-        if not normal.dot(p) < offset:
-            raise AssertionError("separation output fails a strict inequality")
-    for q in points_q:
-        if not normal.dot(q) > offset:
-            raise AssertionError("separation output fails a strict inequality")
-    return normal, offset
+    return farkas_separator(farkas, points_p, points_q)
 
 
 def positive_functional(normals, offsets, above: QVector, below: QVector) -> QVector:

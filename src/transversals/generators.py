@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .reporting import CheckRecord
 from .transversal import (
     Family,
     Instance,
+    _check_tuple_budget,
     _member_tuples,
     check_colorful,
     k_transversal,
@@ -32,6 +34,11 @@ from .transversal import (
 
 FLATS = "flats"
 TRUNCATED = "truncated"
+
+# Most (n+m)-point subsets a counterexample may rank-check, one rank each;
+# 2n+m points have C(2n+m, n+m) of them, which --ks 1,1,1,1,1,1,1,1,1,1
+# takes to 30045015.
+_SUBSET_BUDGET = 100_000
 
 
 class GeneralPositionError(ValueError):
@@ -76,6 +83,21 @@ class CounterexampleInstance:
     representation: str  # FLATS or TRUNCATED
     tuple_points: dict  # member tuple (1-based) -> QVector
     certificate: GeneralPositionCertificate
+
+
+def _check_counterexample_budgets(ks) -> None:
+    """Raise MalformedInputError when the construction for ``ks`` would
+    rank-check more than ``_SUBSET_BUDGET`` point subsets or solve more
+    than the colorful check's budget of member tuples."""
+    n = len(ks)
+    m = sum(ks)
+    subsets = math.comb(2 * n + m, n + m)
+    if subsets > _SUBSET_BUDGET:
+        raise MalformedInputError(
+            f"the counterexample has {subsets} point subsets to rank-check, "
+            f"above the budget of {_SUBSET_BUDGET}"
+        )
+    _check_tuple_budget([k + 2 for k in ks], "the counterexample")
 
 
 def _difference_rows(points):
@@ -171,13 +193,16 @@ def counterexample_from_points(ks, points, representation: str = TRUNCATED) -> C
     """Build the optimality instance from an explicit point set.
 
     Raises GeneralPositionError if any rank certificate fails; the
-    rejection sampler in gen_counterexample relies on that.
+    rejection sampler in gen_counterexample relies on that.  Raises
+    MalformedInputError before any check when the subset or tuple count is
+    over its budget.
     """
     ks = list(ks)
     if not ks or any(k < 0 for k in ks):
         raise MalformedInputError("need at least one non-negative target")
     if representation not in (FLATS, TRUNCATED):
         raise MalformedInputError(f"unknown representation {representation!r}")
+    _check_counterexample_budgets(ks)
     n = len(ks)
     m = sum(ks)
     d = n + m
@@ -221,11 +246,14 @@ def gen_counterexample(
     Integer coordinates are drawn uniformly from a box of the given side and
     rejected until every general-position certificate passes.  Identical
     (ks, seed, representation) arguments reproduce the instance exactly.
+    Raises MalformedInputError before sampling when the subset or tuple
+    count is over its budget.
     """
     ks = list(ks)
     n = len(ks)
     if n < 1 or any(k < 0 for k in ks):
         raise MalformedInputError("need at least one non-negative target")
+    _check_counterexample_budgets(ks)
     m = sum(ks)
     d = n + m
     rng = random.Random(derive_seed("counterexample", tuple(ks), seed))
@@ -298,13 +326,16 @@ def gen_planted(dim: int, ks, seed: int) -> Instance:
 
     A random k_1-flat is drawn, the first family's members each receive one
     point of it, and every member selected by a tuple shares that tuple's
-    anchor point, so the colorful property holds as well.
+    anchor point, so the colorful property holds as well.  Raises
+    MalformedInputError before sampling when the tuple count is over its
+    budget.
     """
     ks = list(ks)
     if not ks or any(k < 0 for k in ks):
         raise MalformedInputError("need at least one non-negative target")
     if dim < 1 or dim < max(ks):
         raise MalformedInputError("ambient dimension too small for the targets")
+    _check_tuple_budget([k + 2 for k in ks], "the planted instance")
     rng = random.Random(derive_seed("planted", dim, tuple(ks), seed))
 
     def random_point(spread=20):
@@ -358,6 +389,8 @@ def gen_colorful_random(ks, seed: int) -> Instance:
     Each tuple draws an anchor that becomes a generator of every member the
     tuple selects; members may gain a few noise generators inside twice
     their bounding box.  Anchor membership is re-verified before returning.
+    Raises MalformedInputError before sampling when the tuple count is over
+    its budget.
     """
     ks = list(ks)
     n = len(ks)
@@ -366,6 +399,7 @@ def gen_colorful_random(ks, seed: int) -> Instance:
     dim = n + sum(ks) - 1
     if dim < 1:
         raise MalformedInputError("single family with k=0 has no ambient dimension")
+    _check_tuple_budget([k + 2 for k in ks], "the random instance")
     rng = random.Random(derive_seed("colorful-random", tuple(ks), seed))
 
     anchors = {

@@ -5,7 +5,9 @@ exactly when some two-block partition of the family has intersecting
 pooled hulls; the decision procedure below searches the canonical
 partitions in a fixed order and reconstructs an explicit witness (a
 crossing point, one anchor point per member, and the spanning flat) from
-the feasible combination.
+the feasible combination.  Each partition it passes keeps the Farkas
+vector of its hull system, from which the certificate's separators are
+rounded.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from .convex import (
     affine_span,
     common_point,
     contains,
-    hull_weights,
     weighted_sum,
 )
-from .exactla import MalformedInputError, QVector, _ZERO
+from .exactla import MalformedInputError, QVector, _ZERO, hull_certificate
 
 # Most canonical partitions one family may enumerate, one LP each; a family
 # of k + 2 members has 2^(k+1) - 1 of them, so k = 16 is the first above.
@@ -154,17 +155,33 @@ class TransversalWitness:
     flat: AffineFlat
 
 
-def k_transversal(family: Family) -> Optional[TransversalWitness]:
-    """Decide whether the family admits a k-dimensional transversal flat.
+@dataclass(frozen=True)
+class PartitionScan:
+    """One hull LP per canonical partition, in order, up to the first whose
+    pooled hulls meet.
+
+    ``witness`` is the transversal witness of that partition, or None when
+    no partition's hulls meet.  ``farkas`` maps every partition solved
+    before it, so all of them when ``witness`` is None, to the Farkas vector
+    of its hull system, in which block A is group 0; see
+    ``exactla.hull_certificate``.
+    """
+
+    witness: Optional[TransversalWitness]
+    farkas: dict  # Partition -> list of Fractions
+
+
+def scan_partitions(family: Family) -> PartitionScan:
+    """Decide the family's k-transversal, keeping a certificate either way.
 
     Requires exactly k+2 members, all V-polytopes.  Scans the canonical
-    partitions in order and asks ``hull_weights`` whether the pooled hull
-    of block A (group 0) meets that of block B (group 1), with one weight
-    block per member in member order.  On the first feasible partition it
+    partitions in order and asks ``hull_certificate`` whether the pooled
+    hull of block A (group 0) meets that of block B (group 1), with one
+    weight block per member in member order.  A disjoint partition keeps its
+    Farkas vector.  On the first feasible partition the scan stops and
     reconstructs anchors from the weight blocks: a member with positive
     aggregate weight contributes its weighted generator average, a
     zero-weight member its first generator (any of its points is valid).
-    Returns None exactly when every partition's pooled hulls are disjoint.
     """
     for body in family.bodies:
         if not isinstance(body, VPolytope):
@@ -178,12 +195,14 @@ def k_transversal(family: Family) -> Optional[TransversalWitness]:
         )
     members = family.bodies
     blocks = [member.generators for member in members]
+    farkas = {}
     for part in partitions(size):
         in_a = set(part.part_a)
-        weights = hull_weights(
+        weights, certificate = hull_certificate(
             blocks, [0 if idx in in_a else 1 for idx in range(1, size + 1)]
         )
         if weights is None:
+            farkas[part] = certificate
             continue
         anchors = []
         crossing = QVector([_ZERO] * family.dim)
@@ -200,8 +219,21 @@ def k_transversal(family: Family) -> Optional[TransversalWitness]:
         flat = affine_span([p for _, p in anchors])
         if flat.dimension > family.k:
             raise AssertionError("witness flat exceeds the target dimension")
-        return TransversalWitness(part, crossing, tuple(anchors), flat)
-    return None
+        return PartitionScan(
+            TransversalWitness(part, crossing, tuple(anchors), flat), farkas
+        )
+    return PartitionScan(None, farkas)
+
+
+def k_transversal(family: Family) -> Optional[TransversalWitness]:
+    """Decide whether the family admits a k-dimensional transversal flat.
+
+    The witness of ``scan_partitions``: None exactly when every canonical
+    partition's pooled hulls are disjoint.  The scan's Farkas vectors are
+    not rounded to separators here; ``certificate.assign_from_scan`` does
+    that for callers that print or check them.
+    """
+    return scan_partitions(family).witness
 
 
 def validate_witness(family: Family, witness: TransversalWitness) -> None:
@@ -241,6 +273,16 @@ def _member_tuples(sizes):
     return itertools.product(*[range(1, size + 1) for size in sizes])
 
 
+def _check_tuple_budget(sizes, work: str) -> None:
+    """Raise MalformedInputError when ``work`` would enumerate more than
+    ``_TUPLE_BUDGET`` member tuples; ``sizes`` are the member counts."""
+    count = math.prod(sizes)
+    if count > _TUPLE_BUDGET:
+        raise MalformedInputError(
+            f"{work} has {count} member tuples, above the budget of {_TUPLE_BUDGET}"
+        )
+
+
 def check_colorful(instance: Instance) -> ColorfulReport:
     """Decide the colorful intersection property: every choice of one member
     per family must have a common point.
@@ -252,12 +294,7 @@ def check_colorful(instance: Instance) -> ColorfulReport:
     """
     families = instance.families
     sizes = [len(f.bodies) for f in families]
-    count = math.prod(sizes)
-    if count > _TUPLE_BUDGET:
-        raise MalformedInputError(
-            f"the colorful check has {count} member tuples, "
-            f"above the budget of {_TUPLE_BUDGET}"
-        )
+    _check_tuple_budget(sizes, "the colorful check")
     witnesses = {}
     for selector in _member_tuples(sizes):
         bodies = [families[i].bodies[c - 1] for i, c in enumerate(selector)]

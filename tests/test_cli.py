@@ -25,9 +25,11 @@ from transversals.cli import (
     witness_to_json,
 )
 from transversals import convex as convex_module
+from transversals import generators as generators_module
 from transversals import transversal as transversal_module
 from transversals.convex import AffineFlat, VPolytope
-from transversals.exactla import QVector
+from transversals.exactla import MalformedInputError, QVector
+from transversals.generators import counterexample_from_points
 from transversals.transversal import (
     Family,
     Instance,
@@ -343,7 +345,8 @@ class TestTheoremViolationPath:
 
 class TestInseparableNegativePath:
     def test_exit_three(self, tmp_path, monkeypatch, capsys):
-        import transversals.certificate as certificate_module
+        import transversals.cli as cli_module
+        from transversals.transversal import PartitionScan
 
         path = tmp_path / "apart.json"
         family = Family(
@@ -351,7 +354,7 @@ class TestInseparableNegativePath:
         )
         save_instance(str(path), Instance(2, (family,)))
         monkeypatch.setattr(
-            certificate_module, "strict_separation", lambda positive, negative: None
+            cli_module, "scan_partitions", lambda family: PartitionScan(None, {})
         )
         assert cmd_transversal(str(path), 1) == EXIT_THEOREM_VIOLATION
         assert "partition {1}/{2,3} is inseparable" in capsys.readouterr().out
@@ -456,6 +459,53 @@ class TestEnumerationBudgets:
             assert main([command, above]) == EXIT_PRECONDITION
             printed = capsys.readouterr().out
             assert "27 member tuples" in printed and "budget of 9" in printed
+
+
+    def forbid_generator_work(self, monkeypatch):
+        """Sampling starts with a derived seed, and the rank checks and tuple
+        solves of a counterexample with the general-position checks."""
+        monkeypatch.setattr(generators_module, "derive_seed", self.forbidden)
+        monkeypatch.setattr(
+            generators_module, "_general_position_checks", self.forbidden
+        )
+
+    def test_generator_subset_limit_is_inclusive_and_checked_first(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # --ks 1,0 places 5 points in dimension 3: C(5, 3) = 10 subsets
+        argv = ["generate", "counterexample", "--ks", "1,0", "--seed", "5", "--out"]
+        monkeypatch.setattr(generators_module, "_SUBSET_BUDGET", 10)
+        assert main(argv + [str(tmp_path / "at.json")]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(generators_module, "_SUBSET_BUDGET", 9)
+        self.forbid_generator_work(monkeypatch)
+        assert main(argv + [str(tmp_path / "above.json")]) == EXIT_PRECONDITION
+        printed = capsys.readouterr().out
+        assert "10 point subsets" in printed and "budget of 9" in printed
+        assert not (tmp_path / "above.json").exists()
+        with pytest.raises(MalformedInputError, match="10 point subsets"):
+            counterexample_from_points([1, 0], [vec(0, 0, 0)] * 5)
+
+    def test_generator_tuple_limit_is_inclusive_and_checked_first(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # every generator at --ks 1,1 has 3 * 3 = 9 member tuples
+        kinds = ("counterexample", "planted", "random")
+        monkeypatch.setattr(transversal_module, "_TUPLE_BUDGET", 9)
+        for kind in kinds:
+            out = str(tmp_path / f"{kind}.json")
+            assert main(["generate", kind, "--ks", "1,1", "--seed", "5", "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(transversal_module, "_TUPLE_BUDGET", 8)
+        self.forbid_generator_work(monkeypatch)
+        out = str(tmp_path / "above.json")
+        for kind in kinds:
+            assert main(["generate", kind, "--ks", "1,1", "--seed", "5", "--out", out]) == EXIT_PRECONDITION
+            printed = capsys.readouterr().out
+            assert "9 member tuples" in printed and "budget of 8" in printed
+        assert not (tmp_path / "above.json").exists()
+        with pytest.raises(MalformedInputError, match="9 member tuples"):
+            counterexample_from_points([1, 1], [vec(0, 0, 0, 0)] * 6)
 
 
 class TestEntryPoint:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from transversals.exactla import (
     Relation,
     _phase_one,
     _reduced_echelon,
+    _simplest_between,
     format_rational,
     lp_feasible,
     parse_rational,
@@ -23,6 +25,16 @@ from transversals.exactla import (
 )
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+
+def phase_one_optimum(rows, rhs):
+    """``_phase_one`` as ``(solution, optimum)``: the optimum of the
+    artificial objective is ``y . rhs`` for the Farkas vector ``y`` of an
+    infeasible system, and 0 for a feasible one."""
+    solution, farkas = _phase_one(rows, rhs)
+    if farkas is None:
+        return solution, F(0)
+    return None, sum((y * b for y, b in zip(farkas, rhs)), F(0))
 
 
 def vectors(dim):
@@ -176,7 +188,7 @@ class TestLpFeasible:
 
     def test_infeasible_has_positive_phase_one_optimum(self):
         # x = 0 and x = 1 simultaneously, in standard form with x >= 0
-        solution, infeasibility = _phase_one([[F(1)], [F(1)]], [F(0), F(1)])
+        solution, infeasibility = phase_one_optimum([[F(1)], [F(1)]], [F(0), F(1)])
         assert solution is None
         assert infeasibility > 0
 
@@ -314,7 +326,7 @@ class TestSimplexTermination:
             if trial % 3 == 0 and m > 1:
                 rows[-1] = list(rows[0])  # duplicated constraint
             rhs = [F(rng.choice([0, 0, 0, 1])) for _ in range(m)]
-            solution, infeasibility = _phase_one(rows, rhs)
+            solution, infeasibility = phase_one_optimum(rows, rhs)
             if solution is None:
                 assert infeasibility > 0
             else:
@@ -500,7 +512,7 @@ class TestFractionFreeKernels:
         for rows, rhs in cases:
             switched = []
             expected = reference_phase_one(rows, rhs, switched)
-            assert _phase_one(rows, rhs) == expected
+            assert phase_one_optimum(rows, rhs) == expected
             seen["infeasible" if expected[0] is None else "feasible"] += 1
             seen["negative_rhs"] += any(b < 0 for b in rhs)
             seen["bland"] += switched[0]
@@ -512,7 +524,7 @@ class TestFractionFreeKernels:
         rows = [[F(1, 8)], [F(1, 8)]]
         rhs = [F(1, 64), F(3, 64)]
         expected = (None, F(1, 32))
-        assert _phase_one(rows, rhs) == reference_phase_one(rows, rhs) == expected
+        assert phase_one_optimum(rows, rhs) == reference_phase_one(rows, rhs) == expected
 
     def test_reduced_echelon_matches_rational_reference(self):
         rng = random.Random(2718)
@@ -610,3 +622,168 @@ class TestIntegerDot:
                 setattr(u, name, None)
         assert u.entries == (F(1, 3), F(-2, 5), F(0))
         assert u.dot(u) == F(1, 9) + F(4, 25)
+
+
+# ---------------------------------------------------------------------------
+# Farkas vectors and small separators
+
+
+def farkas_cases(rng):
+    """Seeded infeasible standard-form systems: random rational systems with
+    negative right-hand sides and duplicated rows, systems with a zero row
+    whose right-hand side is not zero (its artificial can never leave the
+    basis), and infeasible variants of Beale's cycling system."""
+    cases = []
+    while len(cases) < 300:
+        trial = len(cases)
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 8)
+        denominators = rng.choice([(1,), (1, 2, 3), (8,), (8, 9, 16)])
+        rows = [[random_rational(rng, denominators) for _ in range(n)] for _ in range(m)]
+        rhs = [random_rational(rng, denominators) for _ in range(m)]
+        if trial % 4 == 0 and m > 1:
+            rows[-1] = list(rows[0])  # duplicated row, different right-hand side
+        if trial % 7 == 0:
+            rows.append([F(0)] * n)
+            rhs.append(F(rng.choice([-3, -1, 1, 2]), rng.choice(denominators)))
+        if reference_phase_one(rows, rhs)[0] is None:
+            cases.append((rows, rhs))
+    for u in (-1, 3):
+        for beta in (1, 2, 5):
+            for scale in (F(1), F(1, 8), F(3, 16)):
+                rows, rhs = beale_system(u, beta, scale)
+                for extra in ([0, 0, 1, 0, 0, 0, 1], [0] * 7):
+                    # x3 + x7 = 2 beside x3 + x7 = 1, or 0 = 2
+                    cases.append(
+                        (rows + [[F(v) * scale for v in extra]], rhs + [2 * scale])
+                    )
+    return cases
+
+
+class TestFarkasVectors:
+    def test_certifies_every_infeasible_system(self):
+        rng = random.Random(3301)
+        seen = {"negative_rhs": 0, "duplicated": 0, "zero_row": 0, "bland": 0}
+        for rows, rhs in farkas_cases(rng):
+            switched = []
+            _, optimum = reference_phase_one(rows, rhs, switched)
+            solution, farkas = _phase_one(rows, rhs)
+            assert solution is None and len(farkas) == len(rows)
+            for j in range(len(rows[0])):
+                assert sum(y * row[j] for y, row in zip(farkas, rows)) <= 0
+            value = sum(y * b for y, b in zip(farkas, rhs))
+            assert value > 0
+            assert value == optimum
+            seen["negative_rhs"] += any(b < 0 for b in rhs)
+            seen["duplicated"] += any(
+                rows[i] == rows[j] for i in range(len(rows)) for j in range(i)
+            )
+            seen["zero_row"] += any(not any(row) for row in rows)
+            seen["bland"] += switched[0]
+        assert min(seen.values()) >= 20, seen
+
+    def test_flipped_row_keeps_its_sign(self):
+        # x = -2 has no x >= 0.  The simplex negates the row to -x = 2; read
+        # back in the row as given, the Farkas vector is y = -1, y . b = 2.
+        assert _phase_one([[F(1)]], [F(-2)]) == (None, [F(-1)])
+        # -x = 2 is already the negated row, so there y = 1.
+        assert _phase_one([[F(-1)]], [F(2)]) == (None, [F(1)])
+
+
+def simplest_by_search(low, high):
+    denominator = 1
+    while True:
+        candidates = [
+            F(p, denominator)
+            for p in range(
+                math.floor(low * denominator), math.ceil(high * denominator) + 1
+            )
+            if low < F(p, denominator) < high
+        ]
+        if candidates:
+            return min(candidates, key=abs)
+        denominator += 1
+
+
+def margin_one_separation(points_p, points_q):
+    """The margin-one system over ``(normal, offset)``: ``normal . p <=
+    offset - 1`` and ``normal . q >= offset + 1``, decided by the
+    free-variable ``lp_feasible``."""
+    constraints = [
+        LinearConstraint(QVector(list(p.entries) + [-1]), Relation.LE, -1)
+        for p in points_p
+    ] + [
+        LinearConstraint(QVector([-e for e in q.entries] + [1]), Relation.LE, -1)
+        for q in points_q
+    ]
+    return lp_feasible(constraints, points_p[0].dim + 1)
+
+
+def separation_case(rng, trial):
+    """A seeded point-set pair; the kind cycles through random sets, single
+    points, touching hulls and hulls a hair apart."""
+    dim = 1 + trial % 5
+    kind = ("random", "single", "touching", "apart")[trial % 4]
+
+    def point():
+        return QVector(
+            F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 7))) for _ in range(dim)
+        )
+
+    points_p = [point() for _ in range(rng.randint(1, 4))]
+    points_q = [point() for _ in range(rng.randint(1, 4))]
+    if kind == "single":
+        return kind, points_p[:1], points_q[:1]
+    if kind == "touching":
+        # a vertex of one hull, or the midpoint of two, lies in the other
+        shared = rng.choice(points_p)
+        if len(points_p) > 1 and rng.random() < 0.5:
+            shared = F(1, 2) * (points_p[0] + points_p[1])
+        return kind, points_p, points_q + [shared]
+    if kind == "apart":
+        # q lies beyond the supporting hyperplane of p in direction w, at
+        # distance |w|^2 / 97 or more
+        w = QVector(rng.randint(-3, 3) or 1 for _ in range(dim))
+        top = max(points_p, key=w.dot)
+        near = top + F(1, 97) * w
+        return kind, points_p, [near] + [
+            near + (v if v.dot(w) >= 0 else -v) for v in points_q
+        ]
+    return kind, points_p, points_q
+
+
+class TestSmallSeparators:
+    def test_simplest_between_matches_search(self):
+        rng = random.Random(1605)
+        cases = [(F(0), F(1)), (F(-1), F(0)), (F(1, 3), F(1, 2)), (F(2), F(3))]
+        for _ in range(400):
+            low = F(rng.randint(-40, 40), rng.randint(1, 12))
+            high = low + F(rng.randint(1, 30), rng.randint(1, 40))
+            cases.append((low, high))
+        for low, high in cases:
+            assert _simplest_between(low, high) == simplest_by_search(low, high)
+
+    def test_agrees_with_margin_one_oracle(self):
+        rng = random.Random(5521)
+        seen = {"separated": 0, "meeting": 0}
+        for trial in range(320):
+            kind, points_p, points_q = separation_case(rng, trial)
+            separation = strict_separation(points_p, points_q)
+            oracle = margin_one_separation(points_p, points_q)
+            assert (separation is None) == (oracle is None), (kind, points_p, points_q)
+            if kind == "touching":
+                assert separation is None
+            if kind == "apart":
+                assert separation is not None
+            if separation is None:
+                seen["meeting"] += 1
+                continue
+            seen["separated"] += 1
+            normal, offset = separation
+            assert all(e.denominator == 1 for e in normal)
+            assert all(normal.dot(p) < offset for p in points_p)
+            assert all(normal.dot(q) > offset for q in points_q)
+            low = max(normal.dot(p) for p in points_p)
+            high = min(normal.dot(q) for q in points_q)
+            assert offset == simplest_by_search(low, high)
+        assert min(seen.values()) >= 80, seen

@@ -20,7 +20,10 @@ import hashlib
 import pytest
 
 from transversals import exactla
-from transversals.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_PRECONDITION, main
+from transversals.certificate import NormalAssignment, assign_normals
+from transversals.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_PRECONDITION, load_instance, main
+from transversals.exactla import strict_separation
+from transversals.transversal import partitions
 
 THEOREM = [
     (["generate", "random", "--ks", "1,1", "--seed", "3", "--out", "inst.json"], EXIT_OK),
@@ -128,3 +131,35 @@ def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
     digests["stdout"] = sha256(capsys.readouterr().out.encode("utf-8"))
     digests["lp-systems"] = sha256("\n".join(sorted(systems)).encode("utf-8"))
     assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "name,pipeline",
+    [("theorem", THEOREM), ("counterexample", COUNTEREXAMPLE), ("join", JOIN)],
+)
+def test_separators_are_small(name, pipeline, tmp_path, monkeypatch):
+    """Every separator of the pipeline's instance, from ``assign_normals`` and
+    from ``strict_separation`` of every partition's two pooled blocks, has
+    numerators and denominators below 2^16.  In the theorem instance every
+    partition's pooled hulls meet, so it has none."""
+    monkeypatch.chdir(tmp_path)
+    argv, expected = pipeline[0]
+    assert main(argv) == expected
+    instance, _ = load_instance("inst.json")
+    separators = []
+    for family in instance.families:
+        outcome = assign_normals(family)
+        if isinstance(outcome, NormalAssignment):
+            separators.extend(outcome.normals.values())
+        for part in partitions(family.k + 2):
+            blocks = [
+                [g for idx in block for g in family.bodies[idx - 1].generators]
+                for block in (part.part_a, part.part_b)
+            ]
+            separation = strict_separation(*blocks)
+            if separation is not None:
+                separators.append(separation)
+    assert bool(separators) == (name != "theorem")
+    for normal, offset in separators:
+        for value in list(normal) + [offset]:
+            assert abs(value.numerator) < 2**16 and value.denominator < 2**16
