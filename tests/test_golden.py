@@ -78,27 +78,27 @@ GOLDEN = {
         "family2.json": "3bb0829495032f4319799ffd624f88d610e1f66ab8293f6972fb16323892a6d6",
         "certificate.json": "fb0b0cd3dc11a8cac88e55bc308285bc12131020ca9b6bf5a6a933f90e52a9c0",
         "stdout": "25e3af24bd60d941530cd58b294f3b620df352ff4e4d4b2779c41a0b06b01980",
-        "lp-systems": "57bda9a2e5924872827a8754e6f2e98c7f8a67be280b533635e294fa8e90531e",
+        "lp-systems": "4a741c2cc36daddde4916d8be848017362d98420bc41836139a7adb6e0e0eea4",
     },
     "counterexample": {
         "inst.json": "029a6e86f86f9fb8e4f8e775eb8ee68c87454c5b9e749d3dc143463074126bc4",
         "inst.json.cert.txt": "6188dda3854026ee151be541cfc5f14f1f3de7022d3b0246bd6db206a36a453f",
         "colorful.json": "6f27fb124e6e4c91344ec8ea700ea2a981ef357d0f4d6d4849f50a63b8a8a8bb",
-        "family1.json": "7068c23249b820b5a3491102d5e3c05ab0bc2c0a7fbd38439e1a5474ce77ab27",
-        "family2.json": "7683e6cbf261538d0723256057f6646634c723a9521bd4a7d42988c57d035c71",
+        "family1.json": "4961159a418ad79eefc522c866daee9c4d16b85452af2a43ab3b104c8d70f192",
+        "family2.json": "c5644ba3562d1ae53bd9573fd6bd436d1b9c0960c069057ed98b9b30e0f3c707",
         "certificate.json": "a4fa4a7f4a19628723fcf5c728de88186c160ee64e5e0e9ac9d5d42824c058d8",
-        "stdout": "ba514971e62ff59521ac3e89a4d5279470ddcaad8036bc167594863ed92ce9f0",
-        "lp-systems": "ce71f53ccec5e552861f815c48a19664ddfa07b0a1fc1b9f4229452ec13c69c6",
+        "stdout": "87ab848e5d338b6bf6dbea1100ed4faf473738a0971eac15c1d8b4be8d59a730",
+        "lp-systems": "808ef6d016b0c16b0952a3ce226f2b05f4826d00613d0583670f8f5e7ea0c8f0",
     },
     "join": {
         "inst.json": "032d0527aafc38233660ccde4031bdc95b54bb8789d5d0d1f49e34ed1681ec6c",
         "inst.json.cert.txt": "65d12fec09fc9c473432a2e8faedf6422f2f36f04d0aafcf2e80d300e1919ffa",
         "colorful.json": "3bd4273e32df9fde4e8d5510170f4a516b66f0c15d57eb57be91df5d9a0d516d",
-        "family1.json": "2758395ffc15df53cc1d92b8ebd538f8c094817656ecc27a9f57bacff23f21b7",
-        "family2.json": "04802202a49f3b2b0def02c82986028a6b0c8e32dad9abd29897cebd5c3ac90e",
+        "family1.json": "da923b40867052ea0074ca275b92888b8e2012901c350f528ab7fd52242d00d4",
+        "family2.json": "258969d37432c6a4d800a710b7db69f2c33f0bbe191d0e3059f3a26a38dad91d",
         "certificate.json": "888cb70aa09b47cfe686f0fa8a64991382300d3e30dc7850000801e474d19b9e",
-        "stdout": "76d9c307de9ec980d233e0961d2853aa36cc7e017ab5d0bb4cc23210333e1ab4",
-        "lp-systems": "5fa1f8986937cb74825a7a38461783bb067104437c0040e2f1da771ef05e0df7",
+        "stdout": "5dab7d8c4b228cbf5fa8dec65baca86f56a963ca231fc8348243475a6bf4025a",
+        "lp-systems": "19b7ce1b964d24d733ef1f125af21b6727687cf961da748d8e724fb63719cb3e",
     },
 }
 
