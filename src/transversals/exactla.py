@@ -469,16 +469,12 @@ def _farkas(original, basis, n: int) -> list:
             unit[i] = 1
             unit[m] = -1 if original[i][-1] < 0 else 1
             system.append(unit)
-    pivots, table, denominator = _reduced_echelon(system)
-    if pivots != list(range(m)):
-        raise AssertionError("final phase-one basis is singular")
+    _, table, denominator = _reduced_echelon(system)
     sign = 1 if denominator > 0 else -1
     y = [sign * row[m] for row in table]
-    for j in range(n):
-        if sum(yi * row[j] for yi, row in zip(y, original)) > 0:
-            raise AssertionError("Farkas vector fails a column")
-    if not sum(yi * row[n] for yi, row in zip(y, original)) > 0:
-        raise AssertionError("Farkas vector fails the right-hand side")
+    *columns, value = [sum(map(operator.mul, y, column)) for column in zip(*original)]
+    if any(c > 0 for c in columns) or value <= 0:
+        raise AssertionError("Farkas vector fails the substitution check")
     return [Fraction(v, sign * denominator) for v in y]
 
 

@@ -444,6 +444,19 @@ class TestEnumerationBudgets:
         printed = capsys.readouterr().out
         assert "3 partitions" in printed and "budget of 2" in printed
 
+    def test_partition_limit_is_checked_before_the_scan(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = str(tmp_path / "c10.json")
+        assert cmd_generate("counterexample", [1, 0], 5, out_path=path) == EXIT_OK
+        monkeypatch.setattr(transversal_module, "_PARTITION_BUDGET", 2)
+        monkeypatch.setattr(transversal_module, "hull_certificate", self.forbidden)
+        for command in (["transversal", path, "--family", "1"], ["certificate", path]):
+            capsys.readouterr()
+            assert main(command) == EXIT_PRECONDITION
+            printed = capsys.readouterr().out
+            assert "3 partitions" in printed and "budget of 2" in printed
+
     def test_tuple_limit_is_inclusive_and_checked_first(
         self, tmp_path, monkeypatch, capsys
     ):
