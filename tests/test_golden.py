@@ -6,7 +6,10 @@ and of everything it prints, is compared with a recorded value, so any change
 to a decision or to a report byte fails here.  The theorem-mode instance has
 coordinates with denominators up to 8, so its LPs have fractional entries;
 the counterexample instances exercise the rank certificates, the negative
-transversal ledger and the join certificate.  The ``--ks 2,1`` counterexample
+transversal ledger and the join certificate.  The two ``generate``-only
+pipelines pin the general-position ledger and both representations at
+``--ks 1,1,1,1`` (495 subsets, 81 tuples) and ``--ks 2,2,2`` (220 subsets,
+64 tuples, flats).  The ``--ks 2,1`` counterexample
 checks the claim on 144 join simplices and audits 15 of them.
 
 Each pipeline also records every distinct ``(rows, rhs)`` system the
@@ -69,6 +72,31 @@ JOIN = [
     (["certificate", "inst.json", "--out", "certificate.json"], EXIT_OK),
 ]
 
+GENERATE = [
+    (
+        ["generate", "counterexample", "--ks", "1,1,1,1", "--seed", "2", "--out", "inst.json"],
+        EXIT_OK,
+    ),
+]
+
+GENERATE_FLATS = [
+    (
+        [
+            "generate",
+            "counterexample",
+            "--ks",
+            "2,2,2",
+            "--representation",
+            "flats",
+            "--seed",
+            "7",
+            "--out",
+            "inst.json",
+        ],
+        EXIT_OK,
+    ),
+]
+
 GOLDEN = {
     "theorem": {
         "inst.json": "28be2faa9a1e5b1d0e824431ef5cf3bb1caeb9cd3b82a0bf20811e35fbc88f19",
@@ -100,6 +128,18 @@ GOLDEN = {
         "stdout": "5dab7d8c4b228cbf5fa8dec65baca86f56a963ca231fc8348243475a6bf4025a",
         "lp-systems": "19b7ce1b964d24d733ef1f125af21b6727687cf961da748d8e724fb63719cb3e",
     },
+    "generate": {
+        "inst.json": "50ef0bf5148895b735a151f0f2227225dab40477be9f272e63949e4bae542f92",
+        "inst.json.cert.txt": "a92c66d58895e8afe995059d9e39663ce97579f0006cd73d4682a2c63e11c7bb",
+        "stdout": "5b25b82d264c867fe5872be22ce23fd1a28a37e2b79d7afc40830b29603d4c2f",
+        "lp-systems": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "generate-flats": {
+        "inst.json": "1c77c9379a48278e8c919aa3e8a843684df74b17694c86cecc4bff6860f51291",
+        "inst.json.cert.txt": "ba956ae79d0dc68652a246b745eb650f2266f1cb4d5fbf4b00e075c0c425e413",
+        "stdout": "5b25b82d264c867fe5872be22ce23fd1a28a37e2b79d7afc40830b29603d4c2f",
+        "lp-systems": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
 }
 
 
@@ -109,7 +149,13 @@ def sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize(
     "name,pipeline",
-    [("theorem", THEOREM), ("counterexample", COUNTEREXAMPLE), ("join", JOIN)],
+    [
+        ("theorem", THEOREM),
+        ("counterexample", COUNTEREXAMPLE),
+        ("join", JOIN),
+        ("generate", GENERATE),
+        ("generate-flats", GENERATE_FLATS),
+    ],
 )
 def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
