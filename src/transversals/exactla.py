@@ -29,6 +29,7 @@ in the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -187,17 +188,6 @@ class QMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(
-            QVector(row[j] for row in self.rows) for j in range(self.num_cols)
-        )
-
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix(
-            QVector(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
-        )
-
     def __repr__(self) -> str:
         return "QMatrix(%s)" % ", ".join(repr(r) for r in self.rows)
 
@@ -258,6 +248,46 @@ def rank(matrix: QMatrix) -> int:
     return len(_reduced_echelon([row.entries for row in matrix.rows])[0])
 
 
+def independent_subsets(rows, size: int):
+    """Yield ``(subset, independent)`` for every ``size``-subset of row
+    indices, in ``itertools.combinations`` order; ``independent`` says
+    whether those rows are linearly independent.
+
+    The subsets are walked depth-first, so a prefix is reduced once for all
+    of its extensions.  The rows are scaled to integers once; a new row is
+    eliminated against the prefix's reduced rows in order, each on its own
+    pivot column, by the fraction-free update ``(p*row - row[c]*lead) // q``
+    with ``q`` the previous pivot (Bareiss 1968; every entry stays a minor of
+    the input, so each division is exact).  A row that reduces to zero makes
+    the prefix dependent, and every extension of it is yielded as dependent
+    without further work.
+    """
+    table, _ = _integer_rows(rows)
+    count = len(table)
+
+    def walk(start, prefix, reduced):
+        if len(prefix) == size:
+            yield prefix, True
+            return
+        remaining = size - len(prefix) - 1
+        for index in range(start, count - remaining):
+            row = table[index]
+            q = 1
+            for col, lead in reduced:
+                p = lead[col]
+                f = row[col]
+                row = [(p * a - f * b) // q for a, b in zip(row, lead)]
+                q = p
+            col = next((c for c, a in enumerate(row) if a), None)
+            if col is None:
+                for rest in itertools.combinations(range(index + 1, count), remaining):
+                    yield prefix + (index,) + rest, False
+            else:
+                yield from walk(index + 1, prefix + (index,), reduced + [(col, row)])
+
+    return walk(0, (), [])
+
+
 class LinearSolution(NamedTuple):
     particular: QVector
     kernel_basis: tuple
@@ -292,6 +322,34 @@ def solve_linear(matrix: QMatrix, rhs: QVector) -> Optional[LinearSolution]:
             vec[c] = Fraction(-table[r][free], denominator)
         kernel.append(QVector(vec))
     return LinearSolution(QVector(particular), tuple(kernel))
+
+
+def solve_square(matrix: QMatrix, rhs_columns) -> Optional[list]:
+    """The unique solution of ``matrix @ x = b`` for every ``b`` in
+    ``rhs_columns``, in order, or None when the square matrix is singular.
+
+    One elimination serves every right-hand side: ``[matrix | b_1 ... b_t]``
+    is brought to reduced row echelon form, and when the matrix block
+    becomes the identity, column ``n + t`` holds solution ``t``.  A singular
+    matrix leaves every system without a unique solution, consistent or not.
+    """
+    n = matrix.num_rows
+    if matrix.num_cols != n:
+        raise MalformedInputError("solve_square needs a square matrix")
+    if any(b.dim != n for b in rhs_columns):
+        raise MalformedInputError("right-hand side length does not match row count")
+    pivots, table, denominator = _reduced_echelon(
+        [
+            list(row.entries) + [b[i] for b in rhs_columns]
+            for i, row in enumerate(matrix.rows)
+        ]
+    )
+    if pivots != list(range(n)):
+        return None
+    return [
+        QVector(Fraction(table[r][n + t], denominator) for r in range(n))
+        for t in range(len(rhs_columns))
+    ]
 
 
 class Relation(Enum):

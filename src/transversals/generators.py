@@ -14,14 +14,21 @@ and produces V-polytope instances the partition machinery can consume.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .convex import AffineFlat, VPolytope
-from .exactla import MalformedInputError, QMatrix, QVector, rank, solve_linear
+from .exactla import (
+    MalformedInputError,
+    QMatrix,
+    QVector,
+    independent_subsets,
+    rank,
+    solve_linear,
+    solve_square,
+)
 from .reporting import CheckRecord
 from .transversal import (
     Family,
@@ -110,19 +117,29 @@ def _homogenized_rank(points) -> int:
 
 
 def _general_position_checks(ks, points):
-    """Run every rank certificate; returns (checks, parts, fiber data).
+    """Run every rank certificate; returns (ok, checks, parts, family rows,
+    tuple points).
 
-    Fiber data is one difference-row matrix per family (a basis of the
-    group's span directions) plus the solved tuple intersection points.
-    The tuple systems stack the per-family orthogonality equations; a
-    unique solution is exactly full rank, which is the genericity the
-    construction actually uses.
+    The ledger holds one "affine-span-unique" record per (n+m)-subset of
+    the points, in ``itertools.combinations`` order, then one
+    "family-affine-dim" record per color group, then one
+    "tuple-intersection-unique" record per member tuple in sorted order.
+    The subsets are decided by one depth-first walk over the homogenized
+    points (``exactla.independent_subsets``), so a prefix is reduced once
+    for all of its extensions.
+
+    Family rows are one difference-row matrix per family (a basis of the
+    group's span directions).  A tuple's system stacks every family's
+    orthogonality equations ``row . x = row . anchor``; the stacked matrix
+    is square and the same for every tuple, so one ``solve_square`` answers
+    all of them.  Full rank gives each tuple its unique intersection point,
+    which is the genericity the construction actually uses; a singular
+    matrix fails every tuple.
     """
     n = len(ks)
     m = sum(ks)
     d = n + m
     checks = []
-    ok = True
 
     parts = []
     at = 0
@@ -130,8 +147,8 @@ def _general_position_checks(ks, points):
         parts.append(tuple(points[at : at + k + 2]))
         at += k + 2
 
-    for subset in itertools.combinations(range(len(points)), d):
-        passed = _homogenized_rank([points[i] for i in subset]) == d
+    homogenized = [list(p.entries) + [1] for p in points]
+    for subset, passed in independent_subsets(homogenized, d):
         checks.append(
             CheckRecord(
                 "affine-span-unique",
@@ -139,7 +156,6 @@ def _general_position_checks(ks, points):
                 passed,
             )
         )
-        ok = ok and passed
 
     family_rows = []
     for i, group in enumerate(parts, start=1):
@@ -147,31 +163,32 @@ def _general_position_checks(ks, points):
         checks.append(
             CheckRecord("family-affine-dim", f"family={i} expected={ks[i-1]+1}", passed)
         )
-        ok = ok and passed
         family_rows.append(_difference_rows(group))
 
-    tuple_points = {}
-    for selector in _member_tuples(k + 2 for k in ks):
-        rows = []
-        rhs = []
-        for i, choice in enumerate(selector):
-            anchor = parts[i][choice - 1]
-            for row in family_rows[i]:
-                rows.append(row)
-                rhs.append(row.dot(anchor))
-        solution = solve_linear(QMatrix(rows), QVector(rhs))
-        unique = solution is not None and not solution.kernel_basis
+    # rhs[i][j]: family i's orthogonality right-hand sides at its member j+1.
+    rhs = [
+        [[row.dot(anchor) for row in rows] for anchor in group]
+        for rows, group in zip(family_rows, parts)
+    ]
+    selectors = list(_member_tuples(k + 2 for k in ks))
+    solutions = solve_square(
+        QMatrix(row for rows in family_rows for row in rows),
+        [
+            QVector(b for i, choice in enumerate(selector) for b in rhs[i][choice - 1])
+            for selector in selectors
+        ],
+    )
+    for selector in selectors:
         checks.append(
             CheckRecord(
                 "tuple-intersection-unique",
                 "tuple=(%s)" % ",".join(str(c) for c in selector),
-                unique,
+                solutions is not None,
             )
         )
-        ok = ok and unique
-        if unique:
-            tuple_points[selector] = solution.particular
+    tuple_points = dict(zip(selectors, solutions or ()))
 
+    ok = all(c.passed for c in checks)
     return ok, checks, parts, family_rows, tuple_points
 
 
@@ -221,14 +238,12 @@ def counterexample_from_points(ks, points, representation: str = TRUNCATED) -> C
     else:
         families = []
         for i, group in enumerate(parts):
+            # Every fiber of a group has the same direction space, the kernel
+            # of the group's difference rows; only its base point moves.
             span_rows = family_rows[i]
-            fibers = []
-            for anchor in group:
-                kernel = solve_linear(
-                    QMatrix(span_rows), QVector([row.dot(anchor) for row in span_rows])
-                )
-                fibers.append(AffineFlat(anchor, kernel.kernel_basis))
-            families.append(Family(ks[i], tuple(fibers)))
+            kernel = solve_linear(QMatrix(span_rows), QVector([0] * len(span_rows)))
+            fibers = tuple(AffineFlat(anchor, kernel.kernel_basis) for anchor in group)
+            families.append(Family(ks[i], fibers))
 
     instance = Instance(d, tuple(families))
     return CounterexampleInstance(instance, representation, tuple_points, certificate)
@@ -416,8 +431,9 @@ def gen_colorful_random(ks, seed: int) -> Instance:
             members.append(VPolytope(tuple(gens)))
         families.append(Family(k, tuple(members)))
 
+    generator_sets = [[set(b.generators) for b in f.bodies] for f in families]
     for selector, anchor in anchors.items():
         for i, choice in enumerate(selector):
-            if anchor not in families[i].bodies[choice - 1].generators:
+            if anchor not in generator_sets[i][choice - 1]:
                 raise AssertionError("anchor wiring broke the colorful property")
     return Instance(dim, tuple(families))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -16,11 +17,13 @@ from transversals.exactla import (
     _reduced_echelon,
     _simplest_between,
     format_rational,
+    independent_subsets,
     lp_feasible,
     parse_rational,
     positive_functional,
     rank,
     solve_linear,
+    solve_square,
     strict_separation,
 )
 
@@ -87,7 +90,7 @@ class TestVectors:
 
 class TestSolveLinear:
     def test_identity(self):
-        solution = solve_linear(QMatrix.identity(2), QVector([3, 5]))
+        solution = solve_linear(QMatrix([[1, 0], [0, 1]]), QVector([3, 5]))
         assert solution.particular == QVector([3, 5])
         assert solution.kernel_basis == ()
 
@@ -118,7 +121,7 @@ class TestSolveLinear:
 
 class TestRank:
     def test_examples(self):
-        assert rank(QMatrix.identity(3)) == 3
+        assert rank(QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
         assert rank(QMatrix([[1, 2], [2, 4]])) == 1
         # four planar points homogenized with a 1-column span the plane
         homogenized = QMatrix([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 2, 1]])
@@ -127,10 +130,98 @@ class TestRank:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.data())
     def test_rank_of_transpose(self, rows, cols, data):
-        matrix = QMatrix(
-            [data.draw(st.lists(rationals, min_size=cols, max_size=cols)) for _ in range(rows)]
-        )
-        assert rank(matrix) == rank(matrix.transpose())
+        entries = [
+            data.draw(st.lists(rationals, min_size=cols, max_size=cols)) for _ in range(rows)
+        ]
+        assert rank(QMatrix(entries)) == rank(QMatrix(zip(*entries)))
+
+
+def random_rows(rng, count, width):
+    """Rows of small integers or eighths, with repeated, scaled and summed
+    rows mixed in so that many subsets are dependent."""
+    rows = []
+    for _ in range(count):
+        roll = rng.random()
+        if rows and roll < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif rows and roll < 0.3:
+            factor = F(rng.randint(-3, 3), rng.randint(1, 4))
+            rows.append([factor * v for v in rng.choice(rows)])
+        elif len(rows) > 1 and roll < 0.45:
+            a, b = rng.sample(rows, 2)
+            rows.append([x + y for x, y in zip(a, b)])
+        else:
+            rows.append([F(rng.randint(-3, 3), rng.choice((1, 1, 8))) for _ in range(width)])
+    return rows
+
+
+class TestIndependentSubsets:
+    """The depth-first walk against one ``rank`` per subset."""
+
+    @staticmethod
+    def reference(rows, size):
+        return [
+            (subset, rank(QMatrix([rows[i] for i in subset])) == size)
+            for subset in itertools.combinations(range(len(rows)), size)
+        ]
+
+    def test_matches_rank_per_subset(self):
+        rng = random.Random(20)
+        dependent = independent = 0
+        for _ in range(300):
+            width = rng.randint(1, 6)
+            rows = random_rows(rng, rng.randint(1, 8), width)
+            size = rng.randint(1, min(len(rows), width + 1))
+            walked = list(independent_subsets(rows, size))
+            assert walked == self.reference(rows, size)
+            dependent += sum(not passed for _, passed in walked)
+            independent += sum(passed for _, passed in walked)
+        assert dependent > 200 and independent > 200
+
+    def test_dependent_prefix_fails_every_extension(self):
+        rows = [[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert list(independent_subsets(rows, 3)) == [
+            ((0, 1, 2), False),
+            ((0, 1, 3), False),
+            ((0, 2, 3), True),
+            ((1, 2, 3), True),
+        ]
+
+    def test_edge_sizes(self):
+        rows = [[1, 2], [3, 4]]
+        assert list(independent_subsets(rows, 0)) == [((), True)]
+        assert list(independent_subsets(rows, 3)) == []
+        assert list(independent_subsets([[0, 0]], 1)) == [((0,), False)]
+
+
+class TestSolveSquare:
+    """One elimination for many right-hand sides against one ``solve_linear``
+    per right-hand side."""
+
+    def test_matches_solve_linear(self):
+        rng = random.Random(21)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            matrix = QMatrix(random_rows(rng, n, n))
+            columns = [
+                QVector(random_rows(rng, 1, n)[0]) for _ in range(rng.randint(1, 6))
+            ]
+            solutions = solve_square(matrix, columns)
+            expected = [solve_linear(matrix, b) for b in columns]
+            if rank(matrix) < n:
+                singular += 1
+                assert solutions is None
+                assert all(s is None or s.kernel_basis for s in expected)
+            else:
+                assert solutions == [s.particular for s in expected]
+        assert singular > 50
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(MalformedInputError):
+            solve_square(QMatrix([[1, 0]]), [QVector([1])])
+        with pytest.raises(MalformedInputError):
+            solve_square(QMatrix([[1]]), [QVector([1, 2])])
 
 
 class TestLpFeasible:

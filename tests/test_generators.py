@@ -1,21 +1,28 @@
+import itertools
+import random
+
 import pytest
 
+from transversals import generators
 from transversals.convex import VPolytope, contains
-from transversals.exactla import QVector
+from transversals.exactla import QMatrix, QVector, rank, solve_linear
 from transversals.generators import (
     FLATS,
     TRUNCATED,
     CounterexampleInstance,
     CounterexampleInvalidError,
     GeneralPositionError,
+    _general_position_checks,
     counterexample_from_points,
     gen_colorful_random,
     gen_counterexample,
     gen_planted,
     verify_counterexample,
 )
+from transversals.reporting import CheckRecord
 from transversals.transversal import (
     Family,
+    _member_tuples,
     check_colorful,
     k_transversal,
     validate_witness,
@@ -80,6 +87,149 @@ class TestHandConstruction:
         collinear = [vec(0, 0), vec(0, 0), vec(0, 1), vec(1, 2)]
         with pytest.raises(GeneralPositionError):
             counterexample_from_points([0, 0], collinear, TRUNCATED)
+
+
+def reference_general_position_checks(ks, points):
+    """The ledger, parts, family rows and tuple points as computed before
+    the shared elimination: one homogenized ``rank`` per subset and one
+    ``solve_linear`` per member tuple."""
+
+    def homogenized_rank(group):
+        return rank(QMatrix(QVector(list(p.entries) + [1]) for p in group))
+
+    d = len(ks) + sum(ks)
+    checks = []
+    parts = []
+    at = 0
+    for k in ks:
+        parts.append(tuple(points[at : at + k + 2]))
+        at += k + 2
+    for subset in itertools.combinations(range(len(points)), d):
+        passed = homogenized_rank([points[i] for i in subset]) == d
+        params = "subset=(%s)" % ",".join(str(i + 1) for i in subset)
+        checks.append(CheckRecord("affine-span-unique", params, passed))
+    family_rows = []
+    for i, group in enumerate(parts, start=1):
+        passed = homogenized_rank(group) == ks[i - 1] + 2
+        params = f"family={i} expected={ks[i-1]+1}"
+        checks.append(CheckRecord("family-affine-dim", params, passed))
+        family_rows.append([p - group[0] for p in group[1:]])
+    tuple_points = {}
+    for selector in _member_tuples(k + 2 for k in ks):
+        rows = []
+        rhs = []
+        for i, choice in enumerate(selector):
+            anchor = parts[i][choice - 1]
+            for row in family_rows[i]:
+                rows.append(row)
+                rhs.append(row.dot(anchor))
+        solution = solve_linear(QMatrix(rows), QVector(rhs))
+        unique = solution is not None and not solution.kernel_basis
+        params = "tuple=(%s)" % ",".join(str(c) for c in selector)
+        checks.append(CheckRecord("tuple-intersection-unique", params, unique))
+        if unique:
+            tuple_points[selector] = solution.particular
+    return checks, tuple(parts), family_rows, tuple_points
+
+
+def reference_fiber_kernels(parts, family_rows):
+    """One ``solve_linear`` kernel per anchor, as before the kernels were
+    shared by each color group."""
+    return [
+        [
+            solve_linear(QMatrix(rows), QVector([row.dot(a) for row in rows])).kernel_basis
+            for a in group
+        ]
+        for rows, group in zip(family_rows, parts)
+    ]
+
+
+def random_points(rng, ks, side):
+    d = len(ks) + sum(ks)
+    return [
+        vec(*(rng.randint(-side, side) for _ in range(d)))
+        for _ in range(2 * len(ks) + sum(ks))
+    ]
+
+
+def degenerate_cases():
+    """(name, ks, points) for each kind of failure the ledger must report."""
+    rng = random.Random(17)
+    repeated = random_points(rng, [1, 1], 50)
+    repeated[4] = repeated[1]
+    collinear = random_points(rng, [1, 1], 50)
+    collinear[2] = 2 * collinear[1] - collinear[0]
+    # (1,3,4,6) is the 8th of the 15 subsets, and the only dependent one.
+    middle = random_points(rng, [1, 1], 50)
+    middle[5] = middle[0] + middle[2] - middle[3]
+    # Parallel segments: every pair of points is distinct, but the two
+    # difference rows are dependent, so no tuple point is unique.
+    parallel = [vec(0, 0), vec(1, 0), vec(0, 1), vec(2, 1)]
+    # The second group's direction lies in the first group's span.
+    singular = random_points(rng, [1, 0], 50)
+    singular[4] = singular[3] + (singular[1] - singular[0]) + 2 * (singular[2] - singular[0])
+    return [
+        ("repeated", [1, 1], repeated),
+        ("collinear", [1, 1], collinear),
+        ("middle", [1, 1], middle),
+        ("parallel", [0, 0], parallel),
+        ("singular", [1, 0], singular),
+    ]
+
+
+class TestSharedEliminationMatchesReference:
+    """The depth-first subset walk, the one-elimination tuple solve and the
+    per-group fiber kernels give what the per-subset and per-tuple code gave."""
+
+    def assert_matches(self, ks, points):
+        checks, parts, family_rows, tuple_points = reference_general_position_checks(
+            ks, points
+        )
+        ok, got_checks, got_parts, got_rows, got_points = _general_position_checks(
+            ks, points
+        )
+        assert got_checks == checks
+        assert ok == all(c.passed for c in checks)
+        assert tuple(got_parts) == parts and got_rows == family_rows
+        assert got_points == tuple_points
+        if not ok:
+            first_failure = next(c for c in checks if not c.passed)
+            for representation in (TRUNCATED, FLATS):
+                with pytest.raises(GeneralPositionError) as info:
+                    counterexample_from_points(ks, points, representation)
+                assert info.value.check == first_failure
+            return checks
+        ce = counterexample_from_points(ks, points, FLATS)
+        assert ce.certificate.checks == checks and ce.tuple_points == tuple_points
+        kernels = [[fiber.directions for fiber in f.bodies] for f in ce.instance.families]
+        assert kernels == reference_fiber_kernels(parts, family_rows)
+        return checks
+
+    def test_seeded_random_point_sets(self):
+        rng = random.Random(5)
+        outcomes = set()
+        for ks in ([0], [1], [0, 0], [1, 0], [1, 1], [0, 0, 0], [2, 1], [1, 1, 1]):
+            for side in (1, 2, 1000):
+                for _ in range(4):
+                    checks = self.assert_matches(ks, random_points(rng, ks, side))
+                    outcomes.add(all(c.passed for c in checks))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("name,ks,points", degenerate_cases())
+    def test_degenerate_point_sets(self, name, ks, points):
+        checks = self.assert_matches(ks, points)
+        failed = [c for c in checks if not c.passed]
+        names = {c.name for c in failed}
+        if name == "repeated":
+            # points 2 and 5 sit in different groups, so only subsets fail
+            assert names == {"affine-span-unique"}
+        elif name == "collinear":
+            assert "family-affine-dim" in names
+        elif name == "middle":
+            assert [c.params for c in failed] == ["subset=(1,3,4,6)"]
+        else:
+            assert names == {"tuple-intersection-unique"}
+            assert len(failed) == len(list(_member_tuples(k + 2 for k in ks)))
 
 
 class TestSingleFamilyBoundary:
@@ -230,3 +380,11 @@ class TestGenColorfulRandom:
     def test_determinism(self):
         assert gen_colorful_random([1, 1], 3) == gen_colorful_random([1, 1], 3)
         assert gen_colorful_random([1, 1], 3) != gen_colorful_random([1, 1], 4)
+
+    def test_missing_anchor_breaks_the_wiring_check(self, monkeypatch):
+        def drop_first_generator(generators):
+            return VPolytope(generators[1:])
+
+        monkeypatch.setattr(generators, "VPolytope", drop_first_generator)
+        with pytest.raises(AssertionError, match="anchor wiring"):
+            gen_colorful_random([1, 1], seed=0)
