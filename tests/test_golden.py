@@ -10,7 +10,10 @@ transversal ledger and the join certificate.  The two ``generate``-only
 pipelines pin the general-position ledger and both representations at
 ``--ks 1,1,1,1`` (495 subsets, 81 tuples) and ``--ks 2,2,2`` (220 subsets,
 64 tuples, flats).  The ``--ks 2,1`` counterexample
-checks the claim on 144 join simplices and audits 15 of them.
+checks the claim on 144 join simplices and audits 15 of them.  Its flats
+twin decides all 12 colourful tuples as intersections of affine flats, with
+no LP, and gets the same tuple points; ``transversal`` and ``certificate``
+refuse its flats with exit 2.
 
 Each pipeline also records every distinct ``(rows, rhs)`` system the
 phase-one simplex receives.  The digest of that sorted set is compared too,
@@ -97,6 +100,30 @@ GENERATE_FLATS = [
     ),
 ]
 
+FLATS = [
+    (
+        [
+            "generate",
+            "counterexample",
+            "--ks",
+            "2,1",
+            "--seed",
+            "5",
+            "--representation",
+            "flats",
+            "--out",
+            "inst.json",
+        ],
+        EXIT_OK,
+    ),
+    (["check-colorful", "inst.json", "--out", "colorful.json"], EXIT_OK),
+    (
+        ["transversal", "inst.json", "--family", "1", "--out", "family1.json"],
+        EXIT_PRECONDITION,
+    ),
+    (["certificate", "inst.json", "--out", "certificate.json"], EXIT_PRECONDITION),
+]
+
 GOLDEN = {
     "theorem": {
         "inst.json": "28be2faa9a1e5b1d0e824431ef5cf3bb1caeb9cd3b82a0bf20811e35fbc88f19",
@@ -140,6 +167,13 @@ GOLDEN = {
         "stdout": "5b25b82d264c867fe5872be22ce23fd1a28a37e2b79d7afc40830b29603d4c2f",
         "lp-systems": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
+    "flats": {
+        "inst.json": "9cb91ee0a13f20c9935c4d9639d00f7e705d354444c9aecb55948ca5fc7f5b16",
+        "inst.json.cert.txt": "65d12fec09fc9c473432a2e8faedf6422f2f36f04d0aafcf2e80d300e1919ffa",
+        "colorful.json": "3bd4273e32df9fde4e8d5510170f4a516b66f0c15d57eb57be91df5d9a0d516d",
+        "stdout": "3831af885182c5066f21a1fb6e965d31e9d88d5cadedfddc3faf4ae4db624018",
+        "lp-systems": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
 }
 
 
@@ -155,6 +189,7 @@ def sha256(data: bytes) -> str:
         ("join", JOIN),
         ("generate", GENERATE),
         ("generate-flats", GENERATE_FLATS),
+        ("flats", FLATS),
     ],
 )
 def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
