@@ -74,9 +74,6 @@ class SubsetVertex:
         if not 0 < len(self.subset) < self.family_size:
             raise MalformedInputError("vertex subset must be nonempty and proper")
 
-    def sort_key(self):
-        return (len(self.subset), tuple(sorted(self.subset)))
-
     def label(self) -> str:
         return "{%s}" % ",".join(str(i) for i in sorted(self.subset))
 
@@ -95,7 +92,6 @@ class ChainComplex:
     family_index: int
     k: int
     vertices: tuple
-    faces: tuple  # every chain, as a tuple of vertices sorted by subset size
     maximal_chains: tuple  # the full flags, sizes 1..k+1
     f_vector: tuple  # f_vector[r-1] = number of chains with r vertices
     euler_characteristic: int
@@ -131,7 +127,7 @@ def build_chain_complex(k: int, family_index: int = 1) -> ChainComplex:
         f_vector[len(c) - 1] += 1
     euler = sum((-1) ** r * f for r, f in enumerate(f_vector))
     return ChainComplex(
-        family_index, k, tuple(vertices), tuple(faces), maximal, tuple(f_vector), euler
+        family_index, k, tuple(vertices), maximal, tuple(f_vector), euler
     )
 
 
@@ -204,7 +200,6 @@ def assign_from_scan(
 class JoinComplex:
     """Join of the per-family chain complexes."""
 
-    complexes: tuple
     maximal_simplices: tuple  # one maximal chain per family, per simplex
     f_vector: tuple
     euler_characteristic: int
@@ -229,7 +224,7 @@ def build_join(complexes) -> JoinComplex:
         poly = result
     f_vector = tuple(poly[1:])
     euler = sum((-1) ** r * f for r, f in enumerate(f_vector))
-    return JoinComplex(complexes, maximal, f_vector, euler)
+    return JoinComplex(maximal, f_vector, euler)
 
 
 @dataclass

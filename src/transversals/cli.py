@@ -553,10 +553,10 @@ def cmd_certificate(path: str, out=None) -> int:
 
 def _parse_ks(text: str):
     try:
-        ks = [int(part) for part in text.split(",") if part != ""]
+        ks = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad --ks list {text!r}")
-    if not ks or any(k < 0 for k in ks):
+    if any(k < 0 for k in ks):
         raise argparse.ArgumentTypeError("--ks needs non-negative integers")
     return ks
 

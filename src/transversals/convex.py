@@ -2,13 +2,16 @@
 
 Two representations are supported: V-polytopes (convex hulls of finitely
 many rational points, redundancy allowed) and affine flats (base point
-plus independent directions).  Intersection and membership reduce to
-solves in :mod:`transversals.exactla`; nothing here is ever approximate.
+plus independent directions, and the equations those define).
+Intersection and membership reduce to hull-weight systems, linear solves
+and exact substitution from :mod:`transversals.exactla`; nothing here is
+ever approximate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .exactla import (
@@ -54,7 +57,14 @@ class VPolytope:
 
 @dataclass(frozen=True)
 class AffineFlat:
-    """Flat ``base + span(directions)``; directions must be independent."""
+    """Flat ``base + span(directions)``; directions must be independent.
+
+    ``equations`` describe the same flat as ``(normal, value)`` pairs, the
+    points ``x`` with ``normal . x == value`` for every pair.  The normals
+    are the identity rows for a point flat and otherwise the kernel basis
+    of the directions, so a flat that spans the whole space has none.  They
+    are computed on first use.
+    """
 
     base: QVector
     directions: tuple = ()
@@ -81,6 +91,18 @@ class AffineFlat:
         """Intrinsic dimension of the flat."""
         return len(self.directions)
 
+    @cached_property
+    def equations(self) -> tuple:
+        if self.directions:
+            zero = QVector([_ZERO] * len(self.directions))
+            normals = solve_linear(QMatrix(self.directions), zero).kernel_basis
+        else:
+            normals = tuple(
+                QVector(_ONE if r == c else _ZERO for c in range(self.dim))
+                for r in range(self.dim)
+            )
+        return tuple((normal, normal.dot(self.base)) for normal in normals)
+
 
 ConvexBody = Union[VPolytope, AffineFlat]
 
@@ -100,10 +122,11 @@ def hull_weights(blocks, groups, target=None) -> Optional[list]:
     system has one weight column per generator and nonnegative weights
     summing to one in each group.  Its coordinate rows put group 0's
     combination equal to ``target`` when one is given, and otherwise equal
-    to each other group's combination in turn.  Polytope membership,
-    polytope intersection and the origin audit of the join certificate ask
-    this system of the phase-one simplex; the weights come back split per
-    block.  The partition scan of ``k_transversal`` asks the same system,
+    to each other group's combination in turn.  Polytope membership and
+    the origin audit of the join certificate ask this system of the
+    phase-one simplex; the weights come back split per block.
+    ``common_point`` solves the same system with one row per flat equation
+    appended.  The partition scan of ``k_transversal`` asks the same system,
     built by the same ``exactla._hull_system``, through
     ``exactla.hull_certificate``, which also answers "no" with a Farkas
     vector.
@@ -125,113 +148,51 @@ def weighted_sum(weights, points) -> QVector:
 
 def contains(body: ConvexBody, point: QVector) -> bool:
     """Exact membership: ``hull_weights`` with the point as target for
-    polytopes, a linear solve for flats."""
+    polytopes, substitution into the ``equations`` for flats."""
     if point.dim != body.dim:
         raise MalformedInputError("point dimension does not match body")
     if isinstance(body, AffineFlat):
-        if not body.directions:
-            return point == body.base
-        columns = body.directions
-        matrix = QMatrix(
-            QVector(d[c] for d in columns) for c in range(body.dim)
-        )
-        return solve_linear(matrix, point - body.base) is not None
+        return all(normal.dot(point) == value for normal, value in body.equations)
     return hull_weights([body.generators], [0], point) is not None
 
 
 def common_point(bodies) -> Optional[QVector]:
     """Exact point in the intersection of the bodies, or None iff empty.
 
-    All-flat inputs are decided by one linear solve, and all-polytope
-    inputs by ``hull_weights`` with one group per polytope; the point is
-    the first polytope's combination.  Mixed inputs get one feasibility
-    system whose unknowns are the ambient point, one convex-combination
-    weight per polytope generator, and one free parameter per flat
-    direction.
+    All-flat inputs are decided by one linear solve of their stacked
+    ``equations``, whose particular solution is the point; with no
+    equations at all every flat is the whole space and the point is the
+    first base.  Any polytope puts the input on the hull-weight system of
+    the polytopes, one group each, with one more row per flat equation
+    over group 0's weights: the normal's dot product with each generator
+    of the first polytope.  The point is the first polytope's combination.
     """
     bodies = list(bodies)
     if not bodies:
         raise MalformedInputError("need at least one body")
-    d = _common_dim(bodies)
-
-    if all(isinstance(b, AffineFlat) for b in bodies):
-        total_params = sum(len(b.directions) for b in bodies)
-        width = d + total_params
-        rows = []
-        rhs = []
-        param_at = d
-        for flat in bodies:
-            for c in range(d):
-                row = [_ZERO] * width
-                row[c] = _ONE
-                for l, direction in enumerate(flat.directions):
-                    row[param_at + l] = -direction[c]
-                rows.append(row)
-                rhs.append(flat.base[c])
-            param_at += len(flat.directions)
-        solution = solve_linear(QMatrix(rows), QVector(rhs))
-        if solution is None:
-            return None
-        return QVector(solution.particular.entries[:d])
-
+    _common_dim(bodies)
     polytopes = [b for b in bodies if isinstance(b, VPolytope)]
-    flats = [b for b in bodies if isinstance(b, AffineFlat)]
+    equations = [e for b in bodies if isinstance(b, AffineFlat) for e in b.equations]
 
-    if not flats:
-        weights = hull_weights(
-            [p.generators for p in polytopes], range(len(polytopes))
+    if not polytopes:
+        if not equations:
+            return bodies[0].base
+        solution = solve_linear(
+            QMatrix(normal for normal, _ in equations),
+            QVector(value for _, value in equations),
         )
-        if weights is None:
-            return None
-        return weighted_sum(weights[0], polytopes[0].generators)
+        return None if solution is None else solution.particular
 
-    num_weights = sum(len(p.generators) for p in polytopes)
-    num_params = sum(len(f.directions) for f in flats)
-    # columns: x+ | x- | weight blocks | param+ blocks | param- blocks
-    width = 2 * d + num_weights + 2 * num_params
-    weight_at = 2 * d
-    param_at = 2 * d + num_weights
-    rows = []
-    rhs = []
-
-    def x_row(c):
-        row = [_ZERO] * width
-        row[c] = _ONE
-        row[d + c] = -_ONE
-        return row
-
-    offset = weight_at
-    for poly in polytopes:
-        gens = poly.generators
-        for c in range(d):
-            row = x_row(c)
-            for j, g in enumerate(gens):
-                row[offset + j] = -g[c]
-            rows.append(row)
-            rhs.append(_ZERO)
-        norm_row = [_ZERO] * width
-        for j in range(len(gens)):
-            norm_row[offset + j] = _ONE
-        rows.append(norm_row)
-        rhs.append(_ONE)
-        offset += len(gens)
-
-    offset = param_at
-    for flat in flats:
-        dirs = flat.directions
-        for c in range(d):
-            row = x_row(c)
-            for l, direction in enumerate(dirs):
-                row[offset + l] = -direction[c]
-                row[offset + num_params + l] = direction[c]
-            rows.append(row)
-            rhs.append(flat.base[c])
-        offset += len(dirs)
-
+    first = polytopes[0].generators
+    rows, rhs = _hull_system([p.generators for p in polytopes], range(len(polytopes)))
+    padding = [_ZERO] * (len(rows[0]) - len(first))
+    for normal, value in equations:
+        rows.append([normal.dot(g) for g in first] + padding)
+        rhs.append(value)
     solution = standard_form_feasible(rows, rhs)
     if solution is None:
         return None
-    return QVector(solution[c] - solution[d + c] for c in range(d))
+    return weighted_sum(solution[: len(first)], first)
 
 
 def affine_span(points) -> AffineFlat:

@@ -529,6 +529,14 @@ class TestEntryPoint:
         assert main(["check-colorful", str(path)]) == EXIT_OK
         assert main(["verify-theorem", str(path)]) == EXIT_OK
 
+    @pytest.mark.parametrize("ks", ["1,,2", "1,2,"])
+    def test_empty_ks_item_is_rejected(self, tmp_path, ks):
+        path = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "random", "--ks", ks, "--seed", "1", "--out", str(path)])
+        assert exc.value.code == EXIT_PRECONDITION
+        assert not path.exists()
+
     def test_jobs_flag_is_rejected(self, tmp_path):
         path = tmp_path / "inst.json"
         save_instance(str(path), interval_instance())

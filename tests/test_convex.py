@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -9,8 +10,17 @@ from transversals.convex import (
     affine_span,
     common_point,
     contains,
+    hull_weights,
+    weighted_sum,
 )
-from transversals.exactla import MalformedInputError, QVector, solve_linear, QMatrix
+from transversals.exactla import (
+    MalformedInputError,
+    QMatrix,
+    QVector,
+    rank,
+    solve_linear,
+    standard_form_feasible,
+)
 
 
 def vec(*entries):
@@ -32,6 +42,12 @@ class TestRepresentations:
 
     def test_point_flat_has_dimension_zero(self):
         assert AffineFlat(vec(1, 2)).dimension == 0
+
+    def test_equations(self):
+        assert AffineFlat(vec(1, 2)).equations == ((vec(1, 0), 1), (vec(0, 1), 2))
+        assert AffineFlat(vec(1, 2), (vec(1, 0), vec(1, 1))).equations == ()
+        [(normal, value)] = AffineFlat(vec(1, 2), (vec(1, 1),)).equations
+        assert normal.dot(vec(1, 1)) == 0 and normal.dot(vec(1, 2)) == value
 
 
 class TestCommonPoint:
@@ -165,6 +181,91 @@ class TestContains:
         assert not contains(AffineFlat(vec(0, 0), (vec(0, 1),)), vec(1, 0))
 
 
+def reference_flat_contains(flat, point):
+    """Flat membership as ``contains`` decided it before flats carried
+    their equations: one solve for ``point - base`` in the column span of
+    the directions."""
+    if not flat.directions:
+        return point == flat.base
+    matrix = QMatrix(QVector(d[c] for d in flat.directions) for c in range(flat.dim))
+    return solve_linear(matrix, point - flat.base) is not None
+
+
+def reference_common_point(bodies):
+    """``common_point`` as it was before flats carried their equations.
+
+    All-flat input stacks every parameterisation into one solve with the
+    ambient point and every flat parameter as unknowns.  Mixed input is one
+    standard-form system over ``x+ - x-``, one weight per polytope
+    generator and ``t+ - t-`` per flat direction."""
+    d = bodies[0].dim
+    flats = [b for b in bodies if isinstance(b, AffineFlat)]
+    polytopes = [b for b in bodies if isinstance(b, VPolytope)]
+    if not polytopes:
+        width = d + sum(f.dimension for f in flats)
+        rows, rhs, at = [], [], d
+        for flat in flats:
+            for c in range(d):
+                row = [F(0)] * width
+                row[c] = F(1)
+                for l, direction in enumerate(flat.directions):
+                    row[at + l] = -direction[c]
+                rows.append(row)
+                rhs.append(flat.base[c])
+            at += flat.dimension
+        solution = solve_linear(QMatrix(rows), QVector(rhs))
+        return None if solution is None else QVector(solution.particular.entries[:d])
+    if not flats:
+        weights = hull_weights([p.generators for p in polytopes], range(len(polytopes)))
+        return None if weights is None else weighted_sum(weights[0], polytopes[0].generators)
+    num_weights = sum(len(p.generators) for p in polytopes)
+    num_params = sum(f.dimension for f in flats)
+    width = 2 * d + num_weights + 2 * num_params
+    rows, rhs = [], []
+
+    def x_row(c):
+        row = [F(0)] * width
+        row[c] = F(1)
+        row[d + c] = F(-1)
+        return row
+
+    offset = 2 * d
+    for poly in polytopes:
+        for c in range(d):
+            row = x_row(c)
+            for j, g in enumerate(poly.generators):
+                row[offset + j] = -g[c]
+            rows.append(row)
+            rhs.append(F(0))
+        norm_row = [F(0)] * width
+        for j in range(len(poly.generators)):
+            norm_row[offset + j] = F(1)
+        rows.append(norm_row)
+        rhs.append(F(1))
+        offset += len(poly.generators)
+    for flat in flats:
+        for c in range(d):
+            row = x_row(c)
+            for l, direction in enumerate(flat.directions):
+                row[offset + l] = -direction[c]
+                row[offset + num_params + l] = direction[c]
+            rows.append(row)
+            rhs.append(flat.base[c])
+        offset += flat.dimension
+    solution = standard_form_feasible(rows, rhs)
+    if solution is None:
+        return None
+    return QVector(solution[c] - solution[d + c] for c in range(d))
+
+
+def random_directions(rng, dim, count, entry):
+    """``count`` independent random directions in dimension ``dim``."""
+    while True:
+        dirs = [QVector(entry() for _ in range(dim)) for _ in range(count)]
+        if not dirs or rank(QMatrix(dirs)) == count:
+            return tuple(dirs)
+
+
 class TestFlatIntersectionAgainstLinearSolve:
     def test_agreement(self):
         rng = random.Random(31415)
@@ -173,33 +274,97 @@ class TestFlatIntersectionAgainstLinearSolve:
 
             def random_flat():
                 base = QVector([rng.randint(-4, 4) for _ in range(dim)])
-                dirs = []
-                while len(dirs) < rng.randint(0, dim - 1):
-                    cand = QVector([rng.randint(-3, 3) for _ in range(dim)])
-                    try:
-                        AffineFlat(base, tuple(dirs + [cand]))
-                    except MalformedInputError:
-                        continue
-                    dirs.append(cand)
-                return AffineFlat(base, tuple(dirs))
+                count = rng.randint(0, dim - 1)
+                return AffineFlat(
+                    base, random_directions(rng, dim, count, lambda: rng.randint(-3, 3))
+                )
 
             first, second = random_flat(), random_flat()
             point = common_point([first, second])
-            # oracle: stack both flats' parameterizations into one solve
-            width = dim + first.dimension + second.dimension
-            rows = []
-            rhs = []
-            at = dim
-            for flat in (first, second):
-                for c in range(dim):
-                    row = [F(0)] * width
-                    row[c] = F(1)
-                    for l, d in enumerate(flat.directions):
-                        row[at + l] = -d[c]
-                    rows.append(row)
-                    rhs.append(flat.base[c])
-                at += flat.dimension
-            oracle = solve_linear(QMatrix(rows), QVector(rhs))
+            oracle = reference_common_point([first, second])
             assert (point is not None) == (oracle is not None)
             if point is not None:
                 assert contains(first, point) and contains(second, point)
+
+
+class TestAgainstFreeVariableReferences:
+    """The equation-based flat predicates against the free-variable systems
+    they replaced, on seeded inputs in dimensions 1 to 4."""
+
+    def test_common_point_decisions(self):
+        rng = random.Random(8128)
+
+        def entry():
+            return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+
+        seen = Counter()
+        for case in range(420):
+            dim = 1 + case % 4
+            mixed = case % 3 != 0
+            # a planted point that every body passes through, or none
+            planted = QVector(entry() for _ in range(dim)) if rng.random() < 0.6 else None
+            bodies = []
+            kinds = ["flat"] * rng.randint(1, 3)
+            if mixed:
+                kinds += ["polytope"] * rng.randint(1, 2)
+                rng.shuffle(kinds)
+            for kind in kinds:
+                anchor = planted if planted is not None else QVector(
+                    entry() for _ in range(dim)
+                )
+                if kind == "flat":
+                    dirs = random_directions(rng, dim, rng.randint(0, dim), entry)
+                    base = anchor
+                    for direction in dirs:
+                        base = base + entry() * direction
+                    bodies.append(AffineFlat(base, dirs))
+                    seen["point flat"] += not dirs
+                    seen["whole-space flat"] += len(dirs) == dim
+                else:
+                    # the anchor is the centroid of the generators
+                    gens = [QVector(entry() for _ in range(dim)) for _ in range(rng.randint(0, 2))]
+                    total = anchor * (len(gens) + 1)
+                    for g in gens:
+                        total = total - g
+                    bodies.append(VPolytope(tuple(gens + [total])))
+                    seen["single-generator polytope"] += not gens
+            point = common_point(bodies)
+            expected = reference_common_point(bodies)
+            assert (point is None) == (expected is None), bodies
+            if planted is not None:
+                assert point is not None, bodies
+            if point is None:
+                seen["empty"] += 1
+                continue
+            seen["mixed" if mixed else "all-flat"] += 1
+            for body in bodies:
+                if isinstance(body, AffineFlat):
+                    assert reference_flat_contains(body, point), (bodies, point)
+                else:
+                    assert contains(body, point), (bodies, point)
+        assert seen["empty"] >= 80 and seen["mixed"] >= 150 and seen["all-flat"] >= 80, seen
+        for kind in ("point flat", "whole-space flat", "single-generator polytope"):
+            assert seen[kind] >= 40, seen
+
+    def test_flat_membership(self):
+        rng = random.Random(1729)
+
+        def entry():
+            return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 5)))
+
+        on = off = 0
+        for case in range(400):
+            dim = 1 + case % 4
+            dirs = random_directions(rng, dim, rng.randint(0, dim), entry)
+            flat = AffineFlat(QVector(entry() for _ in range(dim)), dirs)
+            if rng.random() < 0.5:
+                point = flat.base
+                for direction in dirs:
+                    point = point + entry() * direction
+            else:
+                point = QVector(entry() for _ in range(dim))
+            expected = reference_flat_contains(flat, point)
+            assert contains(flat, point) is expected, (flat, point)
+            on += expected
+            off += not expected
+        assert on >= 200 and off >= 100, (on, off)
