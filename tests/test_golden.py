@@ -13,7 +13,9 @@ pipelines pin the general-position ledger and both representations at
 checks the claim on 144 join simplices and audits 15 of them.  Its flats
 twin decides all 12 colourful tuples as intersections of affine flats, with
 no LP, and gets the same tuple points; ``transversal`` and ``certificate``
-refuse its flats with exit 2.
+refuse its flats with exit 2.  The ``--ks 2,2`` counterexample checks the
+claim on 576 join simplices, and both of its families have the same subsets,
+so the same separator keys.
 
 Each pipeline also records every distinct ``(rows, rhs)`` system the
 phase-one simplex receives.  The digest of that sorted set is compared too,
@@ -61,6 +63,23 @@ COUNTEREXAMPLE = [
 JOIN = [
     (
         ["generate", "counterexample", "--ks", "2,1", "--seed", "5", "--out", "inst.json"],
+        EXIT_OK,
+    ),
+    (["check-colorful", "inst.json", "--out", "colorful.json"], EXIT_OK),
+    (
+        ["transversal", "inst.json", "--family", "1", "--out", "family1.json"],
+        EXIT_NEGATIVE,
+    ),
+    (
+        ["transversal", "inst.json", "--family", "2", "--out", "family2.json"],
+        EXIT_NEGATIVE,
+    ),
+    (["certificate", "inst.json", "--out", "certificate.json"], EXIT_OK),
+]
+
+JOIN_2_2 = [
+    (
+        ["generate", "counterexample", "--ks", "2,2", "--seed", "5", "--out", "inst.json"],
         EXIT_OK,
     ),
     (["check-colorful", "inst.json", "--out", "colorful.json"], EXIT_OK),
@@ -155,6 +174,16 @@ GOLDEN = {
         "stdout": "5dab7d8c4b228cbf5fa8dec65baca86f56a963ca231fc8348243475a6bf4025a",
         "lp-systems": "19b7ce1b964d24d733ef1f125af21b6727687cf961da748d8e724fb63719cb3e",
     },
+    "join-2-2": {
+        "inst.json": "54570e492f4d59fc710ce44c491ab2c270da60bbc976536f38f7cf62290517fa",
+        "inst.json.cert.txt": "ff3bebd60add349ba5e990137f524bae0de4debbbc7ef7a0f87a3ca75e539331",
+        "colorful.json": "57794225154e3fe03a31bd6501470a9b212f3b7a165154c690d724a91e113658",
+        "family1.json": "ed74dd5cf92615bc0a001e9514129e290dcb6a972de414b88640d05ef8ebaa81",
+        "family2.json": "e9285fc52ce80fec616127f9494ec6826b161c67e25e33e2bf657968e576d2bb",
+        "certificate.json": "f1549b456aa0d80f7b03a96d18a5c6e54ace1f38b64aafebb20b118acc452d25",
+        "stdout": "1133eda8f8c1b5bc5354361cbd3acb3cced39a17fce0d983d21c6163bc863a34",
+        "lp-systems": "e3cf2d49199515cf8c35c6f86661c133aeb74aa413f04312ec803ad7b3ba8804",
+    },
     "generate": {
         "inst.json": "50ef0bf5148895b735a151f0f2227225dab40477be9f272e63949e4bae542f92",
         "inst.json.cert.txt": "a92c66d58895e8afe995059d9e39663ce97579f0006cd73d4682a2c63e11c7bb",
@@ -187,6 +216,7 @@ def sha256(data: bytes) -> str:
         ("theorem", THEOREM),
         ("counterexample", COUNTEREXAMPLE),
         ("join", JOIN),
+        ("join-2-2", JOIN_2_2),
         ("generate", GENERATE),
         ("generate-flats", GENERATE_FLATS),
         ("flats", FLATS),
