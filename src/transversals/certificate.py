@@ -307,9 +307,19 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
     the largest pins another; their two tuple points straddle every
     separator of the simplex, so their difference is a functional strictly
     positive on all of the simplex's normals, excluding the origin from
-    their hull (and from every subsimplex's, by monotonicity).  Every
-    tenth simplex is audited independently: the LP asking for a zero
-    convex combination of the normals must be infeasible.
+    their hull (and from every subsimplex's, by monotonicity).
+
+    The straddling is checked once per (first tuple, last tuple) pair, not
+    once per simplex.  In a family of ``k + 2`` members, the vertices on
+    some maximal chain from ``{f}`` to the complement of ``{l}`` are exactly
+    the subsets that contain ``f`` and not ``l``, so one
+    ``positive_functional`` call over those separators of every family
+    checks the same bounds as all of the pair's simplices together, and
+    returns the same difference vector.  When a pair's call fails, each of
+    its simplices is checked on its own normals, in index order, so the
+    first failing simplex is the one reported.  Every tenth simplex is
+    audited independently: the LP asking for a zero convex combination of
+    the normals must be infeasible.
     """
     families = instance.families
     assignments = list(assignments)
@@ -337,60 +347,87 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
         == math.prod(len(c.maximal_chains) for c in complexes),
     )
 
-    def check_simplex(index, simplex):
-        first_tuple = []
-        last_tuple = []
-        for chain in simplex:
-            (first_member,) = chain[0].subset
-            (last_member,) = involution(chain[-1]).subset
-            first_tuple.append(first_member)
-            last_tuple.append(last_member)
-        above = points[tuple(first_tuple)]
-        below = points[tuple(last_tuple)]
+    # Per family: each maximal chain's first and last member, separators and
+    # label; and, per (first, last) member pair, the separators of every
+    # subset holding the first and not the last.
+    chain_rows = []
+    straddled = []
+    for cx, assignment in zip(complexes, assignments):
+        rows = {}
+        for chain in cx.maximal_chains:
+            (first,) = chain[0].subset
+            (last,) = involution(chain[-1]).subset
+            separators = [assignment.normal_for(v.subset) for v in chain]
+            label = "F%d:%s" % (cx.family_index, "<".join(v.label() for v in chain))
+            rows[chain] = (first, last, separators, label)
+        chain_rows.append(rows)
+        pairs = {}
+        for vertex in cx.vertices:
+            separator = assignment.normal_for(vertex.subset)
+            for first in vertex.subset:
+                for last in range(1, cx.k + 3):
+                    if last not in vertex.subset:
+                        pairs.setdefault((first, last), []).append(separator)
+        straddled.append(pairs)
 
-        normals = []
-        offsets = []
-        for chain in simplex:
-            assignment = assignments[chain[0].family_index - 1]
-            for vertex in chain:
-                normal, offset = assignment.normal_for(vertex.subset)
-                normals.append(normal)
-                offsets.append(offset)
-        try:
-            functional = positive_functional(normals, offsets, above, below)
-        except PreconditionError as exc:
-            raise CertificateInconsistencyError(
-                f"simplex {index}: separator orientation broke the two-sided "
-                f"bounds ({exc})"
-            ) from exc
+    def functional(separators, first_tuple, last_tuple):
+        vector = positive_functional(
+            [normal for normal, _ in separators],
+            [offset for _, offset in separators],
+            points[first_tuple],
+            points[last_tuple],
+        )
+        return ",".join(format_rational(e) for e in vector)
+
+    # (first tuple, last tuple) -> formatted functional, or None when the
+    # pair's check failed and each of its simplices is checked on its own.
+    functionals = {}
+    for index, simplex in enumerate(join.maximal_simplices):
+        rows = [chain_rows[i][chain] for i, chain in enumerate(simplex)]
+        key = (tuple(row[0] for row in rows), tuple(row[1] for row in rows))
+        if key not in functionals:
+            union = [
+                separator
+                for pairs, first, last in zip(straddled, *key)
+                for separator in pairs[first, last]
+            ]
+            try:
+                functionals[key] = functional(union, *key)
+            except PreconditionError:
+                functionals[key] = None
+        separators = [separator for row in rows for separator in row[2]]
+        formatted = functionals[key]
+        if formatted is None:
+            try:
+                formatted = functional(separators, *key)
+            except PreconditionError as exc:
+                raise CertificateInconsistencyError(
+                    f"simplex {index}: separator orientation broke the two-sided "
+                    f"bounds ({exc})"
+                ) from exc
 
         audited = False
         if index % _AUDIT_STRIDE == 0:
-            if origin_in_hull(normals):
+            if origin_in_hull([normal for normal, _ in separators]):
                 raise CertificateInconsistencyError(
                     f"simplex {index}: audit LP found the origin inside the "
                     "normal hull"
                 )
             audited = True
 
-        label = " ".join(
-            "F%d:%s" % (chain[0].family_index, "<".join(v.label() for v in chain))
-            for chain in simplex
+        checks.append(
+            CheckRecord(
+                "claim-simplex",
+                f"index={index}",
+                True,
+                "S=[%s] v=(%s)%s"
+                % (
+                    " ".join(row[3] for row in rows),
+                    formatted,
+                    " audited" if audited else "",
+                ),
+            )
         )
-        return CheckRecord(
-            "claim-simplex",
-            f"index={index}",
-            True,
-            "S=[%s] v=(%s)%s"
-            % (
-                label,
-                ",".join(format_rational(e) for e in functional),
-                " audited" if audited else "",
-            ),
-        )
-
-    for index, simplex in enumerate(join.maximal_simplices):
-        checks.append(check_simplex(index, simplex))
 
     return CertificateReport(CERTIFICATE_COMPLETE, checks)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from transversals import convex as convex_module
 from transversals.certificate import (
+    _AUDIT_STRIDE,
     CERTIFICATE_COMPLETE,
     THEOREM_CONFIRMED,
     CertificateInconsistencyError,
@@ -24,9 +26,12 @@ from transversals.convex import VPolytope
 from transversals.exactla import (
     LinearConstraint,
     MalformedInputError,
+    PreconditionError,
     QVector,
     Relation,
+    format_rational,
     lp_feasible,
+    positive_functional,
 )
 from transversals.generators import (
     TRUNCATED,
@@ -34,6 +39,7 @@ from transversals.generators import (
     gen_colorful_random,
     gen_counterexample,
 )
+from transversals.reporting import CheckRecord
 from transversals.transversal import (
     Family,
     Instance,
@@ -61,6 +67,83 @@ def reference_origin_in_hull(vectors):
         row[j] = -1
         constraints.append(LinearConstraint(QVector(row), Relation.LE, 0))
     return lp_feasible(constraints, count) is not None
+
+
+def reference_claim_lines(instance, assignments, points):
+    """The claim-simplex ledger lines as the per-simplex check makes them:
+    one ``positive_functional`` call on each simplex's own normals, and an
+    audit of every tenth simplex."""
+    complexes = [
+        build_chain_complex(f.k, i + 1) for i, f in enumerate(instance.families)
+    ]
+    lines = []
+    for index, simplex in enumerate(build_join(complexes).maximal_simplices):
+        first_tuple = []
+        last_tuple = []
+        for chain in simplex:
+            (first_member,) = chain[0].subset
+            (last_member,) = involution(chain[-1]).subset
+            first_tuple.append(first_member)
+            last_tuple.append(last_member)
+        above = points[tuple(first_tuple)]
+        below = points[tuple(last_tuple)]
+
+        normals = []
+        offsets = []
+        for chain in simplex:
+            assignment = assignments[chain[0].family_index - 1]
+            for vertex in chain:
+                normal, offset = assignment.normal_for(vertex.subset)
+                normals.append(normal)
+                offsets.append(offset)
+        try:
+            functional = positive_functional(normals, offsets, above, below)
+        except PreconditionError as exc:
+            raise CertificateInconsistencyError(
+                f"simplex {index}: separator orientation broke the two-sided "
+                f"bounds ({exc})"
+            ) from exc
+
+        audited = False
+        if index % _AUDIT_STRIDE == 0:
+            if origin_in_hull(normals):
+                raise CertificateInconsistencyError(
+                    f"simplex {index}: audit LP found the origin inside the "
+                    "normal hull"
+                )
+            audited = True
+
+        label = " ".join(
+            "F%d:%s" % (chain[0].family_index, "<".join(v.label() for v in chain))
+            for chain in simplex
+        )
+        record = CheckRecord(
+            "claim-simplex",
+            f"index={index}",
+            True,
+            "S=[%s] v=(%s)%s"
+            % (
+                label,
+                ",".join(format_rational(e) for e in functional),
+                " audited" if audited else "",
+            ),
+        )
+        lines.append(record.ledger_line())
+    return lines
+
+
+def claim_outcome(check, instance, assignments, points):
+    """``("lines", claim-simplex ledger lines)`` or ``("error", message)``."""
+    try:
+        lines = check(instance, assignments, points)
+    except CertificateInconsistencyError as exc:
+        return ("error", str(exc))
+    return ("lines", lines)
+
+
+def verify_claim_lines(instance, assignments, points):
+    report = verify_claim(instance, assignments, points)
+    return [c.ledger_line() for c in report.checks if c.name == "claim-simplex"]
 
 
 def segment(a, b):
@@ -311,6 +394,60 @@ class TestVerifyClaim:
                 assignment = assignments[chain[0].family_index - 1]
                 normals.extend(assignment.normal_for(v.subset)[0] for v in chain)
             assert not origin_in_hull(normals)
+
+
+class TestClaimAgainstPerSimplexReference:
+    """``verify_claim`` checks each (first, last) tuple pair once; the
+    per-simplex loop it replaced is kept above as the reference."""
+
+    def setup(self, ks, seed):
+        instance = gen_counterexample(ks, seed=seed).instance
+        assignments = [
+            assign_normals(fam, i + 1) for i, fam in enumerate(instance.families)
+        ]
+        return instance, assignments, check_colorful(instance).witnesses
+
+    @pytest.mark.parametrize("ks", [[2, 1], [2, 2], [3, 1]])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_ledger_lines(self, ks, seed):
+        instance, assignments, points = self.setup(ks, seed)
+        lines = verify_claim_lines(instance, assignments, points)
+        assert lines == reference_claim_lines(instance, assignments, points)
+        assert len(lines) == math.prod(math.factorial(k + 2) for k in ks)
+
+    @pytest.mark.parametrize("ks,seed", [([2, 2], 3), ([2, 2], 4), ([2, 1], 5)])
+    def test_same_error_after_moving_one_offset(self, ks, seed):
+        """Move one vertex's offset in one family, and its complement's to
+        match, either far out, which breaks every simplex through the pair,
+        or onto a tuple point's level, which breaks only the simplices whose
+        tuple point it is.
+        Both checks must then fail at the same simplex with the same text,
+        or pass with the same lines.  At ``--ks 2,2`` both families key
+        their separators by the same subsets, so a table that mixed the
+        families up would disagree with the reference here."""
+        instance, assignments, points = self.setup(ks, seed)
+        rng = random.Random(seed)
+        errors = 0
+        for _ in range(12):
+            changed = [
+                NormalAssignment(a.family_index, a.family_size, dict(a.normals))
+                for a in assignments
+            ]
+            target = rng.choice(changed)
+            subset = rng.choice(sorted(target.normals, key=sorted))
+            normal, offset = target.normals[subset]
+            if rng.random() < 0.5:
+                offset += rng.choice((-1, 1)) * 10**12
+            else:
+                offset = normal.dot(rng.choice(list(points.values())))
+            target.normals[subset] = (normal, offset)
+            complement = frozenset(range(1, target.family_size + 1)) - subset
+            target.normals[complement] = (-normal, -offset)
+            outcome = claim_outcome(verify_claim_lines, instance, changed, points)
+            expected = claim_outcome(reference_claim_lines, instance, changed, points)
+            assert outcome == expected
+            errors += outcome[0] == "error"
+        assert errors >= 6
 
 
 class TestFullCertificate:
