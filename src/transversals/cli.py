@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -552,13 +553,13 @@ def cmd_certificate(path: str, out=None) -> int:
 
 
 def _parse_ks(text: str):
-    try:
-        ks = [int(part) for part in text.split(",")]
-    except ValueError:
+    """Comma list of non-negative integers written in ASCII digits only;
+    ``int`` alone would also take ``1_0``, ``+2``, spaces and non-ASCII
+    digits."""
+    parts = text.split(",")
+    if not all(re.fullmatch("[0-9]+", part) for part in parts):
         raise argparse.ArgumentTypeError(f"bad --ks list {text!r}")
-    if any(k < 0 for k in ks):
-        raise argparse.ArgumentTypeError("--ks needs non-negative integers")
-    return ks
+    return [int(part) for part in parts]
 
 
 def build_parser() -> argparse.ArgumentParser:

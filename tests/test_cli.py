@@ -11,6 +11,7 @@ from transversals.cli import (
     EXIT_PRECONDITION,
     EXIT_THEOREM_VIOLATION,
     InstanceFormatError,
+    _parse_ks,
     cmd_certificate,
     cmd_check_colorful,
     cmd_generate,
@@ -536,6 +537,18 @@ class TestEntryPoint:
             main(["generate", "random", "--ks", ks, "--seed", "1", "--out", str(path)])
         assert exc.value.code == EXIT_PRECONDITION
         assert not path.exists()
+
+    @pytest.mark.parametrize("ks", ["1_0", " 1,+2", "\u0661,2", "1, 2", "-1", "1.0"])
+    def test_non_digit_ks_item_is_rejected(self, tmp_path, capsys, ks):
+        path = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "random", "--ks", ks, "--seed", "1", "--out", str(path)])
+        assert exc.value.code == EXIT_PRECONDITION
+        assert f"bad --ks list {ks!r}" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_ks_items_are_ascii_digits(self):
+        assert _parse_ks("0,10,007") == [0, 10, 7]
 
     def test_jobs_flag_is_rejected(self, tmp_path):
         path = tmp_path / "inst.json"
