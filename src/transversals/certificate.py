@@ -383,8 +383,10 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
     # pair's check failed and each of its simplices is checked on its own.
     functionals = {}
     for index, simplex in enumerate(join.maximal_simplices):
-        rows = [chain_rows[i][chain] for i, chain in enumerate(simplex)]
-        key = (tuple(row[0] for row in rows), tuple(row[1] for row in rows))
+        firsts, lasts, chain_separators, labels = zip(
+            *(chain_rows[i][chain] for i, chain in enumerate(simplex))
+        )
+        key = (firsts, lasts)
         if key not in functionals:
             union = [
                 separator
@@ -395,7 +397,7 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
                 functionals[key] = functional(union, *key)
             except PreconditionError:
                 functionals[key] = None
-        separators = [separator for row in rows for separator in row[2]]
+        separators = [s for group in chain_separators for s in group]
         formatted = functionals[key]
         if formatted is None:
             try:
@@ -422,7 +424,7 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
                 True,
                 "S=[%s] v=(%s)%s"
                 % (
-                    " ".join(row[3] for row in rows),
+                    " ".join(labels),
                     formatted,
                     " audited" if audited else "",
                 ),
