@@ -216,10 +216,10 @@ def sha256(data: bytes) -> str:
         ("theorem", THEOREM),
         ("counterexample", COUNTEREXAMPLE),
         ("join", JOIN),
-        ("join-2-2", JOIN_2_2),
         ("generate", GENERATE),
         ("generate-flats", GENERATE_FLATS),
         ("flats", FLATS),
+        ("join-2-2", JOIN_2_2),
     ],
 )
 def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
