@@ -6,10 +6,11 @@ and of everything it prints, is compared with a recorded value, so any change
 to a decision or to a report byte fails here.  The theorem-mode instance has
 coordinates with denominators up to 8, so its LPs have fractional entries;
 the counterexample instances exercise the rank certificates, the negative
-transversal ledger and the join certificate.  The two ``generate``-only
+transversal ledger and the join certificate.  The three ``generate``-only
 pipelines pin the general-position ledger and both representations at
-``--ks 1,1,1,1`` (495 subsets, 81 tuples) and ``--ks 2,2,2`` (220 subsets,
-64 tuples, flats).  The ``--ks 2,1`` counterexample
+``--ks 1,1,1,1`` (495 subsets, 81 tuples), ``--ks 2,2,2`` (220 subsets,
+64 tuples, flats) and ``--ks 1,1,1,1,1``, the deepest subset walk the budget
+allows cheaply (depth 10, 3003 subsets).  The ``--ks 2,1`` counterexample
 checks the claim on 144 join simplices and audits 15 of them.  Its flats
 twin decides all 12 colourful tuples as intersections of affine flats, with
 no LP, and gets the same tuple points; ``transversal`` and ``certificate``
@@ -97,6 +98,13 @@ JOIN_2_2 = [
 GENERATE = [
     (
         ["generate", "counterexample", "--ks", "1,1,1,1", "--seed", "2", "--out", "inst.json"],
+        EXIT_OK,
+    ),
+]
+
+GENERATE_DEEP = [
+    (
+        ["generate", "counterexample", "--ks", "1,1,1,1,1", "--seed", "0", "--out", "inst.json"],
         EXIT_OK,
     ),
 ]
@@ -196,6 +204,12 @@ GOLDEN = {
         "stdout": "5b25b82d264c867fe5872be22ce23fd1a28a37e2b79d7afc40830b29603d4c2f",
         "lp-systems": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
+    "generate-deep": {
+        "inst.json": "9edff7a546bfee9bcaa84a0e1b6d978b04707766839b199b88461eaedefe6981",
+        "inst.json.cert.txt": "e32d796de103873131ce1d6e1debcba9eccfbc19fcec3eb6c80c561f22631954",
+        "stdout": "5b25b82d264c867fe5872be22ce23fd1a28a37e2b79d7afc40830b29603d4c2f",
+        "lp-systems": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
     "flats": {
         "inst.json": "9cb91ee0a13f20c9935c4d9639d00f7e705d354444c9aecb55948ca5fc7f5b16",
         "inst.json.cert.txt": "65d12fec09fc9c473432a2e8faedf6422f2f36f04d0aafcf2e80d300e1919ffa",
@@ -220,6 +234,7 @@ def sha256(data: bytes) -> str:
         ("generate-flats", GENERATE_FLATS),
         ("flats", FLATS),
         ("join-2-2", JOIN_2_2),
+        ("generate-deep", GENERATE_DEEP),
     ],
 )
 def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
