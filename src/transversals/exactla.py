@@ -253,39 +253,41 @@ def independent_subsets(rows, size: int):
     indices, in ``itertools.combinations`` order; ``independent`` says
     whether those rows are linearly independent.
 
-    The subsets are walked depth-first, so a prefix is reduced once for all
-    of its extensions.  The rows are scaled to integers once; a new row is
-    eliminated against the prefix's reduced rows in order, each on its own
-    pivot column, by the fraction-free update ``(p*row - row[c]*lead) // q``
-    with ``q`` the previous pivot (Bareiss 1968; every entry stays a minor of
-    the input, so each division is exact).  A row that reduces to zero makes
-    the prefix dependent, and every extension of it is yielded as dependent
-    without further work.
+    The rows are scaled to integers once and the subsets are walked
+    depth-first.  A node hands its child every later row already reduced
+    against the prefix, so each (prefix, later row) pair costs one
+    fraction-free update ``(p*row - row[c]*lead) // q``: ``lead`` is the
+    prefix's last reduced row, ``c`` its pivot column, ``p`` its pivot and
+    ``q`` the pivot before it (Bareiss 1968; every entry stays a minor of the
+    input, so each division is exact).  A candidate that completes a subset
+    is independent when its reduced row is nonzero.  A row that reduces to
+    zero makes its prefix dependent, and every extension of it is yielded as
+    dependent without further work.
     """
     table, _ = _integer_rows(rows)
     count = len(table)
+    if not size:
+        return iter([((), True)])
 
-    def walk(start, prefix, reduced):
-        if len(prefix) == size:
-            yield prefix, True
-            return
+    def walk(prefix, pending, q):
         remaining = size - len(prefix) - 1
-        for index in range(start, count - remaining):
-            row = table[index]
-            q = 1
-            for col, lead in reduced:
-                p = lead[col]
-                f = row[col]
-                row = [(p * a - f * b) // q for a, b in zip(row, lead)]
-                q = p
+        for position in range(len(pending) - remaining):
+            index, row = pending[position]
             col = next((c for c, a in enumerate(row) if a), None)
             if col is None:
                 for rest in itertools.combinations(range(index + 1, count), remaining):
                     yield prefix + (index,) + rest, False
+            elif not remaining:
+                yield prefix + (index,), True
             else:
-                yield from walk(index + 1, prefix + (index,), reduced + [(col, row)])
+                p = row[col]
+                later = [
+                    (j, [(p * a - other[col] * b) // q for a, b in zip(other, row)])
+                    for j, other in pending[position + 1 :]
+                ]
+                yield from walk(prefix + (index,), later, p)
 
-    return walk(0, (), [])
+    return walk((), list(enumerate(table)), 1)
 
 
 class LinearSolution(NamedTuple):

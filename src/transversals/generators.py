@@ -125,8 +125,8 @@ def _general_position_checks(ks, points):
     "family-affine-dim" record per color group, then one
     "tuple-intersection-unique" record per member tuple in sorted order.
     The subsets are decided by one depth-first walk over the homogenized
-    points (``exactla.independent_subsets``), so a prefix is reduced once
-    for all of its extensions.
+    points (``exactla.independent_subsets``), which reduces each point's row
+    once per prefix it can extend, not once per subset.
 
     Family rows are one difference-row matrix per family (a basis of the
     group's span directions).  A tuple's system stacks every family's

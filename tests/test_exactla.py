@@ -14,6 +14,7 @@ from transversals.exactla import (
     QVector,
     Relation,
     _phase_one,
+    _integer_rows,
     _reduced_echelon,
     _simplest_between,
     format_rational,
@@ -155,8 +156,39 @@ def random_rows(rng, count, width):
     return rows
 
 
+def reference_independent_subsets(rows, size):
+    """The subset walk that eliminates each candidate row from scratch
+    against every reduced row of its prefix, kept as the reference for the
+    walk that passes partially reduced rows down."""
+    table, _ = _integer_rows(rows)
+    count = len(table)
+
+    def walk(start, prefix, reduced):
+        if len(prefix) == size:
+            yield prefix, True
+            return
+        remaining = size - len(prefix) - 1
+        for index in range(start, count - remaining):
+            row = table[index]
+            q = 1
+            for col, lead in reduced:
+                p = lead[col]
+                f = row[col]
+                row = [(p * a - f * b) // q for a, b in zip(row, lead)]
+                q = p
+            col = next((c for c, a in enumerate(row) if a), None)
+            if col is None:
+                for rest in itertools.combinations(range(index + 1, count), remaining):
+                    yield prefix + (index,) + rest, False
+            else:
+                yield from walk(index + 1, prefix + (index,), reduced + [(col, row)])
+
+    return list(walk(0, (), []))
+
+
 class TestIndependentSubsets:
-    """The depth-first walk against one ``rank`` per subset."""
+    """The depth-first walk against one ``rank`` per subset, and against the
+    per-candidate reference walk."""
 
     @staticmethod
     def reference(rows, size):
@@ -178,6 +210,54 @@ class TestIndependentSubsets:
             independent += sum(passed for _, passed in walked)
         assert dependent > 200 and independent > 200
 
+    def test_matches_reference_walk(self):
+        """Seeded sets of 11-15 rows in dimension 11, walked at size 10 and
+        at a random size.  Random rows are mixed with repeated, scaled and
+        summed ones and with zero rows, then shuffled, so dependences show
+        at every depth of the walk."""
+        rng = random.Random(21)
+        dependent = independent = 0
+        for _ in range(12):
+            rows = [
+                [F(rng.randint(-3, 3), rng.choice((1, 1, 8))) for _ in range(11)]
+                for _ in range(rng.randint(10, 12))
+            ]
+            for _ in range(rng.randint(1, 3)):
+                roll = rng.random()
+                if roll < 0.3:
+                    rows.append(list(rng.choice(rows)))
+                elif roll < 0.6:
+                    factor = F(rng.choice((-3, -1, 2, 3)), rng.randint(1, 4))
+                    rows.append([factor * v for v in rng.choice(rows)])
+                elif roll < 0.9:
+                    summands = rng.sample(rows, rng.randint(2, 6))
+                    rows.append([sum(column) for column in zip(*summands)])
+                else:
+                    rows.append([F(0)] * 11)
+            rng.shuffle(rows)
+            for size in (10, rng.randint(1, len(rows) + 1)):
+                walked = list(independent_subsets(rows, size))
+                assert walked == reference_independent_subsets(rows, size)
+                dependent += sum(not passed for _, passed in walked)
+                independent += sum(passed for _, passed in walked)
+        assert dependent > 2000 and independent > 2000
+
+    def test_deep_dependent_prefix_matches_reference_walk(self):
+        """Row 5 is the sum of rows 0-4, so every 10-subset holding rows 0-5
+        is dependent at depth 6; row 9 is row 7 scaled, row 12 repeats row 8
+        and row 3 of a second set is zero."""
+        rng = random.Random(22)
+        rows = [[F(rng.randint(-9, 9), rng.choice((1, 2, 8))) for _ in range(11)] for _ in range(15)]
+        rows[5] = [sum(column) for column in zip(*rows[:5])]
+        rows[9] = [F(-3, 4) * v for v in rows[7]]
+        rows[12] = list(rows[8])
+        walked = list(independent_subsets(rows, 10))
+        assert walked == reference_independent_subsets(rows, 10)
+        assert ((0, 1, 2, 3, 4, 5, 6, 7, 8, 10), False) in walked
+        assert ((0, 1, 2, 3, 4, 6, 7, 8, 10, 11), True) in walked
+        rows[3] = [F(0)] * 11
+        assert list(independent_subsets(rows, 10)) == reference_independent_subsets(rows, 10)
+
     def test_dependent_prefix_fails_every_extension(self):
         rows = [[1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert list(independent_subsets(rows, 3)) == [
@@ -192,6 +272,11 @@ class TestIndependentSubsets:
         assert list(independent_subsets(rows, 0)) == [((), True)]
         assert list(independent_subsets(rows, 3)) == []
         assert list(independent_subsets([[0, 0]], 1)) == [((0,), False)]
+        for size in (0, 2, 3):
+            assert list(independent_subsets(rows, size)) == reference_independent_subsets(
+                rows, size
+            )
+        assert list(independent_subsets([], 0)) == [((), True)]
 
 
 class TestSolveSquare:
