@@ -193,13 +193,20 @@ def _dump_json(doc) -> str:
 
 def atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file in the same
-    directory, removed again on failure; an OSError surfaces as
-    ReportWriteError naming ``path``."""
+    directory, removed again on failure, with the mode ``open`` gives a new
+    file.  An existing ``path`` that is not a regular file (a directory, a
+    FIFO, a device) is left in place.  That refusal and any OSError surface
+    as ReportWriteError naming ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ReportWriteError(f"cannot write {path}: not a regular file")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                os.fchmod(fd, 0o666 & ~umask)
                 handle.write(text)
             os.replace(tmp, path)
         except BaseException:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -379,6 +381,38 @@ class TestUnwritableOutput:
         assert f"error: cannot write {target}:" in capsys.readouterr().out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json", "reports"]
         assert list(target.iterdir()) == []
+
+    def test_fifo_is_left_in_place(self, tmp_path, capsys):
+        out = tmp_path / "fifo.out"
+        os.mkfifo(out)
+        argv = ["generate", "random", "--ks", "1", "--seed", "1", "--out", str(out)]
+        assert main(argv) == EXIT_PRECONDITION
+        assert capsys.readouterr().out == f"error: cannot write {out}: not a regular file\n"
+        assert stat.S_ISFIFO(os.stat(out).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo.out"]
+
+    def test_certificate_ledger_fifo_is_left_in_place(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        ledger = tmp_path / "inst.json.cert.txt"
+        os.mkfifo(ledger)
+        argv = ["generate", "counterexample", "--ks", "1,0", "--seed", "5", "--out", str(out)]
+        assert main(argv) == EXIT_PRECONDITION
+        assert capsys.readouterr().out == f"error: cannot write {ledger}: not a regular file\n"
+        assert stat.S_ISFIFO(os.stat(ledger).st_mode)
+
+    def test_reports_get_the_mode_of_a_new_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        old = os.umask(0o022)
+        try:
+            argv = ["generate", "counterexample", "--ks", "1,0", "--seed", "5"]
+            assert main(argv + ["--out", "inst.json"]) == EXIT_OK
+            (tmp_path / "colorful.json").write_text("{}")
+            os.chmod("colorful.json", 0o644)
+            assert main(["check-colorful", "inst.json", "--out", "colorful.json"]) == EXIT_OK
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == {"inst.json": 0o644, "inst.json.cert.txt": 0o644, "colorful.json": 0o644}
 
     @pytest.mark.parametrize(
         "argv",
