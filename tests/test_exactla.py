@@ -13,8 +13,8 @@ from transversals.exactla import (
     QMatrix,
     QVector,
     Relation,
-    _phase_one,
     _integer_rows,
+    _phase_one,
     _reduced_echelon,
     _simplest_between,
     format_rational,
@@ -247,7 +247,10 @@ class TestIndependentSubsets:
         is dependent at depth 6; row 9 is row 7 scaled, row 12 repeats row 8
         and row 3 of a second set is zero."""
         rng = random.Random(22)
-        rows = [[F(rng.randint(-9, 9), rng.choice((1, 2, 8))) for _ in range(11)] for _ in range(15)]
+        rows = [
+            [F(rng.randint(-9, 9), rng.choice((1, 2, 8))) for _ in range(11)]
+            for _ in range(15)
+        ]
         rows[5] = [sum(column) for column in zip(*rows[:5])]
         rows[9] = [F(-3, 4) * v for v in rows[7]]
         rows[12] = list(rows[8])
