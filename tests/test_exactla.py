@@ -157,7 +157,7 @@ def random_rows(rng, count, width):
 
 
 def reference_independent_subsets(rows, size):
-    """The subset walk that eliminates each candidate row from scratch
+    """The subset walk that eliminates each candidate row afresh
     against every reduced row of its prefix, kept as the reference for the
     walk that passes partially reduced rows down."""
     table, _ = _integer_rows(rows)
