@@ -160,20 +160,23 @@ def assign_normals(
     a k-transversal.  One ``scan_partitions`` decides every pair, and
     ``assign_from_scan`` turns its Farkas vectors into separators.
     """
-    return assign_from_scan(family, scan_partitions(family), family_index)
+    scan = scan_partitions(family)
+    witness = scan.witness
+    return witness.partition if witness else assign_from_scan(family, scan, family_index)
 
 
 def assign_from_scan(
     family: Family, scan: PartitionScan, family_index: int = 1
-) -> Union[NormalAssignment, Partition]:
-    """``assign_normals`` from a finished scan of the family.
+) -> NormalAssignment:
+    """``assign_normals`` from a finished scan of a family with no witness.
 
     Each partition's Farkas vector, whose group 0 is block A, becomes a
     small separator by ``farkas_separator``: an integer normal with block A
     strictly below the simplest offset and block B strictly above.  Block A
     takes its negation, so its own members are on the positive side.
-    Returns the first partition that has no Farkas vector: the witness's
-    partition when the family has a transversal.
+    Raises CertificateInconsistencyError when a partition has no Farkas
+    vector, because the scan then found an inseparable partition yet no
+    transversal.
     """
     size = family.k + 2
 
@@ -187,7 +190,10 @@ def assign_from_scan(
     for part in partitions(size):
         farkas = scan.farkas.get(part)
         if farkas is None:
-            return part
+            raise CertificateInconsistencyError(
+                f"family {family_index}: partition {part.label()} is "
+                "inseparable yet no transversal was found"
+            )
         normal, offset = farkas_separator(
             farkas, pooled(part.part_a), pooled(part.part_b)
         )
@@ -502,11 +508,5 @@ def full_certificate(instance: Instance) -> CertificateReport:
                 confirmed_witness=scan.witness,
                 failing_partition=partition,
             )
-        outcome = assign_from_scan(fam, scan, i)
-        if isinstance(outcome, Partition):
-            raise CertificateInconsistencyError(
-                f"family {i}: pair {outcome.label()} is inseparable yet no "
-                "transversal was found"
-            )
-        assignments.append(outcome)
+        assignments.append(assign_from_scan(fam, scan, i))
     return verify_claim(instance, assignments, colorful.witnesses)

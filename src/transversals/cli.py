@@ -318,11 +318,7 @@ def _emit(report_doc, out):
 
 
 def cmd_check_colorful(path: str, out=None) -> int:
-    try:
-        instance, _ = load_instance(path)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}")
-        return EXIT_PRECONDITION
+    instance, _ = load_instance(path)
     report = check_colorful(instance)
     if report.holds:
         doc = {
@@ -349,26 +345,13 @@ def cmd_check_colorful(path: str, out=None) -> int:
 
 
 def cmd_transversal(path: str, family_index: int, out=None) -> int:
-    try:
-        instance, _ = load_instance(path)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}")
-        return EXIT_PRECONDITION
+    instance, _ = load_instance(path)
     if not 1 <= family_index <= len(instance.families):
-        print(f"error: no family {family_index} (instance has {len(instance.families)})")
-        return EXIT_PRECONDITION
-    family = instance.families[family_index - 1]
-    try:
-        scan = scan_partitions(family)
-    except UnsupportedRepresentationError:
-        print(
-            "error: family contains affine flats; regenerate with "
-            "--representation truncated"
+        raise MalformedInputError(
+            f"no family {family_index} (instance has {len(instance.families)})"
         )
-        return EXIT_PRECONDITION
-    except MalformedInputError as exc:
-        print(f"error: {exc}")
-        return EXIT_PRECONDITION
+    family = instance.families[family_index - 1]
+    scan = scan_partitions(family)
     witness = scan.witness
     if witness is not None:
         _emit(
@@ -396,12 +379,6 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
         )
         return EXIT_OK
     assignment = assign_from_scan(family, scan, family_index)
-    if isinstance(assignment, Partition):
-        print(
-            f"error: family {family_index}: partition {assignment.label()} is "
-            "inseparable yet no transversal was found"
-        )
-        return EXIT_THEOREM_VIOLATION
     lines = []
     separations = []
     for part in partitions(family.k + 2):
@@ -434,27 +411,16 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
 
 
 def cmd_verify_theorem(path: str, out=None) -> int:
-    try:
-        instance, _ = load_instance(path)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}")
-        return EXIT_PRECONDITION
+    instance, _ = load_instance(path)
     n = len(instance.families)
     m = instance.total_target
     if instance.dim == n + m:
-        print(
-            f"error: dimension {instance.dim} is the optimality dimension "
+        raise TheoremPreconditionError(
+            f"dimension {instance.dim} is the optimality dimension "
             f"n+m; use the certificate command for such instances"
         )
-        return EXIT_PRECONDITION
     try:
         report = verify_theorem(instance)
-    except TheoremPreconditionError as exc:
-        print(f"error: {exc}")
-        return EXIT_PRECONDITION
-    except UnsupportedRepresentationError:
-        print("error: instance contains affine flats; truncate before verifying")
-        return EXIT_PRECONDITION
     except TheoremViolationError as exc:
         print(f"THEOREM-VIOLATION {exc}")
         print("offending instance follows for triage:")
@@ -487,11 +453,7 @@ def cmd_generate(
     ks = list(ks)
     meta = {"generator": kind, "ks": ks, "seed": seed}
     if kind == "counterexample":
-        try:
-            ce = gen_counterexample(ks, seed, representation)
-        except RetryExhaustedError as exc:
-            print(f"error: {exc}")
-            return EXIT_RETRY_EXHAUSTED
+        ce = gen_counterexample(ks, seed, representation)
         meta["representation"] = representation
         save_instance(out_path, ce.instance, meta)
         cert_lines = [c.ledger_line() for c in ce.certificate.checks]
@@ -506,33 +468,15 @@ def cmd_generate(
     elif kind == "random":
         instance = gen_colorful_random(ks, seed)
     else:
-        print(f"error: unknown generator kind {kind!r}")
-        return EXIT_PRECONDITION
+        raise MalformedInputError(f"unknown generator kind {kind!r}")
     save_instance(out_path, instance, meta)
     print(f"wrote {out_path}")
     return EXIT_OK
 
 
 def cmd_certificate(path: str, out=None) -> int:
-    try:
-        instance, _ = load_instance(path)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}")
-        return EXIT_PRECONDITION
-    try:
-        report = full_certificate(instance)
-    except ColorfulViolationError as exc:
-        print(f"error: {exc}")
-        return EXIT_PRECONDITION
-    except UnsupportedRepresentationError:
-        print(
-            "error: certificate needs V-polytopes; regenerate with "
-            "--representation truncated"
-        )
-        return EXIT_PRECONDITION
-    except CertificateInconsistencyError as exc:
-        print(f"error: certificate inconsistency: {exc}")
-        return EXIT_THEOREM_VIOLATION
+    instance, _ = load_instance(path)
+    report = full_certificate(instance)
     doc = {
         "command": "certificate",
         "verdict": report.verdict,
@@ -610,7 +554,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What a command that needs V-polytopes advises when it meets affine flats.
+_FLATS_ADVICE = {
+    "transversal": "family contains affine flats; regenerate with "
+    "--representation truncated",
+    "verify-theorem": "instance contains affine flats; truncate before verifying",
+    "certificate": "certificate needs V-polytopes; regenerate with "
+    "--representation truncated",
+}
+
+
 def main(argv=None) -> int:
+    """Run one command.  This is the only place an exception becomes an exit
+    code."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "check-colorful":
@@ -625,9 +581,24 @@ def main(argv=None) -> int:
             return cmd_generate(
                 args.kind, args.ks, args.seed, args.representation, args.out, args.dim
             )
-    except (MalformedInputError, ReportWriteError) as exc:
+    except (
+        InstanceFormatError,
+        MalformedInputError,
+        ReportWriteError,
+        TheoremPreconditionError,
+        ColorfulViolationError,
+    ) as exc:
         print(f"error: {exc}")
         return EXIT_PRECONDITION
+    except UnsupportedRepresentationError as exc:
+        print(f"error: {_FLATS_ADVICE.get(args.command, exc)}")
+        return EXIT_PRECONDITION
+    except CertificateInconsistencyError as exc:
+        print(f"error: certificate inconsistency: {exc}")
+        return EXIT_THEOREM_VIOLATION
+    except RetryExhaustedError as exc:
+        print(f"error: {exc}")
+        return EXIT_RETRY_EXHAUSTED
     raise AssertionError("unreachable command dispatch")
 
 

@@ -158,7 +158,7 @@ class TestCommands:
     def test_parse_error_exit_code(self, tmp_path):
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
-        assert cmd_check_colorful(str(broken)) == EXIT_PRECONDITION
+        assert main(["check-colorful", str(broken)]) == EXIT_PRECONDITION
 
     def test_check_colorful_on_truncated_construction(self, tmp_path):
         from transversals.generators import TRUNCATED, counterexample_from_points
@@ -224,7 +224,7 @@ class TestCommands:
     def test_transversal_family_bounds(self, tmp_path):
         path = tmp_path / "inst.json"
         save_instance(str(path), interval_instance())
-        assert cmd_transversal(str(path), 5) == EXIT_PRECONDITION
+        assert main(["transversal", str(path), "--family", "5"]) == EXIT_PRECONDITION
 
     def test_verify_theorem_round_trip(self, tmp_path):
         path = tmp_path / "intervals.json"
@@ -240,7 +240,7 @@ class TestCommands:
     def test_verify_theorem_redirects_optimality_dimension(self, tmp_path):
         path = tmp_path / "ce.json"
         assert cmd_generate("counterexample", [0, 0], 3, out_path=str(path)) == EXIT_OK
-        assert cmd_verify_theorem(str(path)) == EXIT_PRECONDITION
+        assert main(["verify-theorem", str(path)]) == EXIT_PRECONDITION
 
     def test_generate_and_certificate(self, tmp_path):
         path = tmp_path / "ce.json"
@@ -270,7 +270,7 @@ class TestCommands:
     def test_certificate_rejects_non_colorful(self, tmp_path):
         path = tmp_path / "bad.json"
         save_instance(str(path), disjoint_instance())
-        assert cmd_certificate(str(path)) == EXIT_PRECONDITION
+        assert main(["certificate", str(path)]) == EXIT_PRECONDITION
 
     def test_certificate_advises_truncation_for_flats(self, tmp_path):
         path = tmp_path / "flats.json"
@@ -280,7 +280,7 @@ class TestCommands:
             )
             == EXIT_OK
         )
-        assert cmd_certificate(str(path)) == EXIT_PRECONDITION
+        assert main(["certificate", str(path)]) == EXIT_PRECONDITION
 
     def test_planted_generation(self, tmp_path):
         path = tmp_path / "planted.json"
@@ -322,9 +322,8 @@ class TestGeneratorExhaustionPath:
             raise RetryExhaustedError("forced")
 
         monkeypatch.setattr(cli_module, "gen_counterexample", exhausted)
-        code = cmd_generate(
-            "counterexample", [0, 0], 1, out_path=str(tmp_path / "x.json")
-        )
+        out = str(tmp_path / "x.json")
+        code = main(["generate", "counterexample", "--ks", "0,0", "--seed", "1", "--out", out])
         assert code == 4
 
 
@@ -359,7 +358,7 @@ class TestInseparableNegativePath:
         monkeypatch.setattr(
             cli_module, "scan_partitions", lambda family: PartitionScan(None, {})
         )
-        assert cmd_transversal(str(path), 1) == EXIT_THEOREM_VIOLATION
+        assert main(["transversal", str(path), "--family", "1"]) == EXIT_THEOREM_VIOLATION
         assert "partition {1}/{2,3} is inseparable" in capsys.readouterr().out
 
 
