@@ -6,8 +6,10 @@ silently round.  Reports mirror the same conventions; witnesses they
 carry re-validate through the library.
 
 Exit codes are stable: 0 success / affirmative decision, 1 negative
-decision, 2 precondition or parse failure, 3 theorem violation (a bug
-signal), 4 generator retry exhaustion.
+decision, 2 precondition or parse failure (a literal or a result above
+the integer-digit limit included), 3 theorem violation, certificate
+inconsistency or any other exception (a bug signal), 4 generator retry
+exhaustion.  Commands raise; ``main`` alone maps exceptions to codes.
 """
 
 from __future__ import annotations
@@ -191,6 +193,11 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _refuse_non_regular(path: str) -> None:
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ReportWriteError(f"cannot write {path}: not a regular file")
+
+
 def atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file in the same
     directory, removed again on failure, with the mode ``open`` gives a new
@@ -198,8 +205,7 @@ def atomic_write(path: str, text: str) -> None:
     FIFO, a device) is left in place.  That refusal and any OSError surface
     as ReportWriteError naming ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise ReportWriteError(f"cannot write {path}: not a regular file")
+    _refuse_non_regular(path)
     try:
         umask = os.umask(0)
         os.umask(umask)
@@ -229,7 +235,7 @@ def load_instance(path: str):
         raise InstanceFormatError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise InstanceFormatError(f"{path}: {exc}") from exc
     try:
         return instance_from_json(doc)
@@ -455,10 +461,12 @@ def cmd_generate(
     if kind == "counterexample":
         ce = gen_counterexample(ks, seed, representation)
         meta["representation"] = representation
+        cert_path = out_path + ".cert.txt"
+        _refuse_non_regular(cert_path)  # before inst.json is written
         save_instance(out_path, ce.instance, meta)
         cert_lines = [c.ledger_line() for c in ce.certificate.checks]
-        atomic_write(out_path + ".cert.txt", "\n".join(cert_lines) + "\n")
-        print(f"wrote {out_path} and {out_path}.cert.txt")
+        atomic_write(cert_path, "\n".join(cert_lines) + "\n")
+        print(f"wrote {out_path} and {cert_path}")
         return EXIT_OK
     if kind == "planted":
         if dim is None:
@@ -565,8 +573,8 @@ _FLATS_ADVICE = {
 
 
 def main(argv=None) -> int:
-    """Run one command.  This is the only place an exception becomes an exit
-    code."""
+    """Run one command; the only place an exception becomes an exit code, so
+    exit 1 always means a negative decision."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "check-colorful":
@@ -599,6 +607,10 @@ def main(argv=None) -> int:
     except RetryExhaustedError as exc:
         print(f"error: {exc}")
         return EXIT_RETRY_EXHAUSTED
+    except Exception as exc:
+        sys.excepthook(type(exc), exc, exc.__traceback__)  # keep the traceback for triage
+        print(f"error: internal error: {type(exc).__name__}: {exc}")
+        return EXIT_THEOREM_VIOLATION
     raise AssertionError("unreachable command dispatch")
 
 

@@ -33,6 +33,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -59,23 +60,36 @@ def as_rational(value) -> Fraction:
     raise MalformedInputError(f"expected an exact rational, got {value!r}")
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+
+
+def _over_digit_limit(what: str) -> MalformedInputError:
+    limit = sys.get_int_max_str_digits()
+    return MalformedInputError(f"{what} exceeds the {limit}-digit integer string limit")
 
 
 def format_rational(value: Fraction) -> str:
-    """Wire format: ``"3"`` for integers, ``"p/q"`` (q > 0, reduced) otherwise."""
+    """Wire format: ``"3"`` for integers, ``"p/q"`` (q > 0, reduced) otherwise.
+    Refused with MalformedInputError above ``sys.get_int_max_str_digits()``."""
     value = as_rational(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise _over_digit_limit("result") from exc
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the wire format.  Decimal points and negative denominators are
-    rejected so no consumer can silently lose precision."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    """Parse the wire format in ASCII digits.  Decimal points and negative
+    denominators are rejected so no consumer can silently lose precision;
+    a literal above the digit limit is refused without being echoed."""
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise MalformedInputError(f"bad rational literal {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise _over_digit_limit("rational literal") from exc
 
 
 class QVector:

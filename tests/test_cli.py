@@ -11,8 +11,10 @@ from transversals.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_PRECONDITION,
+    EXIT_RETRY_EXHAUSTED,
     EXIT_THEOREM_VIOLATION,
     InstanceFormatError,
+    ReportWriteError,
     _parse_ks,
     cmd_certificate,
     cmd_check_colorful,
@@ -27,15 +29,19 @@ from transversals.cli import (
     witness_from_json,
     witness_to_json,
 )
+from transversals import certificate as certificate_module
+from transversals import cli as cli_module
 from transversals import convex as convex_module
 from transversals import generators as generators_module
 from transversals import transversal as transversal_module
-from transversals.convex import AffineFlat, VPolytope
+from transversals.certificate import CertificateInconsistencyError, ColorfulViolationError
+from transversals.convex import AffineFlat, UnsupportedRepresentationError, VPolytope
 from transversals.exactla import MalformedInputError, QVector
-from transversals.generators import counterexample_from_points
+from transversals.generators import RetryExhaustedError, counterexample_from_points
 from transversals.transversal import (
     Family,
     Instance,
+    TheoremPreconditionError,
     k_transversal,
     partitions,
     validate_witness,
@@ -398,6 +404,7 @@ class TestUnwritableOutput:
         assert main(argv) == EXIT_PRECONDITION
         assert capsys.readouterr().out == f"error: cannot write {ledger}: not a regular file\n"
         assert stat.S_ISFIFO(os.stat(ledger).st_mode)
+        assert not out.exists()
 
     def test_reports_get_the_mode_of_a_new_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -434,6 +441,119 @@ class TestUnwritableOutput:
         assert main(argv + ["--out", str(out)]) == EXIT_PRECONDITION
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}:")
+
+
+def long_literal_doc():
+    """A one-dimensional instance whose first coordinate has 5000 digits,
+    above CPython's default limit for integer strings."""
+    return {
+        "dimension": 1,
+        "families": [
+            {
+                "k": 0,
+                "sets": [
+                    {"type": "vpolytope", "points": [["1" * 5000]]},
+                    {"type": "vpolytope", "points": [["0"]]},
+                ],
+            }
+        ],
+    }
+
+
+def crossing_segments_doc():
+    """One k = 0 family of two crossing segments in the plane, (0,0)-(a,b)
+    and (c,0)-(0,e).  Every literal is under the integer string limit, but
+    the crossing point a*c*e/(a*e + b*c) (a, b) is far above it."""
+    a, b, c, e = 10**3000 + 1, 10**3000 + 3, 10**2999 + 7, 10**2999 + 9
+
+    def segment_doc(p, q):
+        return {"type": "vpolytope", "points": [[str(x) for x in p], [str(x) for x in q]]}
+
+    sets = [segment_doc((0, 0), (a, b)), segment_doc((c, 0), (0, e))]
+    return {"dimension": 2, "families": [{"k": 0, "sets": sets}]}
+
+
+class TestExitTable:
+    @pytest.mark.parametrize(
+        "error,code",
+        [
+            (InstanceFormatError, EXIT_PRECONDITION),
+            (MalformedInputError, EXIT_PRECONDITION),
+            (ReportWriteError, EXIT_PRECONDITION),
+            (TheoremPreconditionError, EXIT_PRECONDITION),
+            (ColorfulViolationError, EXIT_PRECONDITION),
+            (UnsupportedRepresentationError, EXIT_PRECONDITION),
+            (CertificateInconsistencyError, EXIT_THEOREM_VIOLATION),
+            (RetryExhaustedError, EXIT_RETRY_EXHAUSTED),
+            (AssertionError, EXIT_THEOREM_VIOLATION),
+            (ZeroDivisionError, EXIT_THEOREM_VIOLATION),
+        ],
+    )
+    def test_each_class_has_one_code_and_one_line(self, error, code, monkeypatch, capsys):
+        def fail(*args):
+            raise error("forced")
+
+        monkeypatch.setattr(cli_module, "cmd_check_colorful", fail)
+        assert main(["check-colorful", "inst.json"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_failed_substitution_guard_exits_three(self, tmp_path, monkeypatch, capsys):
+        path = str(tmp_path / "ce.json")
+        assert cmd_generate("counterexample", [0, 0], 3, out_path=path) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(
+            certificate_module,
+            "hull_weights",
+            lambda blocks, groups, target: [[-1] * len(blocks[0])],
+        )
+        assert main(["certificate", path]) == EXIT_THEOREM_VIOLATION
+        printed = capsys.readouterr()
+        assert printed.out.splitlines() == [
+            "error: internal error: AssertionError: "
+            "simplex produced weights outside the hull system"
+        ]
+        assert "in origin_in_hull" in printed.err  # the traceback, for triage
+
+    @pytest.mark.parametrize(
+        "command", [["check-colorful"], ["transversal", "--family", "1"], ["certificate"]]
+    )
+    def test_literal_over_the_digit_limit_exits_two(self, command, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(long_literal_doc()))
+        assert main([command[0], str(path), *command[1:]]) == EXIT_PRECONDITION
+        (line,) = capsys.readouterr().out.splitlines()
+        assert "families[0].sets[0].points[0]" in line
+        assert f"{sys.get_int_max_str_digits()}-digit" in line
+        assert "1" * 100 not in line
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"\xff\xfe{", ('{"dimension": ' + "1" * 5000 + "}").encode()],
+        ids=["not-utf-8", "long-json-integer"],
+    )
+    def test_undecodable_instance_exits_two(self, text, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_bytes(text)
+        assert main(["check-colorful", str(path)]) == EXIT_PRECONDITION
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("command", [["transversal", "--family", "1"], ["certificate"]])
+    def test_result_over_the_digit_limit_is_refused(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cross.json").write_text(json.dumps(crossing_segments_doc()))
+        argv = [command[0], "cross.json", *command[1:], "--out", "r.json"]
+        assert main(argv) == EXIT_PRECONDITION
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line == (
+            f"error: result exceeds the {sys.get_int_max_str_digits()}-digit "
+            "integer string limit"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["cross.json"]
+        assert main(["check-colorful", "cross.json"]) == EXIT_OK
 
 
 class TestJoinBudget:

@@ -56,7 +56,9 @@ class TestWireFormat:
         for q in (F(3), F(-7, 2), F(0), F(10**40, 3)):
             assert parse_rational(format_rational(q)) == q
 
-    @pytest.mark.parametrize("bad", ["1.5", "3/-4", "3/0", "", "a", "1e3", "+3/0"])
+    @pytest.mark.parametrize(
+        "bad", ["1.5", "3/-4", "3/0", "", "a", "1e3", "+3/0", "\u0663", "1/1\u0663", "3\n"]
+    )
     def test_rejects_lossy_or_malformed(self, bad):
         with pytest.raises(MalformedInputError):
             parse_rational(bad)
