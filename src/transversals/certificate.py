@@ -19,14 +19,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .convex import hull_weights, weighted_sum
+from .convex import weighted_sum
 from .exactla import (
     MalformedInputError,
     PreconditionError,
     QVector,
     _ZERO,
+    check_budget,
     farkas_separator,
     format_rational,
+    hull_weights,
     positive_functional,
 )
 from .reporting import CheckRecord
@@ -444,7 +446,7 @@ def origin_in_hull(vectors) -> bool:
     """Exact test whether the origin is a convex combination of the vectors.
 
     Decides ``{w >= 0 : sum_j w_j v_j = 0, sum_j w_j = 1}``, which is
-    ``convex.hull_weights`` with one block and the origin as target.
+    ``exactla.hull_weights`` with one block and the origin as target.
     Weights it finds are substituted back exactly before the answer is
     trusted.
     """
@@ -478,11 +480,7 @@ def full_certificate(instance: Instance) -> CertificateReport:
     have more than ``_JOIN_BUDGET`` maximal simplices.
     """
     simplices = math.prod(math.factorial(f.k + 2) for f in instance.families)
-    if simplices > _JOIN_BUDGET:
-        raise MalformedInputError(
-            f"the certificate join has {simplices} maximal simplices, "
-            f"above the budget of {_JOIN_BUDGET}"
-        )
+    check_budget(simplices, _JOIN_BUDGET, "the certificate join", "maximal simplices")
     colorful = check_colorful(instance)
     if not colorful.holds:
         raise ColorfulViolationError(

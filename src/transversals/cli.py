@@ -9,7 +9,9 @@ Exit codes are stable: 0 success / affirmative decision, 1 negative
 decision, 2 precondition or parse failure (a literal or a result above
 the integer-digit limit included), 3 theorem violation, certificate
 inconsistency or any other exception (a bug signal), 4 generator retry
-exhaustion.  Commands raise; ``main`` alone maps exceptions to codes.
+exhaustion.  Commands raise and ``main`` maps exceptions to codes, except
+that ``cmd_verify_theorem`` turns TheoremViolationError into exit 3 itself,
+after printing the offending instance for triage.
 """
 
 from __future__ import annotations
@@ -103,17 +105,35 @@ def _vector_from_json(obj, where: str, dim=None) -> QVector:
     return QVector(entries)
 
 
+def flat_to_json(flat: AffineFlat) -> dict:
+    return {
+        "base": _vector_to_json(flat.base),
+        "directions": [_vector_to_json(d) for d in flat.directions],
+    }
+
+
+def _flat_from_json(base, directions, where: str, dim=None) -> AffineFlat:
+    """The flat of an instance or a witness, its lists read at ``where``."""
+    base = _vector_from_json(base, f"{where}.base", dim)
+    if not isinstance(directions, list):
+        raise InstanceFormatError(f"{where}.directions: expected a list")
+    dirs = tuple(
+        _vector_from_json(d, f"{where}.directions[{i}]", dim)
+        for i, d in enumerate(directions)
+    )
+    try:
+        return AffineFlat(base, dirs)
+    except MalformedInputError as exc:
+        raise InstanceFormatError(f"{where}: {exc}") from exc
+
+
 def _body_to_json(body):
     if isinstance(body, VPolytope):
         return {
             "type": "vpolytope",
             "points": [_vector_to_json(g) for g in body.generators],
         }
-    return {
-        "type": "flat",
-        "base": _vector_to_json(body.base),
-        "directions": [_vector_to_json(d) for d in body.directions],
-    }
+    return {"type": "flat", **flat_to_json(body)}
 
 
 def _body_from_json(obj, where: str, dim: int):
@@ -131,18 +151,7 @@ def _body_from_json(obj, where: str, dim: int):
             )
         )
     if kind == "flat":
-        base = _vector_from_json(obj.get("base"), f"{where}.base", dim)
-        directions = obj.get("directions", [])
-        if not isinstance(directions, list):
-            raise InstanceFormatError(f"{where}.directions: expected a list")
-        dirs = tuple(
-            _vector_from_json(d, f"{where}.directions[{i}]", dim)
-            for i, d in enumerate(directions)
-        )
-        try:
-            return AffineFlat(base, dirs)
-        except MalformedInputError as exc:
-            raise InstanceFormatError(f"{where}: {exc}") from exc
+        return _flat_from_json(obj.get("base"), obj.get("directions", []), where, dim)
     raise InstanceFormatError(f"{where}.type: expected 'vpolytope' or 'flat'")
 
 
@@ -260,13 +269,6 @@ def partition_from_json(obj) -> Partition:
         raise InstanceFormatError(f"partition: {exc}") from exc
 
 
-def flat_to_json(flat: AffineFlat) -> dict:
-    return {
-        "base": _vector_to_json(flat.base),
-        "directions": [_vector_to_json(d) for d in flat.directions],
-    }
-
-
 def witness_to_json(witness: TransversalWitness) -> dict:
     return {
         "partition": partition_to_json(witness.partition),
@@ -281,18 +283,9 @@ def witness_to_json(witness: TransversalWitness) -> dict:
 
 def witness_from_json(obj) -> TransversalWitness:
     flat_obj = _field(obj, "flat")
-    base = _vector_from_json(_field(flat_obj, "base", "flat"), "flat.base")
-    directions = _field(flat_obj, "directions", "flat")
-    if not isinstance(directions, list):
-        raise InstanceFormatError("flat.directions: expected a list")
-    dirs = tuple(
-        _vector_from_json(d, f"flat.directions[{i}]")
-        for i, d in enumerate(directions)
+    flat = _flat_from_json(
+        _field(flat_obj, "base", "flat"), _field(flat_obj, "directions", "flat"), "flat"
     )
-    try:
-        flat = AffineFlat(base, dirs)
-    except MalformedInputError as exc:
-        raise InstanceFormatError(f"flat: {exc}") from exc
     anchors_obj = _field(obj, "anchors")
     if not isinstance(anchors_obj, list):
         raise InstanceFormatError("anchors: expected a list")
@@ -573,8 +566,9 @@ _FLATS_ADVICE = {
 
 
 def main(argv=None) -> int:
-    """Run one command; the only place an exception becomes an exit code, so
-    exit 1 always means a negative decision."""
+    """Run one command and map the exceptions it raises to exit codes, so exit
+    1 always means a negative decision; ``cmd_verify_theorem`` alone catches
+    one itself (TheoremViolationError, for its triage dump)."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "check-colorful":

@@ -20,12 +20,10 @@ from .exactla import (
     QVector,
     _ONE,
     _ZERO,
-    _hull_system,
-    _per_block,
     _reduced_echelon,
+    hull_weights,
     rank,
     solve_linear,
-    standard_form_feasible,
 )
 
 
@@ -114,29 +112,6 @@ def _common_dim(bodies) -> int:
     return dims.pop()
 
 
-def hull_weights(blocks, groups, target=None) -> Optional[list]:
-    """Convex weights under which pooled generator hulls meet, or None.
-
-    ``blocks`` are generator sequences in column order and ``groups[i]`` is
-    the group, 0, 1, ..., of block i; a group's hull pools its blocks.  The
-    system has one weight column per generator and nonnegative weights
-    summing to one in each group.  Its coordinate rows put group 0's
-    combination equal to ``target`` when one is given, and otherwise equal
-    to each other group's combination in turn.  Polytope membership and
-    the origin audit of the join certificate ask this system of the
-    phase-one simplex; the weights come back split per block.
-    ``common_point`` solves the same system with one row per flat equation
-    appended.  The partition scan of ``k_transversal`` asks the same system,
-    built by the same ``exactla._hull_system``, through
-    ``exactla.hull_certificate``, which also answers "no" with a Farkas
-    vector.
-    """
-    solution = standard_form_feasible(*_hull_system(blocks, groups, target))
-    if solution is None:
-        return None
-    return _per_block(solution, blocks)
-
-
 def weighted_sum(weights, points) -> QVector:
     """Exact ``sum_j w_j p_j``, skipping zero weights."""
     total = QVector([_ZERO] * points[0].dim)
@@ -147,8 +122,8 @@ def weighted_sum(weights, points) -> QVector:
 
 
 def contains(body: ConvexBody, point: QVector) -> bool:
-    """Exact membership: ``hull_weights`` with the point as target for
-    polytopes, substitution into the ``equations`` for flats."""
+    """Exact membership: ``exactla.hull_weights`` with the point as target
+    for polytopes, substitution into the ``equations`` for flats."""
     if point.dim != body.dim:
         raise MalformedInputError("point dimension does not match body")
     if isinstance(body, AffineFlat):
@@ -162,10 +137,9 @@ def common_point(bodies) -> Optional[QVector]:
     All-flat inputs are decided by one linear solve of their stacked
     ``equations``, whose particular solution is the point; with no
     equations at all every flat is the whole space and the point is the
-    first base.  Any polytope puts the input on the hull-weight system of
-    the polytopes, one group each, with one more row per flat equation
-    over group 0's weights: the normal's dot product with each generator
-    of the first polytope.  The point is the first polytope's combination.
+    first base.  Any polytope puts the input on ``exactla.hull_weights`` of
+    the polytopes, one group each, with the flat equations on group 0, the
+    first polytope.  The point is the first polytope's combination.
     """
     bodies = list(bodies)
     if not bodies:
@@ -183,16 +157,10 @@ def common_point(bodies) -> Optional[QVector]:
         )
         return None if solution is None else solution.particular
 
-    first = polytopes[0].generators
-    rows, rhs = _hull_system([p.generators for p in polytopes], range(len(polytopes)))
-    padding = [_ZERO] * (len(rows[0]) - len(first))
-    for normal, value in equations:
-        rows.append([normal.dot(g) for g in first] + padding)
-        rhs.append(value)
-    solution = standard_form_feasible(rows, rhs)
-    if solution is None:
-        return None
-    return weighted_sum(solution[: len(first)], first)
+    weights = hull_weights(
+        [p.generators for p in polytopes], range(len(polytopes)), equations=equations
+    )
+    return None if weights is None else weighted_sum(weights[0], polytopes[0].generators)
 
 
 def affine_span(points) -> AffineFlat:

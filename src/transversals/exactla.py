@@ -51,6 +51,12 @@ class PreconditionError(ValueError):
     """A mathematical hypothesis required by an operation does not hold."""
 
 
+def check_budget(count: int, budget: int, subject: str, things: str) -> None:
+    """Refuse work of size ``count`` above ``budget`` before any of it starts."""
+    if count > budget:
+        raise MalformedInputError(f"{subject} has {count} {things}, above the budget of {budget}")
+
+
 def as_rational(value) -> Fraction:
     """Coerce an int or Fraction to Fraction; floats are rejected outright."""
     if isinstance(value, Fraction):
@@ -626,13 +632,15 @@ def _free_solution(constraints, dim: int) -> Optional[list]:
     return [solution[j] - solution[dim + j] for j in range(dim)]
 
 
-def _hull_system(blocks, groups, target=None) -> tuple:
-    """``(rows, rhs)`` of the hull-weight system; see ``convex.hull_weights``.
+def _hull_system(blocks, groups, target=None, equations=()) -> tuple:
+    """``(rows, rhs)`` of the hull-weight system; see ``hull_weights``.
 
     One weight column per generator, in block order; ``groups[i]`` is the
     group of block i.  Coordinate rows come first: group 0's combination
     equals ``target`` when one is given, and otherwise each other group's
     combination in turn.  One row per group then sums its weights to one.
+    Last, each ``(normal, value)`` of ``equations`` puts group 0's combination
+    on that hyperplane: ``normal . g`` under group 0's generators ``g``.
     """
     columns = [(group, g) for block, group in zip(blocks, groups) for g in block]
     count = max(groups) + 1
@@ -656,6 +664,9 @@ def _hull_system(blocks, groups, target=None) -> tuple:
     for index in range(count):
         rows.append([_ONE if group == index else _ZERO for group, _ in columns])
         rhs.append(_ONE)
+    for normal, value in equations:
+        rows.append([normal.dot(g) if group == 0 else _ZERO for group, g in columns])
+        rhs.append(value)
     return rows, rhs
 
 
@@ -667,6 +678,21 @@ def _per_block(solution, blocks) -> list:
         weights.append(solution[at : at + len(block)])
         at += len(block)
     return weights
+
+
+def hull_weights(blocks, groups, target=None, equations=()) -> Optional[list]:
+    """Convex weights, one list per block, under which the pooled group
+    hulls meet (``_hull_system``), or None: the one-way answer.
+
+    ``blocks`` are generator sequences in column order and ``groups[i]`` is
+    the group, 0, 1, ..., of block i.  Polytope membership, intersections
+    with polytopes and the join certificate's origin audit ask it; the
+    partition scan asks ``hull_certificate``, which also answers "no".
+    """
+    solution = standard_form_feasible(*_hull_system(blocks, groups, target, equations))
+    if solution is None:
+        return None
+    return _per_block(solution, blocks)
 
 
 def hull_certificate(blocks, groups) -> tuple:

@@ -24,6 +24,7 @@ from .exactla import (
     MalformedInputError,
     QMatrix,
     QVector,
+    check_budget,
     independent_subsets,
     rank,
     solve_linear,
@@ -46,6 +47,14 @@ TRUNCATED = "truncated"
 # 2n+m points have C(2n+m, n+m) of them, which --ks 1,1,1,1,1,1,1,1,1,1
 # takes to 30045015.
 _SUBSET_BUDGET = 100_000
+
+# Highest ambient dimension a generator may sample in; the budgets on counts
+# do not bound it, and --ks 26,26,26 passes them in dimension 81.
+_DIMENSION_BUDGET = 16
+
+# Side of the counterexample sampler's coordinate box, and its attempts.
+_BOX_SIDE = 1000
+_MAX_TRIES = 200
 
 
 class GeneralPositionError(ValueError):
@@ -94,17 +103,15 @@ class CounterexampleInstance:
 
 def _check_counterexample_budgets(ks) -> None:
     """Raise MalformedInputError when the construction for ``ks`` would
-    rank-check more than ``_SUBSET_BUDGET`` point subsets or solve more
-    than the colorful check's budget of member tuples."""
+    rank-check more than ``_SUBSET_BUDGET`` point subsets, solve more than
+    the colorful check's budget of member tuples, or live in more than
+    ``_DIMENSION_BUDGET`` dimensions; checked in that order."""
     n = len(ks)
     m = sum(ks)
     subsets = math.comb(2 * n + m, n + m)
-    if subsets > _SUBSET_BUDGET:
-        raise MalformedInputError(
-            f"the counterexample has {subsets} point subsets to rank-check, "
-            f"above the budget of {_SUBSET_BUDGET}"
-        )
+    check_budget(subsets, _SUBSET_BUDGET, "the counterexample", "point subsets to rank-check")
     _check_tuple_budget([k + 2 for k in ks], "the counterexample")
+    check_budget(n + m, _DIMENSION_BUDGET, "the counterexample", "ambient dimensions")
 
 
 def _difference_rows(points):
@@ -211,8 +218,8 @@ def counterexample_from_points(ks, points, representation: str = TRUNCATED) -> C
 
     Raises GeneralPositionError if any rank certificate fails; the
     rejection sampler in gen_counterexample relies on that.  Raises
-    MalformedInputError before any check when the subset or tuple count is
-    over its budget.
+    MalformedInputError before any check when the subset count, the tuple
+    count or the dimension is over its budget.
     """
     ks = list(ks)
     if not ks or any(k < 0 for k in ks):
@@ -249,20 +256,15 @@ def counterexample_from_points(ks, points, representation: str = TRUNCATED) -> C
     return CounterexampleInstance(instance, representation, tuple_points, certificate)
 
 
-def gen_counterexample(
-    ks,
-    seed: int,
-    representation: str = TRUNCATED,
-    box_side: int = 1000,
-    max_tries: int = 200,
-) -> CounterexampleInstance:
+def gen_counterexample(ks, seed: int, representation: str = TRUNCATED) -> CounterexampleInstance:
     """Sample an optimality instance at dimension n+m.
 
-    Integer coordinates are drawn uniformly from a box of the given side and
-    rejected until every general-position certificate passes.  Identical
-    (ks, seed, representation) arguments reproduce the instance exactly.
-    Raises MalformedInputError before sampling when the subset or tuple
-    count is over its budget.
+    Integer coordinates are drawn uniformly from a box of side ``_BOX_SIDE``
+    and rejected, at most ``_MAX_TRIES`` times, until every general-position
+    certificate passes.  Identical (ks, seed, representation) arguments
+    reproduce the instance exactly.  Raises MalformedInputError before
+    sampling when the subset count, the tuple count or the dimension is over
+    its budget.
     """
     ks = list(ks)
     n = len(ks)
@@ -272,8 +274,8 @@ def gen_counterexample(
     m = sum(ks)
     d = n + m
     rng = random.Random(derive_seed("counterexample", tuple(ks), seed))
-    half = box_side // 2
-    for _ in range(max_tries):
+    half = _BOX_SIDE // 2
+    for _ in range(_MAX_TRIES):
         points = [
             QVector(rng.randint(-half, half) for _ in range(d))
             for _ in range(2 * n + m)
@@ -283,7 +285,7 @@ def gen_counterexample(
         except GeneralPositionError:
             continue
     raise RetryExhaustedError(
-        f"no generic point set found in {max_tries} attempts (seed {seed})"
+        f"no generic point set found in {_MAX_TRIES} attempts (seed {seed})"
     )
 
 
@@ -342,8 +344,8 @@ def gen_planted(dim: int, ks, seed: int) -> Instance:
     A random k_1-flat is drawn, the first family's members each receive one
     point of it, and every member selected by a tuple shares that tuple's
     anchor point, so the colorful property holds as well.  Raises
-    MalformedInputError before sampling when the tuple count is over its
-    budget.
+    MalformedInputError before sampling when the tuple count or the
+    dimension is over its budget.
     """
     ks = list(ks)
     if not ks or any(k < 0 for k in ks):
@@ -351,6 +353,7 @@ def gen_planted(dim: int, ks, seed: int) -> Instance:
     if dim < 1 or dim < max(ks):
         raise MalformedInputError("ambient dimension too small for the targets")
     _check_tuple_budget([k + 2 for k in ks], "the planted instance")
+    check_budget(dim, _DIMENSION_BUDGET, "the planted instance", "ambient dimensions")
     rng = random.Random(derive_seed("planted", dim, tuple(ks), seed))
 
     def random_point(spread=20):
@@ -404,8 +407,8 @@ def gen_colorful_random(ks, seed: int) -> Instance:
     Each tuple draws an anchor that becomes a generator of every member the
     tuple selects; members may gain a few noise generators inside twice
     their bounding box.  Anchor membership is re-verified before returning.
-    Raises MalformedInputError before sampling when the tuple count is over
-    its budget.
+    Raises MalformedInputError before sampling when the tuple count or the
+    dimension is over its budget.
     """
     ks = list(ks)
     n = len(ks)
@@ -415,6 +418,7 @@ def gen_colorful_random(ks, seed: int) -> Instance:
     if dim < 1:
         raise MalformedInputError("single family with k=0 has no ambient dimension")
     _check_tuple_budget([k + 2 for k in ks], "the random instance")
+    check_budget(dim, _DIMENSION_BUDGET, "the random instance", "ambient dimensions")
     rng = random.Random(derive_seed("colorful-random", tuple(ks), seed))
 
     anchors = {

@@ -26,7 +26,7 @@ from .convex import (
     contains,
     weighted_sum,
 )
-from .exactla import MalformedInputError, QVector, _ZERO, hull_certificate
+from .exactla import MalformedInputError, QVector, _ZERO, check_budget, hull_certificate
 
 # Most canonical partitions one family may enumerate, one LP each; a family
 # of k + 2 members has 2^(k+1) - 1 of them, so k = 16 is the first above.
@@ -128,11 +128,7 @@ def partitions(size: int):
     if size < 2:
         raise MalformedInputError("partitions need size >= 2")
     count = 2 ** (size - 1) - 1
-    if count > _PARTITION_BUDGET:
-        raise MalformedInputError(
-            f"a family of {size} members has {count} partitions, "
-            f"above the budget of {_PARTITION_BUDGET}"
-        )
+    check_budget(count, _PARTITION_BUDGET, f"a family of {size} members", "partitions")
     rest = tuple(range(2, size + 1))
     result = []
     for a_size in range(1, size):
@@ -276,11 +272,7 @@ def _member_tuples(sizes):
 def _check_tuple_budget(sizes, work: str) -> None:
     """Raise MalformedInputError when ``work`` would enumerate more than
     ``_TUPLE_BUDGET`` member tuples; ``sizes`` are the member counts."""
-    count = math.prod(sizes)
-    if count > _TUPLE_BUDGET:
-        raise MalformedInputError(
-            f"{work} has {count} member tuples, above the budget of {_TUPLE_BUDGET}"
-        )
+    check_budget(math.prod(sizes), _TUPLE_BUDGET, work, "member tuples")
 
 
 def check_colorful(instance: Instance) -> ColorfulReport:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from transversals import convex as convex_module
+from transversals import exactla as exactla_module
 from transversals.certificate import (
     _AUDIT_STRIDE,
     CERTIFICATE_COMPLETE,
@@ -366,7 +366,7 @@ class TestVerifyClaim:
 
     def test_origin_in_hull_checks_the_weights(self, monkeypatch):
         monkeypatch.setattr(
-            convex_module,
+            exactla_module,
             "standard_form_feasible",
             lambda rows, rhs: [Fraction(1, 2), Fraction(1, 2)],
         )

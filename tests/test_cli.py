@@ -31,7 +31,6 @@ from transversals.cli import (
 )
 from transversals import certificate as certificate_module
 from transversals import cli as cli_module
-from transversals import convex as convex_module
 from transversals import generators as generators_module
 from transversals import transversal as transversal_module
 from transversals.certificate import CertificateInconsistencyError, ColorfulViolationError
@@ -593,7 +592,7 @@ class TestEnumerationBudgets:
         assert main(["transversal", path, "--family", "1"]) == EXIT_NEGATIVE
         capsys.readouterr()
         monkeypatch.setattr(transversal_module, "_PARTITION_BUDGET", 2)
-        monkeypatch.setattr(convex_module, "standard_form_feasible", self.forbidden)
+        monkeypatch.setattr(transversal_module, "hull_certificate", self.forbidden)
         assert main(["transversal", path, "--family", "1"]) == EXIT_PRECONDITION
         printed = capsys.readouterr().out
         assert "3 partitions" in printed and "budget of 2" in printed
@@ -673,6 +672,55 @@ class TestEnumerationBudgets:
         assert not (tmp_path / "above.json").exists()
         with pytest.raises(MalformedInputError, match="9 member tuples"):
             counterexample_from_points([1, 1], [vec(0, 0, 0, 0)] * 6)
+
+    @pytest.mark.parametrize(
+        "kind, at_limit, above",
+        [
+            ("counterexample", ([15], 0), ([16], 0)),
+            ("random", ([16], 0), ([17], 0)),
+            ("planted", (16, [1, 1], 0), (17, [1, 1], 0)),
+        ],
+    )
+    def test_generator_dimension_limit_is_inclusive_and_checked_first(
+        self, kind, at_limit, above, monkeypatch
+    ):
+        generate = {
+            "counterexample": generators_module.gen_counterexample,
+            "random": generators_module.gen_colorful_random,
+            "planted": generators_module.gen_planted,
+        }[kind]
+        assert generators_module._DIMENSION_BUDGET == 16
+        self.forbid_generator_work(monkeypatch)
+        with pytest.raises(AssertionError, match="work started"):
+            generate(*at_limit)
+        with pytest.raises(MalformedInputError, match="17 ambient dimensions"):
+            generate(*above)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["counterexample", "--ks", "26,26,26"],
+                "the counterexample has 81 ambient dimensions, above the budget of 16",
+            ),
+            (
+                ["random", "--ks", "99998"],
+                "the random instance has 99998 ambient dimensions, above the budget of 16",
+            ),
+            (
+                ["planted", "--ks", "1,1", "--dim", "1000"],
+                "the planted instance has 1000 ambient dimensions, above the budget of 16",
+            ),
+        ],
+    )
+    def test_generator_dimension_limit_exits_two_before_sampling(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        self.forbid_generator_work(monkeypatch)
+        out = tmp_path / "inst.json"
+        assert main(["generate", *argv, "--seed", "5", "--out", str(out)]) == EXIT_PRECONDITION
+        assert capsys.readouterr().out.splitlines() == [f"error: {message}"]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEntryPoint:

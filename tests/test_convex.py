@@ -10,13 +10,13 @@ from transversals.convex import (
     affine_span,
     common_point,
     contains,
-    hull_weights,
     weighted_sum,
 )
 from transversals.exactla import (
     MalformedInputError,
     QMatrix,
     QVector,
+    hull_weights,
     rank,
     solve_linear,
     standard_form_feasible,

@@ -252,12 +252,14 @@ class TestGenCounterexample:
             ce = gen_counterexample(list(ks), seed)
             assert all(c.passed for c in verify_counterexample(ce))
 
-    def test_retry_budget(self):
+    def test_retry_budget(self, monkeypatch):
         from transversals.generators import RetryExhaustedError
 
         # a zero-size box makes every draw degenerate
-        with pytest.raises(RetryExhaustedError):
-            gen_counterexample([0, 0], seed=0, box_side=0, max_tries=3)
+        monkeypatch.setattr(generators, "_BOX_SIDE", 0)
+        monkeypatch.setattr(generators, "_MAX_TRIES", 3)
+        with pytest.raises(RetryExhaustedError, match="in 3 attempts"):
+            gen_counterexample([0, 0], seed=0)
 
     def test_truncated_members_lie_on_their_fibers(self):
         flats_ce = gen_counterexample([1, 1], seed=2, representation=FLATS)
