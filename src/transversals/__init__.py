@@ -8,15 +8,11 @@ over joins of subset chain complexes.  All arithmetic is exact rational.
 """
 
 from .exactla import (
-    LinearConstraint,
     LinearSolution,
     MalformedInputError,
     PreconditionError,
-    QMatrix,
     QVector,
-    Relation,
     format_rational,
-    lp_feasible,
     parse_rational,
     positive_functional,
     rank,

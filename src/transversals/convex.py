@@ -16,9 +16,7 @@ from typing import Optional, Union
 
 from .exactla import (
     MalformedInputError,
-    QMatrix,
     QVector,
-    _ONE,
     _ZERO,
     _reduced_echelon,
     hull_weights,
@@ -77,7 +75,7 @@ class AffineFlat:
         for d in dirs:
             if d.dim != base.dim:
                 raise MalformedInputError("flat directions have mixed dimensions")
-        if dirs and rank(QMatrix(dirs)) != len(dirs):
+        if dirs and rank(dirs) != len(dirs):
             raise MalformedInputError("flat directions are linearly dependent")
 
     @property
@@ -91,14 +89,8 @@ class AffineFlat:
 
     @cached_property
     def equations(self) -> tuple:
-        if self.directions:
-            zero = QVector([_ZERO] * len(self.directions))
-            normals = solve_linear(QMatrix(self.directions), zero).kernel_basis
-        else:
-            normals = tuple(
-                QVector(_ONE if r == c else _ZERO for c in range(self.dim))
-                for r in range(self.dim)
-            )
+        # The kernel of one zero row is the identity rows, in order.
+        normals = solve_linear(self.directions or [[_ZERO] * self.dim]).kernel_basis
         return tuple((normal, normal.dot(self.base)) for normal in normals)
 
 
@@ -151,11 +143,9 @@ def common_point(bodies) -> Optional[QVector]:
     if not polytopes:
         if not equations:
             return bodies[0].base
-        solution = solve_linear(
-            QMatrix(normal for normal, _ in equations),
-            QVector(value for _, value in equations),
-        )
-        return None if solution is None else solution.particular
+        normals, values = zip(*equations)
+        solution = solve_linear(normals, [values])
+        return None if solution is None else solution.particulars[0]
 
     weights = hull_weights(
         [p.generators for p in polytopes], range(len(polytopes)), equations=equations

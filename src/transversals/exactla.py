@@ -51,9 +51,19 @@ class PreconditionError(ValueError):
     """A mathematical hypothesis required by an operation does not hold."""
 
 
-def check_budget(count: int, budget: int, subject: str, things: str) -> None:
-    """Refuse work of size ``count`` above ``budget`` before any of it starts."""
-    if count > budget:
+# Largest count a budget check forms in full; every budget is far below it.
+_COUNT_LIMIT = 10**18
+
+
+def check_budget(counts, budget: int, subject: str, things: str) -> None:
+    """Refuse work above ``budget`` items before any of it starts.  ``counts``
+    are nondecreasing partial counts that end in the count; none is read past
+    ``_COUNT_LIMIT``, and such a count shows as "more than ``budget``"."""
+    for count in counts:
+        if count > _COUNT_LIMIT:
+            count = f"more than {budget}"
+            break
+    if isinstance(count, str) or count > budget:
         raise MalformedInputError(f"{subject} has {count} {things}, above the budget of {budget}")
 
 
@@ -74,16 +84,17 @@ def _over_digit_limit(what: str) -> MalformedInputError:
     return MalformedInputError(f"{what} exceeds the {limit}-digit integer string limit")
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: Fraction, what: str = "result") -> str:
     """Wire format: ``"3"`` for integers, ``"p/q"`` (q > 0, reduced) otherwise.
-    Refused with MalformedInputError above ``sys.get_int_max_str_digits()``."""
+    Refused with MalformedInputError naming ``what`` above
+    ``sys.get_int_max_str_digits()``."""
     value = as_rational(value)
     try:
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     except ValueError as exc:
-        raise _over_digit_limit("result") from exc
+        raise _over_digit_limit(what) from exc
 
 
 def parse_rational(text: str) -> Fraction:
@@ -178,47 +189,17 @@ class QVector:
         return "QVector(%s)" % ", ".join(format_rational(e) for e in self.entries)
 
 
-class QMatrix:
-    """Dense rectangular matrix of exact rationals, stored by rows."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable) -> None:
-        rs = tuple(r if isinstance(r, QVector) else QVector(r) for r in rows)
-        if not rs:
-            raise MalformedInputError("matrix needs at least one row")
-        if len({r.dim for r in rs}) != 1:
-            raise MalformedInputError("matrix rows have unequal lengths")
-        object.__setattr__(self, "rows", rs)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def num_cols(self) -> int:
-        return self.rows[0].dim
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
-
-    def __repr__(self) -> str:
-        return "QMatrix(%s)" % ", ".join(repr(r) for r in self.rows)
-
-
 def _integer_rows(rows) -> tuple:
     """The rows times ``scale``, the lcm of all their denominators, as lists
-    of ints; returns ``(table, scale)``.
+    of ints; returns ``(table, scale)``.  ``rows`` is any iterable of
+    QVectors or rational sequences, read once; unequal lengths are refused.
 
     One scale for the whole system keeps every ratio between entries, in a
     row and across rows, as it was.
     """
+    rows = list(rows)
+    if len({len(row) for row in rows}) > 1:
+        raise MalformedInputError("rows have unequal lengths")
     scale = math.lcm(*{v.denominator for row in rows for v in row})
     table = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
     return table, scale
@@ -263,9 +244,9 @@ def _reduced_echelon(rows) -> tuple:
     return pivots, table, denominator
 
 
-def rank(matrix: QMatrix) -> int:
-    """Exact rank via fraction-free Gaussian elimination."""
-    return len(_reduced_echelon([row.entries for row in matrix.rows])[0])
+def rank(rows) -> int:
+    """Exact rank of the rows via fraction-free Gaussian elimination."""
+    return len(_reduced_echelon(rows)[0])
 
 
 def independent_subsets(rows, size: int):
@@ -311,67 +292,47 @@ def independent_subsets(rows, size: int):
 
 
 class LinearSolution(NamedTuple):
-    particular: QVector
+    particulars: tuple  # one QVector per right-hand side, in order
     kernel_basis: tuple
 
 
-def solve_linear(matrix: QMatrix, rhs: QVector) -> Optional[LinearSolution]:
-    """Solve ``matrix @ x = rhs`` exactly.
+def solve_linear(rows, rhs_columns=()) -> Optional[LinearSolution]:
+    """Solve ``rows @ x = b`` exactly for every ``b`` in ``rhs_columns``.
 
-    Returns one particular solution (free variables pinned to zero) together
-    with a basis of the homogeneous solution space, or None when the system
-    is inconsistent.
+    The rows and the columns are QVectors or rational sequences, each
+    iterable read once.  One elimination of ``[rows | b_1 ... b_t]`` serves
+    every column.  Returns one particular solution per column, in order,
+    with the free variables pinned to zero, together with a basis of the
+    homogeneous solutions; with no columns, the kernel alone.  Returns None
+    as soon as a pivot lands in a right-hand-side column: that column is
+    inconsistent, and its row operations mix the later columns.
     """
-    if rhs.dim != matrix.num_rows:
+    rows = list(rows)
+    if not rows:
+        raise MalformedInputError("a linear system needs at least one row")
+    rhs_columns = list(rhs_columns)
+    if any(len(b) != len(rows) for b in rhs_columns):
         raise MalformedInputError("right-hand side length does not match row count")
-    n = matrix.num_cols
+    n = len(rows[0])
     pivots, table, denominator = _reduced_echelon(
-        [list(row.entries) + [b] for row, b in zip(matrix.rows, rhs)]
+        [list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(rows)]
     )
-    if pivots and pivots[-1] == n:
+    if pivots and pivots[-1] >= n:
         return None
-    particular = [_ZERO] * n
-    for r, c in enumerate(pivots):
-        particular[c] = Fraction(table[r][n], denominator)
-    pivot_set = set(pivots)
+    particulars = []
+    for column in range(n, n + len(rhs_columns)):
+        particular = [_ZERO] * n
+        for r, c in enumerate(pivots):
+            particular[c] = Fraction(table[r][column], denominator)
+        particulars.append(QVector(particular))
     kernel = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(n)) - set(pivots)):
         vec = [_ZERO] * n
         vec[free] = _ONE
         for r, c in enumerate(pivots):
             vec[c] = Fraction(-table[r][free], denominator)
         kernel.append(QVector(vec))
-    return LinearSolution(QVector(particular), tuple(kernel))
-
-
-def solve_square(matrix: QMatrix, rhs_columns) -> Optional[list]:
-    """The unique solution of ``matrix @ x = b`` for every ``b`` in
-    ``rhs_columns``, in order, or None when the square matrix is singular.
-
-    One elimination serves every right-hand side: ``[matrix | b_1 ... b_t]``
-    is brought to reduced row echelon form, and when the matrix block
-    becomes the identity, column ``n + t`` holds solution ``t``.  A singular
-    matrix leaves every system without a unique solution, consistent or not.
-    """
-    n = matrix.num_rows
-    if matrix.num_cols != n:
-        raise MalformedInputError("solve_square needs a square matrix")
-    if any(b.dim != n for b in rhs_columns):
-        raise MalformedInputError("right-hand side length does not match row count")
-    pivots, table, denominator = _reduced_echelon(
-        [
-            list(row.entries) + [b[i] for b in rhs_columns]
-            for i, row in enumerate(matrix.rows)
-        ]
-    )
-    if pivots != list(range(n)):
-        return None
-    return [
-        QVector(Fraction(table[r][n + t], denominator) for r in range(n))
-        for t in range(len(rhs_columns))
-    ]
+    return LinearSolution(tuple(particulars), tuple(kernel))
 
 
 class Relation(Enum):

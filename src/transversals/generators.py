@@ -22,13 +22,11 @@ from fractions import Fraction
 from .convex import AffineFlat, VPolytope
 from .exactla import (
     MalformedInputError,
-    QMatrix,
     QVector,
     check_budget,
     independent_subsets,
     rank,
     solve_linear,
-    solve_square,
 )
 from .reporting import CheckRecord
 from .transversal import (
@@ -108,10 +106,11 @@ def _check_counterexample_budgets(ks) -> None:
     ``_DIMENSION_BUDGET`` dimensions; checked in that order."""
     n = len(ks)
     m = sum(ks)
-    subsets = math.comb(2 * n + m, n + m)
+    # C(2n+m, n+m) = C(2n+m, n), the last of the growing C(n+m+i, i).
+    subsets = (math.comb(n + m + i, i) for i in range(n + 1))
     check_budget(subsets, _SUBSET_BUDGET, "the counterexample", "point subsets to rank-check")
     _check_tuple_budget([k + 2 for k in ks], "the counterexample")
-    check_budget(n + m, _DIMENSION_BUDGET, "the counterexample", "ambient dimensions")
+    check_budget([n + m], _DIMENSION_BUDGET, "the counterexample", "ambient dimensions")
 
 
 def _difference_rows(points):
@@ -120,7 +119,7 @@ def _difference_rows(points):
 
 
 def _homogenized_rank(points) -> int:
-    return rank(QMatrix(QVector(list(p.entries) + [1]) for p in points))
+    return rank(list(p.entries) + [1] for p in points)
 
 
 def _general_position_checks(ks, points):
@@ -138,10 +137,10 @@ def _general_position_checks(ks, points):
     Family rows are one difference-row matrix per family (a basis of the
     group's span directions).  A tuple's system stacks every family's
     orthogonality equations ``row . x = row . anchor``; the stacked matrix
-    is square and the same for every tuple, so one ``solve_square`` answers
-    all of them.  Full rank gives each tuple its unique intersection point,
-    which is the genericity the construction actually uses; a singular
-    matrix fails every tuple.
+    is square and the same for every tuple, so one ``solve_linear`` with one
+    right-hand side per tuple answers all of them.  Full rank gives each
+    tuple its unique intersection point, which is the genericity the
+    construction actually uses; a singular matrix fails every tuple.
     """
     n = len(ks)
     m = sum(ks)
@@ -178,22 +177,23 @@ def _general_position_checks(ks, points):
         for rows, group in zip(family_rows, parts)
     ]
     selectors = list(_member_tuples(k + 2 for k in ks))
-    solutions = solve_square(
-        QMatrix(row for rows in family_rows for row in rows),
-        [
-            QVector(b for i, choice in enumerate(selector) for b in rhs[i][choice - 1])
+    solution = solve_linear(
+        (row for rows in family_rows for row in rows),
+        (
+            [b for i, choice in enumerate(selector) for b in rhs[i][choice - 1]]
             for selector in selectors
-        ],
+        ),
     )
+    unique = solution is not None and not solution.kernel_basis
     for selector in selectors:
         checks.append(
             CheckRecord(
                 "tuple-intersection-unique",
                 "tuple=(%s)" % ",".join(str(c) for c in selector),
-                solutions is not None,
+                unique,
             )
         )
-    tuple_points = dict(zip(selectors, solutions or ()))
+    tuple_points = dict(zip(selectors, solution.particulars)) if unique else {}
 
     ok = all(c.passed for c in checks)
     return ok, checks, parts, family_rows, tuple_points
@@ -247,9 +247,8 @@ def counterexample_from_points(ks, points, representation: str = TRUNCATED) -> C
         for i, group in enumerate(parts):
             # Every fiber of a group has the same direction space, the kernel
             # of the group's difference rows; only its base point moves.
-            span_rows = family_rows[i]
-            kernel = solve_linear(QMatrix(span_rows), QVector([0] * len(span_rows)))
-            fibers = tuple(AffineFlat(anchor, kernel.kernel_basis) for anchor in group)
+            kernel = solve_linear(family_rows[i]).kernel_basis
+            fibers = tuple(AffineFlat(anchor, kernel) for anchor in group)
             families.append(Family(ks[i], fibers))
 
     instance = Instance(d, tuple(families))
@@ -353,7 +352,7 @@ def gen_planted(dim: int, ks, seed: int) -> Instance:
     if dim < 1 or dim < max(ks):
         raise MalformedInputError("ambient dimension too small for the targets")
     _check_tuple_budget([k + 2 for k in ks], "the planted instance")
-    check_budget(dim, _DIMENSION_BUDGET, "the planted instance", "ambient dimensions")
+    check_budget([dim], _DIMENSION_BUDGET, "the planted instance", "ambient dimensions")
     rng = random.Random(derive_seed("planted", dim, tuple(ks), seed))
 
     def random_point(spread=20):
@@ -364,7 +363,7 @@ def gen_planted(dim: int, ks, seed: int) -> Instance:
     while len(directions) < ks[0]:
         candidate = QVector(rng.randint(-5, 5) for _ in range(dim))
         trial = directions + [candidate]
-        if rank(QMatrix(trial)) == len(trial):
+        if rank(trial) == len(trial):
             directions.append(candidate)
 
     planted = []
@@ -418,7 +417,7 @@ def gen_colorful_random(ks, seed: int) -> Instance:
     if dim < 1:
         raise MalformedInputError("single family with k=0 has no ambient dimension")
     _check_tuple_budget([k + 2 for k in ks], "the random instance")
-    check_budget(dim, _DIMENSION_BUDGET, "the random instance", "ambient dimensions")
+    check_budget([dim], _DIMENSION_BUDGET, "the random instance", "ambient dimensions")
     rng = random.Random(derive_seed("colorful-random", tuple(ks), seed))
 
     anchors = {

@@ -13,7 +13,7 @@ rounded.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,7 +26,14 @@ from .convex import (
     contains,
     weighted_sum,
 )
-from .exactla import MalformedInputError, QVector, _ZERO, check_budget, hull_certificate
+from .exactla import (
+    MalformedInputError,
+    QVector,
+    _ZERO,
+    check_budget,
+    format_rational,
+    hull_certificate,
+)
 
 # Most canonical partitions one family may enumerate, one LP each; a family
 # of k + 2 members has 2^(k+1) - 1 of them, so k = 16 is the first above.
@@ -127,8 +134,8 @@ def partitions(size: int):
     ``_PARTITION_BUDGET``."""
     if size < 2:
         raise MalformedInputError("partitions need size >= 2")
-    count = 2 ** (size - 1) - 1
-    check_budget(count, _PARTITION_BUDGET, f"a family of {size} members", "partitions")
+    counts = (2**j - 1 for j in range(size))
+    check_budget(counts, _PARTITION_BUDGET, f"a family of {size} members", "partitions")
     rest = tuple(range(2, size + 1))
     result = []
     for a_size in range(1, size):
@@ -187,7 +194,7 @@ def scan_partitions(family: Family) -> PartitionScan:
     size = family.k + 2
     if len(family.bodies) != size:
         raise MalformedInputError(
-            f"need exactly k+2 = {size} members, got {len(family.bodies)}"
+            f"need exactly k+2 = {format_rational(size, 'k+2')} members, got {len(family.bodies)}"
         )
     members = family.bodies
     blocks = [member.generators for member in members]
@@ -272,7 +279,8 @@ def _member_tuples(sizes):
 def _check_tuple_budget(sizes, work: str) -> None:
     """Raise MalformedInputError when ``work`` would enumerate more than
     ``_TUPLE_BUDGET`` member tuples; ``sizes`` are the member counts."""
-    check_budget(math.prod(sizes), _TUPLE_BUDGET, work, "member tuples")
+    counts = itertools.accumulate(sizes, operator.mul, initial=1)
+    check_budget(counts, _TUPLE_BUDGET, work, "member tuples")
 
 
 def check_colorful(instance: Instance) -> ColorfulReport:
@@ -319,12 +327,14 @@ def verify_theorem(instance: Instance) -> TheoremReport:
     expected_dim = n + m - 1
     if instance.dim != expected_dim:
         raise TheoremPreconditionError(
-            f"theorem mode needs dimension {expected_dim}, instance has {instance.dim}"
+            f"theorem mode needs dimension {format_rational(expected_dim, 'n+m-1')}, "
+            f"instance has {instance.dim}"
         )
     for i, fam in enumerate(instance.families, start=1):
         if len(fam.bodies) != fam.k + 2:
             raise TheoremPreconditionError(
-                f"family {i} needs {fam.k + 2} members, has {len(fam.bodies)}"
+                f"family {i} needs {format_rational(fam.k + 2, 'k+2')} members, "
+                f"has {len(fam.bodies)}"
             )
     colorful = check_colorful(instance)
     if not colorful.holds:

@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -721,6 +722,71 @@ class TestEnumerationBudgets:
         assert main(["generate", *argv, "--seed", "5", "--out", str(out)]) == EXIT_PRECONDITION
         assert capsys.readouterr().out.splitlines() == [f"error: {message}"]
         assert list(tmp_path.iterdir()) == []
+
+
+def one_body_doc(k):
+    """A one-family instance on the line whose ``k`` is given as JSON text."""
+    return (
+        '{"dimension": 1, "families": [{"k": %s, "sets": '
+        '[{"type": "vpolytope", "points": [["0"]]}]}]}' % k
+    )
+
+
+class TestOversizedCounts:
+    """A count far above its budget is neither formed nor printed in full:
+    each of these exits 2 with one ``error:`` line, and quickly."""
+
+    MORE_THAN_JOIN = (
+        "the certificate join has more than 100000 maximal simplices, "
+        "above the budget of 100000"
+    )
+
+    def refuse(self, argv, capsys):
+        started = time.perf_counter()
+        assert main(argv) == EXIT_PRECONDITION
+        assert time.perf_counter() - started < 1.0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    @pytest.mark.parametrize("k", ["100000", "100000000", "9" * 4300])
+    def test_certificate_join(self, k, tmp_path, capsys):
+        path = tmp_path / "big_k.json"
+        path.write_text(one_body_doc(k))
+        line = self.refuse(["certificate", str(path)], capsys)
+        assert line == f"error: {self.MORE_THAN_JOIN}"
+
+    def test_transversal_member_count(self, tmp_path, capsys):
+        path = tmp_path / "big_k.json"
+        path.write_text(one_body_doc("9" * 4300))
+        line = self.refuse(["transversal", str(path), "--family", "1"], capsys)
+        assert line == "error: k+2 exceeds the 4300-digit integer string limit"
+
+    def test_counterexample_subsets(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        ks = ",".join(["1"] * 6000)
+        argv = ["generate", "counterexample", "--ks", ks, "--seed", "0", "--out", str(out)]
+        line = self.refuse(argv, capsys)
+        assert line == (
+            "error: the counterexample has more than 100000 point subsets to "
+            "rank-check, above the budget of 100000"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_theorem_dimension(self, tmp_path, capsys):
+        body = '{"type": "vpolytope", "points": [["0"]]}'
+        family = '{"k": %s, "sets": [%s]}' % ("9" * 4300, body)
+        path = tmp_path / "big_k.json"
+        path.write_text('{"dimension": 1, "families": [%s, %s]}' % (family, family))
+        line = self.refuse(["verify-theorem", str(path)], capsys)
+        assert line == "error: n+m-1 exceeds the 4300-digit integer string limit"
+
+    def test_counts_below_the_limit_stay_exact(self, monkeypatch):
+        monkeypatch.setattr(transversal_module, "_PARTITION_BUDGET", 10)
+        with pytest.raises(MalformedInputError, match="has 131071 partitions"):
+            partitions(18)
+        with pytest.raises(MalformedInputError, match="has more than 10 partitions"):
+            partitions(10**6)
 
 
 class TestEntryPoint:

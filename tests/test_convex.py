@@ -14,7 +14,6 @@ from transversals.convex import (
 )
 from transversals.exactla import (
     MalformedInputError,
-    QMatrix,
     QVector,
     hull_weights,
     rank,
@@ -187,8 +186,8 @@ def reference_flat_contains(flat, point):
     the directions."""
     if not flat.directions:
         return point == flat.base
-    matrix = QMatrix(QVector(d[c] for d in flat.directions) for c in range(flat.dim))
-    return solve_linear(matrix, point - flat.base) is not None
+    columns = zip(*flat.directions)
+    return solve_linear(columns, [point - flat.base]) is not None
 
 
 def reference_common_point(bodies):
@@ -213,8 +212,8 @@ def reference_common_point(bodies):
                 rows.append(row)
                 rhs.append(flat.base[c])
             at += flat.dimension
-        solution = solve_linear(QMatrix(rows), QVector(rhs))
-        return None if solution is None else QVector(solution.particular.entries[:d])
+        solution = solve_linear(rows, [rhs])
+        return None if solution is None else QVector(solution.particulars[0].entries[:d])
     if not flats:
         weights = hull_weights([p.generators for p in polytopes], range(len(polytopes)))
         return None if weights is None else weighted_sum(weights[0], polytopes[0].generators)
@@ -262,7 +261,7 @@ def random_directions(rng, dim, count, entry):
     """``count`` independent random directions in dimension ``dim``."""
     while True:
         dirs = [QVector(entry() for _ in range(dim)) for _ in range(count)]
-        if not dirs or rank(QMatrix(dirs)) == count:
+        if not dirs or rank(dirs) == count:
             return tuple(dirs)
 
 

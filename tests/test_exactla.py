@@ -10,7 +10,6 @@ from transversals.exactla import (
     LinearConstraint,
     MalformedInputError,
     PreconditionError,
-    QMatrix,
     QVector,
     Relation,
     _integer_rows,
@@ -24,7 +23,6 @@ from transversals.exactla import (
     positive_functional,
     rank,
     solve_linear,
-    solve_square,
     strict_separation,
 )
 
@@ -93,41 +91,41 @@ class TestVectors:
 
 class TestSolveLinear:
     def test_identity(self):
-        solution = solve_linear(QMatrix([[1, 0], [0, 1]]), QVector([3, 5]))
-        assert solution.particular == QVector([3, 5])
+        solution = solve_linear([[1, 0], [0, 1]], [[3, 5]])
+        assert solution.particulars == (QVector([3, 5]),)
         assert solution.kernel_basis == ()
 
     def test_one_equation_one_free_direction(self):
-        solution = solve_linear(QMatrix([[1, 1]]), QVector([2]))
-        assert solution.particular == QVector([2, 0])
+        solution = solve_linear([[1, 1]], [[2]])
+        assert solution.particulars == (QVector([2, 0]),)
         assert len(solution.kernel_basis) == 1
         assert spans_same_line(solution.kernel_basis[0], QVector([1, -1]))
 
     def test_contradictory_rows(self):
-        assert solve_linear(QMatrix([[1, 0], [1, 0]]), QVector([0, 1])) is None
+        assert solve_linear([[1, 0], [1, 0]], [[0, 1]]) is None
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 4), st.integers(1, 4), st.data())
     def test_substitution_property(self, cols, rows, data):
-        matrix = QMatrix(
-            [data.draw(st.lists(rationals, min_size=cols, max_size=cols)) for _ in range(rows)]
-        )
+        matrix = [data.draw(vectors(cols)) for _ in range(rows)]
         x0 = data.draw(vectors(cols))
-        rhs = QVector(row.dot(x0) for row in matrix.rows)
-        solution = solve_linear(matrix, rhs)
+        rhs = QVector(row.dot(x0) for row in matrix)
+        solution = solve_linear(matrix, [rhs])
         assert solution is not None
-        assert QVector(row.dot(solution.particular) for row in matrix.rows) == rhs
+        (particular,) = solution.particulars
+        assert QVector(row.dot(particular) for row in matrix) == rhs
         for kvec in solution.kernel_basis:
-            assert all(row.dot(kvec) == 0 for row in matrix.rows)
+            assert all(row.dot(kvec) == 0 for row in matrix)
         assert len(solution.kernel_basis) == cols - rank(matrix)
 
 
 class TestRank:
     def test_examples(self):
-        assert rank(QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
-        assert rank(QMatrix([[1, 2], [2, 4]])) == 1
+        assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+        assert rank([[1, 2], [2, 4]]) == 1
+        assert rank([]) == 0
         # four planar points homogenized with a 1-column span the plane
-        homogenized = QMatrix([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 2, 1]])
+        homogenized = [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 2, 1]]
         assert rank(homogenized) == 3
 
     @settings(max_examples=60, deadline=None)
@@ -136,7 +134,7 @@ class TestRank:
         entries = [
             data.draw(st.lists(rationals, min_size=cols, max_size=cols)) for _ in range(rows)
         ]
-        assert rank(QMatrix(entries)) == rank(QMatrix(zip(*entries)))
+        assert rank(entries) == rank(zip(*entries))
 
 
 def random_rows(rng, count, width):
@@ -195,7 +193,7 @@ class TestIndependentSubsets:
     @staticmethod
     def reference(rows, size):
         return [
-            (subset, rank(QMatrix([rows[i] for i in subset])) == size)
+            (subset, rank(rows[i] for i in subset) == size)
             for subset in itertools.combinations(range(len(rows)), size)
         ]
 
@@ -284,34 +282,70 @@ class TestIndependentSubsets:
         assert list(independent_subsets([], 0)) == [((), True)]
 
 
-class TestSolveSquare:
+class TestSolveLinearColumns:
     """One elimination for many right-hand sides against one ``solve_linear``
-    per right-hand side."""
+    per right-hand side, on square and rectangular systems."""
 
-    def test_matches_solve_linear(self):
+    def test_matches_one_solve_per_column(self):
         rng = random.Random(21)
-        singular = 0
-        for _ in range(300):
-            n = rng.randint(1, 5)
-            matrix = QMatrix(random_rows(rng, n, n))
-            columns = [
-                QVector(random_rows(rng, 1, n)[0]) for _ in range(rng.randint(1, 6))
-            ]
-            solutions = solve_square(matrix, columns)
-            expected = [solve_linear(matrix, b) for b in columns]
-            if rank(matrix) < n:
-                singular += 1
-                assert solutions is None
-                assert all(s is None or s.kernel_basis for s in expected)
+        inconsistent = singular_consistent = unique = 0
+        for _ in range(400):
+            count, width = rng.randint(1, 5), rng.randint(1, 5)
+            rows = random_rows(rng, count, width)
+            columns = []
+            for _ in range(rng.randint(1, 5)):
+                if rng.random() < 0.6:
+                    # consistent by construction: rows @ x for a random x
+                    x = random_rows(rng, 1, width)[0]
+                    columns.append([sum(a * b for a, b in zip(row, x)) for row in rows])
+                else:
+                    columns.append(random_rows(rng, 1, count)[0])
+            solution = solve_linear(rows, columns)
+            expected = [solve_linear(rows, [b]) for b in columns]
+            if any(s is None for s in expected):
+                inconsistent += 1
+                assert solution is None
+                continue
+            assert solution.particulars == tuple(s.particulars[0] for s in expected)
+            assert all(s.kernel_basis == solution.kernel_basis for s in expected)
+            assert len(solution.kernel_basis) == width - rank(rows)
+            for particular, b in zip(solution.particulars, columns):
+                assert [QVector(row).dot(particular) for row in rows] == b
+            if solution.kernel_basis:
+                singular_consistent += 1
             else:
-                assert solutions == [s.particular for s in expected]
-        assert singular > 50
+                unique += 1
+        assert inconsistent > 50 and singular_consistent > 50 and unique > 50
+
+    def test_kernel_only(self):
+        solution = solve_linear([[1, 1, 0], [2, 2, 0]])
+        assert solution.particulars == ()
+        assert len(solution.kernel_basis) == 2
+        for kvec in solution.kernel_basis:
+            assert QVector([1, 1, 0]).dot(kvec) == 0
+        assert solve_linear([[1, 0], [0, 1]]) == ((), ())
+
+    def test_rows_and_columns_are_read_once(self):
+        rows = [[1, 2], [3, 4], [5, 6]]
+        columns = [[1, 3, 5], [2, 4, 6]]
+        once = solve_linear(iter(rows), (b for b in columns))
+        assert once == solve_linear(rows, columns)
+        assert once.particulars == (QVector([1, 0]), QVector([0, 1]))
+
+    def test_a_pivot_in_any_column_is_inconsistent(self):
+        # the first column is inconsistent, the second one consistent
+        assert solve_linear([[1], [1]], [[0, 1], [2, 2]]) is None
+        assert solve_linear([[1], [1]], [[2, 2], [0, 1]]) is None
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(MalformedInputError):
-            solve_square(QMatrix([[1, 0]]), [QVector([1])])
-        with pytest.raises(MalformedInputError):
-            solve_square(QMatrix([[1]]), [QVector([1, 2])])
+        with pytest.raises(MalformedInputError, match="right-hand side length"):
+            solve_linear([[1]], [QVector([1, 2])])
+        with pytest.raises(MalformedInputError, match="unequal lengths"):
+            solve_linear([[1, 0], [1]])
+        with pytest.raises(MalformedInputError, match="unequal lengths"):
+            rank([[1, 0], [1]])
+        with pytest.raises(MalformedInputError, match="at least one row"):
+            solve_linear([])
 
 
 class TestLpFeasible:

@@ -5,7 +5,7 @@ import pytest
 
 from transversals import generators
 from transversals.convex import VPolytope, contains
-from transversals.exactla import QMatrix, QVector, rank, solve_linear
+from transversals.exactla import QVector, rank, solve_linear
 from transversals.generators import (
     FLATS,
     TRUNCATED,
@@ -95,7 +95,7 @@ def reference_general_position_checks(ks, points):
     ``solve_linear`` per member tuple."""
 
     def homogenized_rank(group):
-        return rank(QMatrix(QVector(list(p.entries) + [1]) for p in group))
+        return rank(list(p.entries) + [1] for p in group)
 
     d = len(ks) + sum(ks)
     checks = []
@@ -123,12 +123,12 @@ def reference_general_position_checks(ks, points):
             for row in family_rows[i]:
                 rows.append(row)
                 rhs.append(row.dot(anchor))
-        solution = solve_linear(QMatrix(rows), QVector(rhs))
+        solution = solve_linear(rows, [rhs])
         unique = solution is not None and not solution.kernel_basis
         params = "tuple=(%s)" % ",".join(str(c) for c in selector)
         checks.append(CheckRecord("tuple-intersection-unique", params, unique))
         if unique:
-            tuple_points[selector] = solution.particular
+            tuple_points[selector] = solution.particulars[0]
     return checks, tuple(parts), family_rows, tuple_points
 
 
@@ -137,7 +137,7 @@ def reference_fiber_kernels(parts, family_rows):
     shared by each color group."""
     return [
         [
-            solve_linear(QMatrix(rows), QVector([row.dot(a) for row in rows])).kernel_basis
+            solve_linear(rows, [[row.dot(a) for row in rows]]).kernel_basis
             for a in group
         ]
         for rows, group in zip(family_rows, parts)
