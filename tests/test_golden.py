@@ -16,7 +16,8 @@ twin decides all 12 colourful tuples as intersections of affine flats, with
 no LP, and gets the same tuple points; ``transversal`` and ``certificate``
 refuse its flats with exit 2.  The ``--ks 2,2`` counterexample checks the
 claim on 576 join simplices, and both of its families have the same subsets,
-so the same separator keys.
+so the same separator keys.  The ``--ks 3,1`` counterexample checks the
+claim on 720 join simplices and audits 72 of them.
 
 Each pipeline also records every distinct ``(rows, rhs)`` system the
 phase-one simplex receives.  The digest of that sorted set is compared too,
@@ -81,6 +82,23 @@ JOIN = [
 JOIN_2_2 = [
     (
         ["generate", "counterexample", "--ks", "2,2", "--seed", "5", "--out", "inst.json"],
+        EXIT_OK,
+    ),
+    (["check-colorful", "inst.json", "--out", "colorful.json"], EXIT_OK),
+    (
+        ["transversal", "inst.json", "--family", "1", "--out", "family1.json"],
+        EXIT_NEGATIVE,
+    ),
+    (
+        ["transversal", "inst.json", "--family", "2", "--out", "family2.json"],
+        EXIT_NEGATIVE,
+    ),
+    (["certificate", "inst.json", "--out", "certificate.json"], EXIT_OK),
+]
+
+JOIN_3_1 = [
+    (
+        ["generate", "counterexample", "--ks", "3,1", "--seed", "5", "--out", "inst.json"],
         EXIT_OK,
     ),
     (["check-colorful", "inst.json", "--out", "colorful.json"], EXIT_OK),
@@ -192,6 +210,16 @@ GOLDEN = {
         "stdout": "1133eda8f8c1b5bc5354361cbd3acb3cced39a17fce0d983d21c6163bc863a34",
         "lp-systems": "e3cf2d49199515cf8c35c6f86661c133aeb74aa413f04312ec803ad7b3ba8804",
     },
+    "join-3-1": {
+        "inst.json": "280bd997be63734a43790831c4221eb07adc8d2f55a3b608098c3ced1e2ff24a",
+        "inst.json.cert.txt": "78c149a410781b254b88ac43d5ec3fa34aa97fc96b46d41ccf54d83da9b912f1",
+        "colorful.json": "4ad826a72f3a2e94b87d497720661b460d2a0da93e046d61d85600b3efb4998e",
+        "family1.json": "bc3e0390c13f17da6a9867a8fa1b3ef6a57881eeaf02ad228047e5676f328122",
+        "family2.json": "85ec5370632cf08c111d88f642fa7a104993e4514d1215ba02dd7458f0c41970",
+        "certificate.json": "9752da1fc848b1365904e11c8f3e8d7870f5ad372f08ee7b8296b18ea56663d9",
+        "stdout": "17b0b2da64a24737d2566db319a0c20a9e93cb64b8ab83fa066cca6aa6b51b81",
+        "lp-systems": "a5c7fc915f4dd91822976363c4f785d417b9e5b63cb05583cceb87ac6073d7ba",
+    },
     "generate": {
         "inst.json": "50ef0bf5148895b735a151f0f2227225dab40477be9f272e63949e4bae542f92",
         "inst.json.cert.txt": "a92c66d58895e8afe995059d9e39663ce97579f0006cd73d4682a2c63e11c7bb",
@@ -234,6 +262,7 @@ def sha256(data: bytes) -> str:
         ("generate-flats", GENERATE_FLATS),
         ("flats", FLATS),
         ("join-2-2", JOIN_2_2),
+        ("join-3-1", JOIN_3_1),
         ("generate-deep", GENERATE_DEEP),
     ],
 )
