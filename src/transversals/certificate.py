@@ -27,10 +27,10 @@ from .exactla import (
     QVector,
     _ZERO,
     check_budget,
+    check_two_sided,
     farkas_separator,
     format_rational,
     hull_weights,
-    positive_functional,
 )
 from .reporting import CheckRecord
 from .transversal import (
@@ -307,6 +307,23 @@ def _structural_checks(complexes, assignments):
     return checks, record
 
 
+def _dot_table(assignment: NormalAssignment, points) -> dict:
+    """Subset -> ``(normal, offset, dots)``, where ``dots`` maps each key of
+    ``points`` to the normal's inner product with that tuple point.  A
+    complementary pair costs one set of products: the complement's normal
+    is the exact negation, as the antipodality check has confirmed, so its
+    products are the negations."""
+    ground = frozenset(range(1, assignment.family_size + 1))
+    table = {}
+    for subset, (normal, offset) in assignment.normals.items():
+        if subset not in table:
+            dots = {key: normal.dot(point) for key, point in points.items()}
+            table[subset] = (normal, offset, dots)
+            negated = {key: -d for key, d in dots.items()}
+            table[ground - subset] = (*assignment.normals[ground - subset], negated)
+    return table
+
+
 def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
     """Check the origin-avoidance property on every maximal join simplex.
 
@@ -321,12 +338,17 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
     The straddling is checked once per (first tuple, last tuple) pair, not
     once per simplex.  In a family of ``k + 2`` members, the vertices on
     some maximal chain from ``{f}`` to the complement of ``{l}`` are exactly
-    the subsets that contain ``f`` and not ``l``, so one
-    ``positive_functional`` call over those separators of every family
-    checks the same bounds as all of the pair's simplices together, and
-    returns the same difference vector.  When a pair's call fails, each of
-    its simplices is checked on its own normals, in index order, so the
-    first failing simplex is the one reported.  Every tenth simplex is
+    the subsets that contain ``f`` and not ``l``, so one two-sided check
+    over those separators of every family checks the same bounds as all of
+    the pair's simplices together, and the functional is the same
+    difference vector.  The bounds are read from a table made once per
+    certificate (``_dot_table``: every separator against every tuple
+    point), and ``check_two_sided`` is the bound check
+    ``positive_functional`` makes, so failures read the same; the
+    difference's product with a normal is ``hi - lo`` by linearity, which
+    the check has shown positive.  When a pair's check fails, each of its
+    simplices is checked on its own normals, in index order, so the first
+    failing simplex is the one reported.  Every tenth simplex is
     audited independently: the LP asking for a zero convex combination of
     the normals must be infeasible.
     """
@@ -356,37 +378,36 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
         == math.prod(len(c.maximal_chains) for c in complexes),
     )
 
-    # Per family: each maximal chain's first and last member, separators and
-    # label; and, per (first, last) member pair, the separators of every
+    # Per family: each maximal chain's first and last member, table entries
+    # and label; and, per (first, last) member pair, the entries of every
     # subset holding the first and not the last.
     chain_rows = []
     straddled = []
     for cx, assignment in zip(complexes, assignments):
+        entries = _dot_table(assignment, points)
         rows = {}
         for chain in cx.maximal_chains:
             (first,) = chain[0].subset
             (last,) = involution(chain[-1]).subset
-            separators = [assignment.normal_for(v.subset) for v in chain]
             label = "F%d:%s" % (cx.family_index, "<".join(v.label() for v in chain))
-            rows[chain] = (first, last, separators, label)
+            rows[chain] = (first, last, [entries[v.subset] for v in chain], label)
         chain_rows.append(rows)
         pairs = {}
         for vertex in cx.vertices:
-            separator = assignment.normal_for(vertex.subset)
+            entry = entries[vertex.subset]
             for first in vertex.subset:
                 for last in range(1, cx.k + 3):
                     if last not in vertex.subset:
-                        pairs.setdefault((first, last), []).append(separator)
+                        pairs.setdefault((first, last), []).append(entry)
         straddled.append(pairs)
 
     def functional(separators, first_tuple, last_tuple):
-        vector = positive_functional(
-            [normal for normal, _ in separators],
-            [offset for _, offset in separators],
-            points[first_tuple],
-            points[last_tuple],
+        check_two_sided(
+            (dots[last_tuple], offset, dots[first_tuple])
+            for _, offset, dots in separators
         )
-        return ",".join(format_rational(e) for e in vector)
+        above, below = points[first_tuple], points[last_tuple]
+        return ",".join(format_rational(a - b) for a, b in zip(above, below))
 
     # (first tuple, last tuple) -> formatted functional, or None when the
     # pair's check failed and each of its simplices is checked on its own.
@@ -419,7 +440,7 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
 
         audited = False
         if index % _AUDIT_STRIDE == 0:
-            if origin_in_hull([normal for normal, _ in separators]):
+            if origin_in_hull([normal for normal, _, _ in separators]):
                 raise CertificateInconsistencyError(
                     f"simplex {index}: audit LP found the origin inside the "
                     "normal hull"

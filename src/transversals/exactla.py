@@ -497,22 +497,31 @@ def _farkas(original, basis, n: int) -> list:
     simplex negated the rows with ``rhs < 0``; the equations here are
     written in the unnegated rows, which flips those rows back: a column
     equation is the same either way, and the artificial's ``y_i = 1`` in a
-    negated row reads ``y_i = -1``.  The result is checked by exact integer
-    substitution before it is returned.
+    negated row reads ``y_i = -1``.
+
+    So only the rows held by an original column are unknown.  With the fixed
+    ``y_i`` moved to the right-hand side, their equations are one square
+    system, nonsingular because ``B`` is, and one fraction-free elimination
+    solves it.  The result is checked by exact integer substitution before
+    it is returned.
     """
-    m = len(original)
-    system = []
-    for i, var in enumerate(basis):
-        if var < n:
-            system.append([original[k][var] for k in range(m)] + [0])
-        else:
-            unit = [0] * (m + 1)
-            unit[i] = 1
-            unit[m] = -1 if original[i][-1] < 0 else 1
-            system.append(unit)
+    fixed = [
+        (i, -1 if original[i][-1] < 0 else 1) for i, var in enumerate(basis) if var >= n
+    ]
+    unknown = [i for i, var in enumerate(basis) if var < n]
+    system = [
+        [original[i][var] for i in unknown]
+        + [-sum(original[i][var] * s for i, s in fixed)]
+        for var in basis
+        if var < n
+    ]
     _, table, denominator = _reduced_echelon(system)
     sign = 1 if denominator > 0 else -1
-    y = [sign * row[m] for row in table]
+    y = [0] * len(original)
+    for i, s in fixed:
+        y[i] = s * sign * denominator
+    for i, row in zip(unknown, table):
+        y[i] = sign * row[-1]
     *columns, value = [sum(map(operator.mul, y, column)) for column in zip(*original)]
     if any(c > 0 for c in columns) or value <= 0:
         raise AssertionError("Farkas vector fails the substitution check")
@@ -700,20 +709,34 @@ def farkas_separator(farkas, first, second) -> tuple:
     Returns ``(normal, offset)`` with ``normal . p < offset`` for every p in
     ``first`` and ``normal . q > offset`` for every q in ``second``.  The
     direction ``u`` of the Farkas vector is scaled so that its largest entry
-    has absolute value ``2^t`` and rounded to integers, for t = 1, 2, ...
-    until exact dot products show a strict gap; strict separation is an open
-    condition that ``u`` itself meets, so some t succeeds.  The offset is
-    the simplest rational inside the gap.
+    has absolute value ``2^t`` and rounded to integers, half to even, for
+    t = 1, 2, ... until exact dot products show a strict gap; strict
+    separation is an open condition that ``u`` itself meets, so some t
+    succeeds.  The offset is the simplest rational inside the gap.
+
+    All of it runs on integers: ``u`` over the lcm of its denominators, so
+    ``e * 2^t / top`` is a quotient of integers rounded by ``divmod``, and
+    both point sets in one table over the lcm of all their denominators, so
+    an attempt costs one integer dot product per point.  The gap's two ends
+    are the only Fractions made.
     """
-    u = farkas[: first[0].dim]
-    top = max(abs(e) for e in u)
+    (u,), _ = _integer_rows([farkas[: first[0].dim]])
+    top = max(map(abs, u))
+    table, scale = _integer_rows(itertools.chain(first, second))
+    below, above = table[: len(first)], table[len(first) :]
     power = 2
     while True:
-        normal = QVector(round(e * power / top) for e in u)
-        low = max(normal.dot(p) for p in first)
-        high = min(normal.dot(q) for q in second)
+        normal = []
+        for e in u:
+            whole, rest = divmod(e * power, top)
+            if 2 * rest > top or (2 * rest == top and whole & 1):
+                whole += 1
+            normal.append(whole)
+        low = max(sum(map(operator.mul, normal, p)) for p in below)
+        high = min(sum(map(operator.mul, normal, q)) for q in above)
         if low < high:
-            return normal, _simplest_between(low, high)
+            offset = _simplest_between(Fraction(low, scale), Fraction(high, scale))
+            return QVector(normal), offset
         power *= 2
 
 
@@ -741,13 +764,28 @@ def strict_separation(points_p, points_q):
     return farkas_separator(farkas, points_p, points_q)
 
 
+def check_two_sided(bounds) -> None:
+    """Check ``lo < offset < hi`` for every ``(lo, offset, hi)`` of
+    ``bounds``, in order, reading each only after the one before it held;
+    raise PreconditionError naming the first failing 1-based index and its
+    three values.  ``positive_functional`` and the join certificate's claim
+    check both check the two-sided hypothesis here."""
+    for index, (lo, off, hi) in enumerate(bounds, start=1):
+        if not lo < off < hi:
+            raise PreconditionError(
+                f"two-sided bound fails at index {index}: "
+                f"{format_rational(lo)} < {format_rational(off)} < "
+                f"{format_rational(hi)} is false"
+            )
+
+
 def positive_functional(normals, offsets, above: QVector, below: QVector) -> QVector:
     """Vector with strictly positive inner product against every normal.
 
     Requires the two-sided hypothesis ``below . n_i < offset_i < above . n_i``
-    for every i (checked exactly; violations name the offending index).  The
-    constructive choice is the difference of the two witness points, whose
-    positivity is verified exactly before returning.
+    for every i (checked exactly by ``check_two_sided``; violations name the
+    offending index).  The constructive choice is the difference of the two
+    witness points, whose positivity is verified exactly before returning.
     """
     normals = list(normals)
     offsets = [as_rational(o) for o in offsets]
@@ -755,15 +793,9 @@ def positive_functional(normals, offsets, above: QVector, below: QVector) -> QVe
         raise MalformedInputError("normals and offsets differ in length")
     if not normals:
         raise MalformedInputError("need at least one normal")
-    for index, (nv, off) in enumerate(zip(normals, offsets), start=1):
-        lo = below.dot(nv)
-        hi = above.dot(nv)
-        if not lo < off < hi:
-            raise PreconditionError(
-                f"two-sided bound fails at index {index}: "
-                f"{format_rational(lo)} < {format_rational(off)} < "
-                f"{format_rational(hi)} is false"
-            )
+    check_two_sided(
+        (below.dot(nv), off, above.dot(nv)) for nv, off in zip(normals, offsets)
+    )
     result = above - below
     for nv in normals:
         if not result.dot(nv) > 0:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from transversals import certificate as certificate_module
 from transversals import exactla as exactla_module
 from transversals.certificate import (
     _AUDIT_STRIDE,
@@ -29,6 +30,7 @@ from transversals.exactla import (
     PreconditionError,
     QVector,
     Relation,
+    check_two_sided,
     format_rational,
     lp_feasible,
     positive_functional,
@@ -448,6 +450,32 @@ class TestClaimAgainstPerSimplexReference:
             assert outcome == expected
             errors += outcome[0] == "error"
         assert errors >= 6
+
+    def test_offset_off_the_straddle_falls_back_per_simplex(self, monkeypatch):
+        """Move family 2's ``{1}`` offset far out.  Simplex 0's pair check,
+        over 6 separators with that one at index 5, fails; the fallback then
+        checks simplex 0 on its own 5 separators, where it is at index 4, and
+        its error must read as the reference's."""
+        instance, assignments, points = self.setup([2, 1], 0)
+        family = assignments[1]
+        normal, offset = family.normals[frozenset({1})]
+        family.normals[frozenset({1})] = (normal, offset + 10**12)
+        family.normals[frozenset({2, 3})] = (-normal, -offset - 10**12)
+        sizes = []
+
+        def spy(bounds):
+            bounds = list(bounds)
+            sizes.append(len(bounds))
+            return check_two_sided(bounds)
+
+        monkeypatch.setattr(certificate_module, "check_two_sided", spy)
+        outcome = claim_outcome(verify_claim_lines, instance, assignments, points)
+        expected = claim_outcome(reference_claim_lines, instance, assignments, points)
+        assert outcome == expected
+        kind, message = outcome
+        assert kind == "error"
+        assert message.startswith("simplex 0: ") and "at index 4: " in message
+        assert sizes == [6, 5]
 
 
 class TestFullCertificate:

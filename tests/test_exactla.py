@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from transversals import certificate, exactla
+from transversals.cli import main
 from transversals.exactla import (
     LinearConstraint,
     MalformedInputError,
@@ -16,6 +18,7 @@ from transversals.exactla import (
     _phase_one,
     _reduced_echelon,
     _simplest_between,
+    farkas_separator,
     format_rational,
     independent_subsets,
     lp_feasible,
@@ -1002,3 +1005,177 @@ class TestSmallSeparators:
             high = min(normal.dot(q) for q in points_q)
             assert offset == simplest_by_search(low, high)
         assert min(seen.values()) >= 80, seen
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels of the certificate pipeline against the rational ones they
+# replaced: separator rounding and the Farkas back-solve.
+
+
+def reference_farkas_separator(farkas, first, second):
+    """Separator rounding in Fractions: ``round`` on each scaled entry and
+    one ``QVector.dot`` per point and attempt."""
+    u = farkas[: first[0].dim]
+    top = max(abs(e) for e in u)
+    power = 2
+    while True:
+        normal = QVector(round(e * power / top) for e in u)
+        low = max(normal.dot(p) for p in first)
+        high = min(normal.dot(q) for q in second)
+        if low < high:
+            return normal, _simplest_between(low, high)
+        power *= 2
+
+
+def reference_farkas(original, basis, n):
+    """The Farkas back-solve over all m rows: ``B^T y = c_B`` as one
+    m x (m+1) system, each row held by an artificial written as a unit row."""
+    m = len(original)
+    system = []
+    for i, var in enumerate(basis):
+        if var < n:
+            system.append([original[k][var] for k in range(m)] + [0])
+        else:
+            unit = [0] * (m + 1)
+            unit[i] = 1
+            unit[m] = -1 if original[i][-1] < 0 else 1
+            system.append(unit)
+    _, table, denominator = _reduced_echelon(system)
+    sign = 1 if denominator > 0 else -1
+    y = [sign * row[m] for row in table]
+    *columns, value = [sum(y[i] * column[i] for i in range(m)) for column in zip(*original)]
+    if any(c > 0 for c in columns) or value <= 0:
+        raise AssertionError("Farkas vector fails the substitution check")
+    return [F(v, sign * denominator) for v in y]
+
+
+def separable_case(rng, trial):
+    """A seeded direction ``u`` inside a Farkas-shaped vector (two group
+    entries follow it) and two point sets that ``u`` strictly separates.
+    Entries mix denominators and signs, and the two sets are drawn over
+    different denominators, so their lcms differ; the gap is sometimes a
+    hair wide, which takes several rounding attempts."""
+    dim = 1 + trial % 5
+    u_denominators = rng.choice([(1,), (1, 2, 3), (8, 9, 16), (5, 7, 64)])
+    u = [F(0)] * dim
+    while not any(u):
+        u = [random_rational(rng, u_denominators) for _ in range(dim)]
+    farkas = u + [random_rational(rng, (1, 2)), random_rational(rng, (1, 3))]
+
+    def point(denominators):
+        return QVector(random_rational(rng, denominators) for _ in range(dim))
+
+    first = [point((1, 2, 4)) for _ in range(rng.randint(1, 4))]
+    second = [point((3, 9, 27)) for _ in range(rng.randint(1, 4))]
+    direction = QVector(u)
+    gap = rng.choice([F(1), F(1, 7), F(1, 997)]) * direction.dot(direction)
+    shift = max(direction.dot(p) for p in first) - min(direction.dot(q) for q in second)
+    t = (shift + gap) / direction.dot(direction)
+    return farkas, first, [q + t * direction for q in second]
+
+
+class TestIntegerSeparatorRounding:
+    @pytest.mark.parametrize("name", ["counterexample", "join", "join-2-2", "join-3-1"])
+    def test_matches_reference_on_golden_pipelines(self, name, tmp_path, monkeypatch):
+        from test_golden import COUNTEREXAMPLE, JOIN, JOIN_2_2, JOIN_3_1
+
+        pipeline = {
+            "counterexample": COUNTEREXAMPLE,
+            "join": JOIN,
+            "join-2-2": JOIN_2_2,
+            "join-3-1": JOIN_3_1,
+        }[name]
+        monkeypatch.chdir(tmp_path)
+        calls = []
+
+        def checked(farkas, first, second):
+            result = farkas_separator(farkas, first, second)
+            assert result == reference_farkas_separator(farkas, first, second)
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(certificate, "farkas_separator", checked)
+        for argv, expected in pipeline:
+            assert main(argv) == expected, argv
+        assert len(calls) >= 6
+
+    def test_matches_reference_on_random_cases(self):
+        rng = random.Random(6047)
+        attempts = set()
+        for trial in range(500):
+            farkas, first, second = separable_case(rng, trial)
+            expected = reference_farkas_separator(farkas, first, second)
+            assert farkas_separator(farkas, first, second) == expected
+            normal, _ = expected
+            attempts.add(max(abs(e) for e in normal))  # 2^t at attempt t
+        # the gap was found at several scales, not only the first
+        assert len(attempts) >= 4, attempts
+
+    def test_ties_round_half_to_even(self):
+        # u / max|u| * 2 is (2, 1/2, 3/2, -1/2, -3/2): ties over floors 0 and
+        # -2 (even, kept) and 1 and -1 (odd, moved up).  Rounding half up
+        # would give (2, 1, 2, 0, -1).
+        u = [F(4, 6), F(1, 6), F(3, 6), F(-1, 6), F(-3, 6)]
+        first = [QVector([0] * 5)]
+        second = [QVector(F(10) * e for e in u)]
+        expected = (QVector([2, 0, 2, 0, -2]), F(1))
+        assert reference_farkas_separator(u, first, second) == expected
+        assert farkas_separator(u, first, second) == expected
+
+
+def farkas_basis_cases():
+    """The farkas_cases systems, then the edge bases: no original column
+    left in the basis, and one artificial left."""
+    cases = farkas_cases(random.Random(3301))
+    cases.append(([[F(-1)], [F(-1)]], [F(1), F(1)]))  # k = 0, m = 2
+    cases.append(([[F(0), F(0)]], [F(-3, 2)]))  # k = 0, a zero row
+    cases.append(([[F(1), F(0)], [F(1), F(0)]], [F(1), F(2)]))  # k = 1 = m - 1
+    return cases
+
+
+class TestShortBackSolve:
+    def test_matches_full_system_reference(self, monkeypatch):
+        solve = exactla._farkas
+        seen = {"k=0": 0, "k=m-1": 0, "between": 0, "all": 0}
+
+        def checked(original, basis, n):
+            y = solve(original, basis, n)
+            assert y == reference_farkas(original, basis, n)
+            k = sum(var < n for var in basis)
+            m = len(basis)
+            if k == 0:
+                seen["k=0"] += 1
+            elif k == m - 1:
+                seen["k=m-1"] += 1
+            elif k == m:
+                seen["all"] += 1
+            else:
+                seen["between"] += 1
+            return y
+
+        monkeypatch.setattr(exactla, "_farkas", checked)
+        for rows, rhs in farkas_basis_cases():
+            solution, farkas = _phase_one(rows, rhs)
+            assert solution is None and farkas is not None
+        assert seen["k=0"] >= 10 and seen["k=m-1"] >= 10 and seen["between"] >= 10, seen
+
+    def test_edge_bases(self):
+        assert _phase_one([[F(-1)], [F(-1)]], [F(1), F(1)]) == (None, [F(1), F(1)])
+        assert _phase_one([[F(0), F(0)]], [F(-3, 2)]) == (None, [F(-1)])
+        # x1 = 1 takes row 0's basis; row 1 keeps its artificial, y_1 = 1,
+        # and x1's column fixes y_0 = -1
+        assert _phase_one([[F(1), F(0)], [F(1), F(0)]], [F(1), F(2)]) == (
+            None,
+            [F(-1), F(1)],
+        )
+
+    def test_corrupted_solution_fails_substitution(self, monkeypatch):
+        eliminate = exactla._reduced_echelon
+
+        def corrupted(rows):
+            pivots, table, denominator = eliminate(rows)
+            return pivots, [row[:-1] + [-row[-1]] for row in table], denominator
+
+        monkeypatch.setattr(exactla, "_reduced_echelon", corrupted)
+        with pytest.raises(AssertionError, match="substitution check"):
+            _phase_one([[F(1), F(0)], [F(1), F(0)]], [F(1), F(2)])
