@@ -29,6 +29,8 @@ from transversals.exactla import (
     strict_separation,
 )
 
+from test_golden import COUNTEREXAMPLE, JOIN, JOIN_2_2, JOIN_3_1
+
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
 
@@ -1075,16 +1077,12 @@ def separable_case(rng, trial):
 
 
 class TestIntegerSeparatorRounding:
-    @pytest.mark.parametrize("name", ["counterexample", "join", "join-2-2", "join-3-1"])
-    def test_matches_reference_on_golden_pipelines(self, name, tmp_path, monkeypatch):
-        from test_golden import COUNTEREXAMPLE, JOIN, JOIN_2_2, JOIN_3_1
-
-        pipeline = {
-            "counterexample": COUNTEREXAMPLE,
-            "join": JOIN,
-            "join-2-2": JOIN_2_2,
-            "join-3-1": JOIN_3_1,
-        }[name]
+    @pytest.mark.parametrize(
+        "pipeline",
+        [COUNTEREXAMPLE, JOIN, JOIN_2_2, JOIN_3_1],
+        ids=["counterexample", "join", "join-2-2", "join-3-1"],
+    )
+    def test_matches_reference_on_golden_pipelines(self, pipeline, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         calls = []
 
@@ -1123,41 +1121,25 @@ class TestIntegerSeparatorRounding:
         assert farkas_separator(u, first, second) == expected
 
 
-def farkas_basis_cases():
-    """The farkas_cases systems, then the edge bases: no original column
-    left in the basis, and one artificial left."""
-    cases = farkas_cases(random.Random(3301))
-    cases.append(([[F(-1)], [F(-1)]], [F(1), F(1)]))  # k = 0, m = 2
-    cases.append(([[F(0), F(0)]], [F(-3, 2)]))  # k = 0, a zero row
-    cases.append(([[F(1), F(0)], [F(1), F(0)]], [F(1), F(2)]))  # k = 1 = m - 1
-    return cases
-
-
 class TestShortBackSolve:
     def test_matches_full_system_reference(self, monkeypatch):
+        """Every infeasible system leaves some row with its artificial, so
+        k < m; the cases cover k = 0, k = m - 1 and the sizes between."""
         solve = exactla._farkas
-        seen = {"k=0": 0, "k=m-1": 0, "between": 0, "all": 0}
+        seen = {"k=0": 0, "k=m-1": 0, "between": 0}
 
         def checked(original, basis, n):
             y = solve(original, basis, n)
             assert y == reference_farkas(original, basis, n)
             k = sum(var < n for var in basis)
-            m = len(basis)
-            if k == 0:
-                seen["k=0"] += 1
-            elif k == m - 1:
-                seen["k=m-1"] += 1
-            elif k == m:
-                seen["all"] += 1
-            else:
-                seen["between"] += 1
+            seen["k=0" if k == 0 else "k=m-1" if k == len(basis) - 1 else "between"] += 1
             return y
 
         monkeypatch.setattr(exactla, "_farkas", checked)
-        for rows, rhs in farkas_basis_cases():
+        for rows, rhs in farkas_cases(random.Random(3301)):
             solution, farkas = _phase_one(rows, rhs)
             assert solution is None and farkas is not None
-        assert seen["k=0"] >= 10 and seen["k=m-1"] >= 10 and seen["between"] >= 10, seen
+        assert min(seen.values()) >= 10, seen
 
     def test_edge_bases(self):
         assert _phase_one([[F(-1)], [F(-1)]], [F(1), F(1)]) == (None, [F(1), F(1)])
