@@ -262,8 +262,8 @@ def sha256(data: bytes) -> str:
         ("generate-flats", GENERATE_FLATS),
         ("flats", FLATS),
         ("join-2-2", JOIN_2_2),
-        ("join-3-1", JOIN_3_1),
         ("generate-deep", GENERATE_DEEP),
+        ("join-3-1", JOIN_3_1),
     ],
 )
 def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
