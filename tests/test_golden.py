@@ -17,7 +17,9 @@ no LP, and gets the same tuple points; ``transversal`` and ``certificate``
 refuse its flats with exit 2.  The ``--ks 2,2`` counterexample checks the
 claim on 576 join simplices, and both of its families have the same subsets,
 so the same separator keys.  The ``--ks 3,1`` counterexample checks the
-claim on 720 join simplices and audits 72 of them.
+claim on 720 join simplices and audits 72 of them.  The ``--ks 1,1,1``
+counterexample is the one three-family join: it checks the claim on 216
+join simplices and audits 22 of them.
 
 Each pipeline also records every distinct ``(rows, rhs)`` system the
 phase-one simplex receives.  The digest of that sorted set is compared too,
@@ -108,6 +110,27 @@ JOIN_3_1 = [
     ),
     (
         ["transversal", "inst.json", "--family", "2", "--out", "family2.json"],
+        EXIT_NEGATIVE,
+    ),
+    (["certificate", "inst.json", "--out", "certificate.json"], EXIT_OK),
+]
+
+JOIN_1_1_1 = [
+    (
+        ["generate", "counterexample", "--ks", "1,1,1", "--seed", "5", "--out", "inst.json"],
+        EXIT_OK,
+    ),
+    (["check-colorful", "inst.json", "--out", "colorful.json"], EXIT_OK),
+    (
+        ["transversal", "inst.json", "--family", "1", "--out", "family1.json"],
+        EXIT_NEGATIVE,
+    ),
+    (
+        ["transversal", "inst.json", "--family", "2", "--out", "family2.json"],
+        EXIT_NEGATIVE,
+    ),
+    (
+        ["transversal", "inst.json", "--family", "3", "--out", "family3.json"],
         EXIT_NEGATIVE,
     ),
     (["certificate", "inst.json", "--out", "certificate.json"], EXIT_OK),
@@ -220,6 +243,17 @@ GOLDEN = {
         "stdout": "17b0b2da64a24737d2566db319a0c20a9e93cb64b8ab83fa066cca6aa6b51b81",
         "lp-systems": "a5c7fc915f4dd91822976363c4f785d417b9e5b63cb05583cceb87ac6073d7ba",
     },
+    "join-1-1-1": {
+        "inst.json": "4deb6c9121b964bceafff6d35aaa097077562f71921560f52768c3249905f6a0",
+        "inst.json.cert.txt": "efa998a85cb9340ef87351b19abd9b21e5c301a7fcd5cc1921c4d2c21777ddd1",
+        "colorful.json": "72556852f84d4ffc654cb2b06793bffee0dc175eee26c54eb99a01bff8f75acc",
+        "family1.json": "789e5010a2ef1355551bc9e87c8bc3ae52f94f284d428190eaef1a7e15ba8013",
+        "family2.json": "900ba3d2dadca16a712cc0341b5eb2fb1d336ab812ccd08fe714d8b4db83f2cc",
+        "family3.json": "016803e888692f70febb3159d1c513a2e656b3442b41141fd564d2918d8f4cab",
+        "certificate.json": "a1783c3c8724ec76ca6ae38f3cd1dbcce8a6f0534099c40efaff323aec224158",
+        "stdout": "f51b5f95e959624570087dc5c4156ecb21aac1d8079d148aef9b529c4aac7a72",
+        "lp-systems": "f7db054482f85c9e680f2ec3136e814c7e31d185edddbcc1678d358496a6a2c8",
+    },
     "generate": {
         "inst.json": "50ef0bf5148895b735a151f0f2227225dab40477be9f272e63949e4bae542f92",
         "inst.json.cert.txt": "a92c66d58895e8afe995059d9e39663ce97579f0006cd73d4682a2c63e11c7bb",
@@ -264,6 +298,7 @@ def sha256(data: bytes) -> str:
         ("join-2-2", JOIN_2_2),
         ("generate-deep", GENERATE_DEEP),
         ("join-3-1", JOIN_3_1),
+        ("join-1-1-1", JOIN_1_1_1),
     ],
 )
 def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
