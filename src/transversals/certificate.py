@@ -40,6 +40,7 @@ from .transversal import (
     PartitionScan,
     TransversalWitness,
     check_colorful,
+    check_member_count,
     partitions,
     scan_partitions,
 )
@@ -64,35 +65,21 @@ class CertificateInconsistencyError(RuntimeError):
     certificate; indicates a bug rather than a property of the instance."""
 
 
-@dataclass(frozen=True)
-class SubsetVertex:
-    """A nonempty proper subfamily of one family, as a complex vertex."""
-
-    family_index: int  # 1-based
-    subset: frozenset
-    family_size: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "subset", frozenset(self.subset))
-        if not 0 < len(self.subset) < self.family_size:
-            raise MalformedInputError("vertex subset must be nonempty and proper")
-
-    def label(self) -> str:
-        return "{%s}" % ",".join(str(i) for i in sorted(self.subset))
+def _label(subset) -> str:
+    return "{%s}" % ",".join(str(i) for i in sorted(subset))
 
 
-def involution(vertex: SubsetVertex) -> SubsetVertex:
-    """Complement within the family: fixed-point-free, order two, and
-    inclusion-reversing on chains."""
-    ground = frozenset(range(1, vertex.family_size + 1))
-    return SubsetVertex(vertex.family_index, ground - vertex.subset, vertex.family_size)
+def involution(subset: frozenset, size: int) -> frozenset:
+    """Complement within a family of ``size`` members: fixed-point-free,
+    order two, and inclusion-reversing on chains."""
+    return frozenset(range(1, size + 1)) - subset
 
 
 @dataclass
 class ChainComplex:
-    """All inclusion chains of nonempty proper subfamilies of one family."""
+    """All inclusion chains of nonempty proper subfamilies of one family;
+    a vertex is the frozenset of its members."""
 
-    family_index: int
     k: int
     vertices: tuple
     maximal_chains: tuple  # the full flags, sizes 1..k+1
@@ -100,20 +87,19 @@ class ChainComplex:
     euler_characteristic: int
 
 
-def build_chain_complex(k: int, family_index: int = 1) -> ChainComplex:
+def build_chain_complex(k: int) -> ChainComplex:
     """Enumerate the subset chain complex for a family of k+2 members."""
     if k < 0:
         raise MalformedInputError("k must be non-negative")
     size = k + 2
     ground = range(1, size + 1)
-    vertices = []
-    for r in range(1, size):
-        for combo in itertools.combinations(ground, r):
-            vertices.append(SubsetVertex(family_index, frozenset(combo), size))
+    vertices = [
+        frozenset(combo)
+        for r in range(1, size)
+        for combo in itertools.combinations(ground, r)
+    ]
 
-    supersets = {
-        v: [w for w in vertices if v.subset < w.subset] for v in vertices
-    }
+    supersets = {v: [w for w in vertices if v < w] for v in vertices}
     faces = []
 
     def grow(chain):
@@ -129,9 +115,7 @@ def build_chain_complex(k: int, family_index: int = 1) -> ChainComplex:
     for c in faces:
         f_vector[len(c) - 1] += 1
     euler = sum((-1) ** r * f for r, f in enumerate(f_vector))
-    return ChainComplex(
-        family_index, k, tuple(vertices), maximal, tuple(f_vector), euler
-    )
+    return ChainComplex(k, tuple(vertices), maximal, tuple(f_vector), euler)
 
 
 @dataclass
@@ -144,7 +128,6 @@ class NormalAssignment:
     carry the exact negations.
     """
 
-    family_index: int
     family_size: int
     normals: dict  # frozenset -> (QVector, Fraction)
 
@@ -202,7 +185,7 @@ def assign_from_scan(
         )
         normals[frozenset(part.part_a)] = (-normal, -offset)
         normals[frozenset(part.part_b)] = (normal, offset)
-    return NormalAssignment(family_index, size, normals)
+    return NormalAssignment(size, normals)
 
 
 @dataclass
@@ -246,7 +229,6 @@ class CertificateReport:
     checks: list = field(default_factory=list)
     confirmed_family: Optional[int] = None
     confirmed_witness: Optional[TransversalWitness] = None
-    failing_partition: Optional[Partition] = None
 
     @property
     def passed(self) -> bool:
@@ -267,12 +249,13 @@ def _structural_checks(complexes, assignments):
         if not passed:
             raise CertificateInconsistencyError(check.ledger_line())
 
-    for cx, assignment in zip(complexes, assignments):
-        fam = f"family={cx.family_index}"
+    for i, (cx, assignment) in enumerate(zip(complexes, assignments), start=1):
+        fam = f"family={i}"
+        size = cx.k + 2
         record(
             "vertex-count",
-            f"{fam} expected={2 ** (cx.k + 2) - 2}",
-            len(cx.vertices) == 2 ** (cx.k + 2) - 2,
+            f"{fam} expected={2 ** size - 2}",
+            len(cx.vertices) == 2 ** size - 2,
         )
         expected_euler = 1 + (-1) ** cx.k
         record(
@@ -281,27 +264,26 @@ def _structural_checks(complexes, assignments):
             cx.euler_characteristic == expected_euler,
             f"actual={cx.euler_characteristic}",
         )
-        free = all(involution(v) != v for v in cx.vertices)
-        order_two = all(involution(involution(v)) == v for v in cx.vertices)
+        free = all(involution(v, size) != v for v in cx.vertices)
+        order_two = all(
+            involution(involution(v, size), size) == v for v in cx.vertices
+        )
         reversing = True
         for chain in cx.maximal_chains:
-            image = tuple(involution(v) for v in reversed(chain))
-            reversing = reversing and all(
-                a.subset < b.subset for a, b in zip(image, image[1:])
-            )
+            image = tuple(involution(v, size) for v in reversed(chain))
+            reversing = reversing and all(a < b for a, b in zip(image, image[1:]))
         record("involution-free", fam, free and order_two and reversing)
 
         pair_count = 0
         antipodal = True
         for subset, (normal, offset) in assignment.normals.items():
-            other = frozenset(range(1, cx.k + 3)) - subset
-            normal_c, offset_c = assignment.normals[other]
+            normal_c, offset_c = assignment.normals[involution(subset, size)]
             antipodal = antipodal and normal_c == -normal and offset_c == -offset
             pair_count += 1
         record(
             "antipodality",
             f"{fam} pairs={pair_count // 2}",
-            antipodal and pair_count == 2 ** (cx.k + 2) - 2,
+            antipodal and pair_count == 2 ** size - 2,
         )
 
     return checks, record
@@ -356,9 +338,7 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
     assignments = list(assignments)
     if len(assignments) != len(families):
         raise MalformedInputError("need one normal assignment per family")
-    complexes = [
-        build_chain_complex(f.k, i + 1) for i, f in enumerate(families)
-    ]
+    complexes = [build_chain_complex(f.k) for f in families]
     n = len(families)
     m = instance.total_target
     expected_join_euler = 1 + (-1) ** (n + m - 1)
@@ -378,26 +358,27 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
         == math.prod(len(c.maximal_chains) for c in complexes),
     )
 
-    # Per family: each maximal chain's first and last member, table entries
-    # and label; and, per (first, last) member pair, the entries of every
-    # subset holding the first and not the last.
+    # Per family, in ``maximal_chains`` order: each chain's first and last
+    # member, table entries and label; and, per (first, last) member pair,
+    # the entries of every subset holding the first and not the last.
     chain_rows = []
     straddled = []
-    for cx, assignment in zip(complexes, assignments):
+    for i, (cx, assignment) in enumerate(zip(complexes, assignments), start=1):
         entries = _dot_table(assignment, points)
-        rows = {}
+        size = cx.k + 2
+        rows = []
         for chain in cx.maximal_chains:
-            (first,) = chain[0].subset
-            (last,) = involution(chain[-1]).subset
-            label = "F%d:%s" % (cx.family_index, "<".join(v.label() for v in chain))
-            rows[chain] = (first, last, [entries[v.subset] for v in chain], label)
+            (first,) = chain[0]
+            (last,) = involution(chain[-1], size)
+            label = "F%d:%s" % (i, "<".join(_label(v) for v in chain))
+            rows.append((first, last, [entries[v] for v in chain], label))
         chain_rows.append(rows)
         pairs = {}
         for vertex in cx.vertices:
-            entry = entries[vertex.subset]
-            for first in vertex.subset:
-                for last in range(1, cx.k + 3):
-                    if last not in vertex.subset:
+            entry = entries[vertex]
+            for first in vertex:
+                for last in range(1, size + 1):
+                    if last not in vertex:
                         pairs.setdefault((first, last), []).append(entry)
         straddled.append(pairs)
 
@@ -411,11 +392,10 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
 
     # (first tuple, last tuple) -> formatted functional, or None when the
     # pair's check failed and each of its simplices is checked on its own.
+    # The product of the row lists is the order ``build_join`` enumerates.
     functionals = {}
-    for index, simplex in enumerate(join.maximal_simplices):
-        firsts, lasts, chain_separators, labels = zip(
-            *(chain_rows[i][chain] for i, chain in enumerate(simplex))
-        )
+    for index, rows in enumerate(itertools.product(*chain_rows)):
+        firsts, lasts, chain_separators, labels = zip(*rows)
         key = (firsts, lasts)
         if key not in functionals:
             union = [
@@ -499,11 +479,14 @@ def full_certificate(instance: Instance) -> CertificateReport:
     guarantee dimension can reach.
 
     Raises MalformedInputError before any other work when the join would
-    have more than ``_JOIN_BUDGET`` maximal simplices.
+    have more than ``_JOIN_BUDGET`` maximal simplices, and then before the
+    colorful check when some family does not have exactly k+2 members.
     """
     factors = itertools.chain.from_iterable(range(1, f.k + 3) for f in instance.families)
     simplices = itertools.accumulate(factors, operator.mul, initial=1)  # prod (k_i + 2)!
     check_budget(simplices, _JOIN_BUDGET, "the certificate join", "maximal simplices")
+    for fam in instance.families:
+        check_member_count(fam)
     colorful = check_colorful(instance)
     if not colorful.holds:
         raise ColorfulViolationError(
@@ -527,7 +510,6 @@ def full_certificate(instance: Instance) -> CertificateReport:
                 checks,
                 confirmed_family=i,
                 confirmed_witness=scan.witness,
-                failing_partition=partition,
             )
         assignments.append(assign_from_scan(fam, scan, i))
     return verify_claim(instance, assignments, colorful.witnesses)

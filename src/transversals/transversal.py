@@ -174,6 +174,15 @@ class PartitionScan:
     farkas: dict  # Partition -> list of Fractions
 
 
+def check_member_count(family: Family) -> None:
+    """Raise MalformedInputError unless the family has exactly k+2 members."""
+    size = family.k + 2
+    if len(family.bodies) != size:
+        raise MalformedInputError(
+            f"need exactly k+2 = {format_rational(size, 'k+2')} members, got {len(family.bodies)}"
+        )
+
+
 def scan_partitions(family: Family) -> PartitionScan:
     """Decide the family's k-transversal, keeping a certificate either way.
 
@@ -191,11 +200,8 @@ def scan_partitions(family: Family) -> PartitionScan:
             raise UnsupportedRepresentationError(
                 "transversal decisions need V-polytopes; truncate flats first"
             )
+    check_member_count(family)
     size = family.k + 2
-    if len(family.bodies) != size:
-        raise MalformedInputError(
-            f"need exactly k+2 = {format_rational(size, 'k+2')} members, got {len(family.bodies)}"
-        )
     members = family.bodies
     blocks = [member.generators for member in members]
     farkas = {}

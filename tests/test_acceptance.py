@@ -150,13 +150,14 @@ def test_criterion_5_certificate_suite():
     for ks in CERTIFICATE_SETS:
         n, m = len(ks), sum(ks)
         for i, k in enumerate(ks, start=1):
-            complex_ = build_chain_complex(k, i)
+            complex_ = build_chain_complex(k)
             if len(complex_.vertices) != 2 ** (k + 2) - 2:
                 problems.append((ks, f"vertex count family {i}"))
             if complex_.euler_characteristic != 1 + (-1) ** k:
                 problems.append((ks, f"euler family {i}"))
             for v in complex_.vertices:
-                if involution(v) == v or involution(involution(v)) != v:
+                image = involution(v, k + 2)
+                if image == v or involution(image, k + 2) != v:
                     problems.append((ks, f"involution family {i}"))
                     break
         ce = gen_counterexample(list(ks), seed=0, representation=TRUNCATED)

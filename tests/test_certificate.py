@@ -14,7 +14,6 @@ from transversals.certificate import (
     CertificateInconsistencyError,
     ColorfulViolationError,
     NormalAssignment,
-    SubsetVertex,
     assign_normals,
     build_chain_complex,
     build_join,
@@ -75,16 +74,14 @@ def reference_claim_lines(instance, assignments, points):
     """The claim-simplex ledger lines as the per-simplex check makes them:
     one ``positive_functional`` call on each simplex's own normals, and an
     audit of every tenth simplex."""
-    complexes = [
-        build_chain_complex(f.k, i + 1) for i, f in enumerate(instance.families)
-    ]
+    complexes = [build_chain_complex(f.k) for f in instance.families]
     lines = []
     for index, simplex in enumerate(build_join(complexes).maximal_simplices):
         first_tuple = []
         last_tuple = []
-        for chain in simplex:
-            (first_member,) = chain[0].subset
-            (last_member,) = involution(chain[-1]).subset
+        for chain, cx in zip(simplex, complexes):
+            (first_member,) = chain[0]
+            (last_member,) = involution(chain[-1], cx.k + 2)
             first_tuple.append(first_member)
             last_tuple.append(last_member)
         above = points[tuple(first_tuple)]
@@ -92,10 +89,9 @@ def reference_claim_lines(instance, assignments, points):
 
         normals = []
         offsets = []
-        for chain in simplex:
-            assignment = assignments[chain[0].family_index - 1]
+        for chain, assignment in zip(simplex, assignments):
             for vertex in chain:
-                normal, offset = assignment.normal_for(vertex.subset)
+                normal, offset = assignment.normal_for(vertex)
                 normals.append(normal)
                 offsets.append(offset)
         try:
@@ -116,8 +112,15 @@ def reference_claim_lines(instance, assignments, points):
             audited = True
 
         label = " ".join(
-            "F%d:%s" % (chain[0].family_index, "<".join(v.label() for v in chain))
-            for chain in simplex
+            "F%d:%s"
+            % (
+                i,
+                "<".join(
+                    "{%s}" % ",".join(str(member) for member in sorted(v))
+                    for v in chain
+                ),
+            )
+            for i, chain in enumerate(simplex, start=1)
         )
         record = CheckRecord(
             "claim-simplex",
@@ -161,7 +164,7 @@ def brute_force_euler(vertices):
     items = list(vertices)
     for r in range(1, len(items) + 1):
         for combo in itertools.combinations(items, r):
-            subsets = sorted((v.subset for v in combo), key=len)
+            subsets = sorted(combo, key=len)
             if all(a < b for a, b in zip(subsets, subsets[1:])):
                 euler += (-1) ** (r - 1)
     return euler
@@ -194,7 +197,7 @@ class TestChainComplex:
         assert len(cx.vertices) == 2 ** (k + 2) - 2
         assert cx.euler_characteristic == 1 + (-1) ** k
         for chain in cx.maximal_chains:
-            assert [len(v.subset) for v in chain] == list(range(1, k + 2))
+            assert [len(v) for v in chain] == list(range(1, k + 2))
 
     def test_pair_count_matches_partitions(self):
         for k in range(4):
@@ -204,21 +207,21 @@ class TestChainComplex:
 
 class TestInvolution:
     def test_examples(self):
-        assert involution(SubsetVertex(1, {1}, 3)).subset == frozenset({2, 3})
-        assert involution(SubsetVertex(1, {1, 2}, 3)).subset == frozenset({3})
+        assert involution(frozenset({1}), 3) == frozenset({2, 3})
+        assert involution(frozenset({1, 2}), 3) == frozenset({3})
 
     def test_reverses_chains(self):
-        bottom = SubsetVertex(1, {1}, 3)
-        top = SubsetVertex(1, {1, 2}, 3)
-        assert bottom.subset < top.subset
-        assert involution(top).subset < involution(bottom).subset
+        bottom = frozenset({1})
+        top = frozenset({1, 2})
+        assert bottom < top
+        assert involution(top, 3) < involution(bottom, 3)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_free_and_order_two_exhaustively(self, k):
         cx = build_chain_complex(k)
         for v in cx.vertices:
-            assert involution(v) != v
-            assert involution(involution(v)) == v
+            assert involution(v, k + 2) != v
+            assert involution(involution(v, k + 2), k + 2) == v
 
 
 class TestAssignNormals:
@@ -256,18 +259,18 @@ class TestAssignNormals:
 
 class TestBuildJoin:
     def test_two_zero_targets_make_a_cycle(self):
-        join = build_join([build_chain_complex(0, 1), build_chain_complex(0, 2)])
+        join = build_join([build_chain_complex(0), build_chain_complex(0)])
         assert len(join.maximal_simplices) == 4
         assert join.f_vector == (4, 4)
         assert join.euler_characteristic == 0
 
     def test_three_zero_targets_make_an_octahedron(self):
-        join = build_join([build_chain_complex(0, i + 1) for i in range(3)])
+        join = build_join([build_chain_complex(0) for _ in range(3)])
         assert join.f_vector == (6, 12, 8)
         assert join.euler_characteristic == 2
 
     def test_two_hexagons(self):
-        join = build_join([build_chain_complex(1, 1), build_chain_complex(1, 2)])
+        join = build_join([build_chain_complex(1), build_chain_complex(1)])
         assert len(join.maximal_simplices) == 36
         assert all(
             sum(len(chain) for chain in simplex) == 4
@@ -386,15 +389,14 @@ class TestVerifyClaim:
         report = full_certificate(ce.instance)
         assert report.verdict == CERTIFICATE_COMPLETE
         assignments = self.assignments_for(ce.instance)
-        complexes = [build_chain_complex(f.k, i + 1) for i, f in enumerate(ce.instance.families)]
+        complexes = [build_chain_complex(f.k) for f in ce.instance.families]
         join = build_join(complexes)
         rng = random.Random(55)
         sample = rng.sample(join.maximal_simplices, max(4, len(join.maximal_simplices) // 10))
         for simplex in sample:
             normals = []
-            for chain in simplex:
-                assignment = assignments[chain[0].family_index - 1]
-                normals.extend(assignment.normal_for(v.subset)[0] for v in chain)
+            for chain, assignment in zip(simplex, assignments):
+                normals.extend(assignment.normal_for(v)[0] for v in chain)
             assert not origin_in_hull(normals)
 
 
@@ -409,7 +411,7 @@ class TestClaimAgainstPerSimplexReference:
         ]
         return instance, assignments, check_colorful(instance).witnesses
 
-    @pytest.mark.parametrize("ks", [[2, 1], [2, 2], [3, 1]])
+    @pytest.mark.parametrize("ks", [[2, 1], [2, 2], [3, 1], [1, 1, 1]])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_ledger_lines(self, ks, seed):
         instance, assignments, points = self.setup(ks, seed)
@@ -432,7 +434,7 @@ class TestClaimAgainstPerSimplexReference:
         errors = 0
         for _ in range(12):
             changed = [
-                NormalAssignment(a.family_index, a.family_size, dict(a.normals))
+                NormalAssignment(a.family_size, dict(a.normals))
                 for a in assignments
             ]
             target = rng.choice(changed)
@@ -491,7 +493,7 @@ class TestFullCertificate:
         assert report.verdict == THEOREM_CONFIRMED
         assert report.confirmed_family is not None
         assert report.confirmed_witness is not None
-        assert report.failing_partition is not None
+        assert report.confirmed_witness.partition is not None
 
     def test_dichotomy_is_exhaustive_and_exclusive(self):
         for seed in range(4):

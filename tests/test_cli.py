@@ -578,6 +578,26 @@ class TestJoinBudget:
         assert "576 maximal simplices" in printed and "budget of 144" in printed
 
 
+class TestMemberCount:
+    def test_certificate_refuses_before_the_colorful_check(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "short.json"
+        assert cmd_generate("counterexample", [2, 2], 3, out_path=str(path)) == EXIT_OK
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        doc["families"][1]["sets"].pop()
+        path.write_text(json.dumps(doc))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("colorful check started before the member count")
+
+        monkeypatch.setattr(certificate_module, "check_colorful", forbidden)
+        assert main(["certificate", str(path)]) == EXIT_PRECONDITION
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["error: need exactly k+2 = 4 members, got 3"]
+
+
 class TestEnumerationBudgets:
     def forbidden(self, *args, **kwargs):
         raise AssertionError("work started above an enumeration budget")
