@@ -38,6 +38,7 @@ from .transversal import (
     TheoremViolationError,
     TransversalWitness,
     check_colorful,
+    first_failing_tuple,
     k_transversal,
     partitions,
     validate_witness,

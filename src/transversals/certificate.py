@@ -41,6 +41,7 @@ from .transversal import (
     TransversalWitness,
     check_colorful,
     check_member_count,
+    first_failing_tuple,
     partitions,
     scan_partitions,
 )
@@ -190,21 +191,20 @@ def assign_from_scan(
 
 @dataclass
 class JoinComplex:
-    """Join of the per-family chain complexes."""
+    """Face counts of the join of the per-family chain complexes; its
+    maximal simplices are the ``itertools.product`` of the factors'
+    maximal chains, which ``verify_claim`` walks without storing."""
 
-    maximal_simplices: tuple  # one maximal chain per family, per simplex
     f_vector: tuple
     euler_characteristic: int
 
 
 def build_join(complexes) -> JoinComplex:
-    """Maximal join simplices are all combinations of one maximal chain per
-    factor; the f-vector is the convolution of the factors' (with the empty
-    face included), from which the Euler characteristic follows."""
+    """The join's f-vector is the convolution of the factors' (with the
+    empty face included), from which the Euler characteristic follows."""
     complexes = tuple(complexes)
     if not complexes:
         raise MalformedInputError("join needs at least one complex")
-    maximal = tuple(itertools.product(*[c.maximal_chains for c in complexes]))
 
     poly = [1]  # coefficient r = number of simplices with r vertices, plus empty
     for complex_ in complexes:
@@ -216,7 +216,7 @@ def build_join(complexes) -> JoinComplex:
         poly = result
     f_vector = tuple(poly[1:])
     euler = sum((-1) ** r * f for r, f in enumerate(f_vector))
-    return JoinComplex(maximal, f_vector, euler)
+    return JoinComplex(f_vector, euler)
 
 
 @dataclass
@@ -351,12 +351,9 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
         join.euler_characteristic == expected_join_euler,
         f"actual={join.euler_characteristic}",
     )
-    record(
-        "join-maximal-count",
-        "expected=%d" % math.prod(len(c.maximal_chains) for c in complexes),
-        len(join.maximal_simplices)
-        == math.prod(len(c.maximal_chains) for c in complexes),
-    )
+    # The claim walk below counts the maximal simplices; the count's record
+    # goes here, before the walk's lines.
+    count_position = len(checks)
 
     # Per family, in ``maximal_chains`` order: each chain's first and last
     # member, table entries and label; and, per (first, last) member pair,
@@ -392,8 +389,10 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
 
     # (first tuple, last tuple) -> formatted functional, or None when the
     # pair's check failed and each of its simplices is checked on its own.
-    # The product of the row lists is the order ``build_join`` enumerates.
+    # The product of the row lists walks the maximal join simplices, one
+    # maximal chain per family, without storing them.
     functionals = {}
+    walked = 0
     for index, rows in enumerate(itertools.product(*chain_rows)):
         firsts, lasts, chain_separators, labels = zip(*rows)
         key = (firsts, lasts)
@@ -427,6 +426,7 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
                 )
             audited = True
 
+        walked += 1
         checks.append(
             CheckRecord(
                 "claim-simplex",
@@ -441,6 +441,11 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
             )
         )
 
+    expected = math.prod(len(c.maximal_chains) for c in complexes)
+    count = CheckRecord("join-maximal-count", f"expected={expected}", walked == expected)
+    if not count.passed:
+        raise CertificateInconsistencyError(count.ledger_line())
+    checks.insert(count_position, count)
     return CertificateReport(CERTIFICATE_COMPLETE, checks)
 
 
@@ -470,12 +475,14 @@ def origin_in_hull(vectors) -> bool:
 def full_certificate(instance: Instance) -> CertificateReport:
     """Run the whole pipeline on a colorful instance.
 
-    Scans each family's partitions once.  The first family with an
+    Decides the colorful property first, with ``first_failing_tuple``, and
+    scans each family's partitions once.  The first family with an
     inseparable pair settles the matter: the scan's witness is its
     transversal and the verdict is THEOREM-CONFIRMED (at the guarantee
     dimension this always happens).  If every family separates, the scans'
-    Farkas vectors become its separators, the join claim is verified and the
-    verdict is CERTIFICATE-COMPLETE, which only instances above the
+    Farkas vectors become its separators, the tuple points come from
+    ``check_colorful``, the join claim is verified and the verdict is
+    CERTIFICATE-COMPLETE, which only instances above the
     guarantee dimension can reach.
 
     Raises MalformedInputError before any other work when the join would
@@ -487,11 +494,9 @@ def full_certificate(instance: Instance) -> CertificateReport:
     check_budget(simplices, _JOIN_BUDGET, "the certificate join", "maximal simplices")
     for fam in instance.families:
         check_member_count(fam)
-    colorful = check_colorful(instance)
-    if not colorful.holds:
-        raise ColorfulViolationError(
-            f"colorful intersection fails at tuple {colorful.failing_tuple}"
-        )
+    failing = first_failing_tuple(instance)
+    if failing is not None:
+        raise ColorfulViolationError(f"colorful intersection fails at tuple {failing}")
     assignments = []
     for i, fam in enumerate(instance.families, start=1):
         scan = scan_partitions(fam)
@@ -512,4 +517,4 @@ def full_certificate(instance: Instance) -> CertificateReport:
                 confirmed_witness=scan.witness,
             )
         assignments.append(assign_from_scan(fam, scan, i))
-    return verify_claim(instance, assignments, colorful.witnesses)
+    return verify_claim(instance, assignments, check_colorful(instance).witnesses)

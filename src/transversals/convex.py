@@ -32,7 +32,13 @@ class UnsupportedRepresentationError(ValueError):
 @dataclass(frozen=True)
 class VPolytope:
     """Convex hull of the generator points.  Generators need not be in
-    convex position; a single point is a valid polytope."""
+    convex position; a single point is a valid polytope.
+
+    ``hull_normals`` are a basis of the vectors orthogonal to the affine
+    hull of the generators: the kernel basis of their differences from the
+    first generator, so the identity rows for a single point.  They are
+    computed on first use.
+    """
 
     generators: tuple
 
@@ -49,6 +55,13 @@ class VPolytope:
     @property
     def dim(self) -> int:
         return self.generators[0].dim
+
+    @cached_property
+    def hull_normals(self) -> tuple:
+        # The kernel of one zero row is the identity rows, in order.
+        base = self.generators[0]
+        differences = [g - base for g in self.generators[1:]]
+        return solve_linear(differences or [[_ZERO] * self.dim]).kernel_basis
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .transversal import (
     Instance,
     _check_tuple_budget,
     _member_tuples,
-    check_colorful,
+    first_failing_tuple,
     k_transversal,
 )
 
@@ -300,15 +300,15 @@ def verify_counterexample(ce: CounterexampleInstance):
     """
     checks = []
 
-    colorful = check_colorful(ce.instance)
+    failing = first_failing_tuple(ce.instance)
     record = CheckRecord(
         "colorful-property",
         f"tuples={len(ce.tuple_points)}",
-        colorful.holds,
-        "" if colorful.holds else f"failing tuple {colorful.failing_tuple}",
+        failing is None,
+        "" if failing is None else f"failing tuple {failing}",
     )
     checks.append(record)
-    if not colorful.holds:
+    if failing is not None:
         raise CounterexampleInvalidError(record)
 
     for i, group in enumerate(ce.certificate.parts, start=1):

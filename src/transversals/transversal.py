@@ -33,6 +33,7 @@ from .exactla import (
     check_budget,
     format_rational,
     hull_certificate,
+    rank,
 )
 
 # Most canonical partitions one family may enumerate, one LP each; a family
@@ -289,22 +290,70 @@ def _check_tuple_budget(sizes, work: str) -> None:
     check_budget(counts, _TUPLE_BUDGET, work, "member tuples")
 
 
-def check_colorful(instance: Instance) -> ColorfulReport:
-    """Decide the colorful intersection property: every choice of one member
-    per family must have a common point.
-
-    Tuples are solved in lexicographic order.  Returns per-tuple witness
-    points when the property holds, otherwise the first failing tuple.
-    Raises MalformedInputError before solving any when there are more than
-    ``_TUPLE_BUDGET`` tuples.
-    """
+def _colorful_tuples(instance: Instance):
+    """Every member tuple in lexicographic order, as ``(selector, bodies)``.
+    Raises MalformedInputError before yielding any when there are more than
+    ``_TUPLE_BUDGET`` tuples."""
     families = instance.families
     sizes = [len(f.bodies) for f in families]
     _check_tuple_budget(sizes, "the colorful check")
-    witnesses = {}
     for selector in _member_tuples(sizes):
-        bodies = [families[i].bodies[c - 1] for i, c in enumerate(selector)]
-        point = common_point(bodies)
+        yield selector, [families[i].bodies[c - 1] for i, c in enumerate(selector)]
+
+
+def _shared_generator(bodies) -> Optional[QVector]:
+    """The first generator of the first body that every body lists, by
+    exact equality, or None; always None when a body is a flat."""
+    if not all(isinstance(body, VPolytope) for body in bodies):
+        return None
+    first, *rest = bodies
+    for g in first.generators:
+        if all(g in body.generators for body in rest):
+            return g
+    return None
+
+
+def first_failing_tuple(instance: Instance) -> Optional[tuple]:
+    """Decide the colorful intersection property: every choice of one member
+    per family must have a common point.  Returns the first failing tuple in
+    lexicographic order, or None when the property holds.
+
+    Polytopes that list one generator in common meet at it, so such a tuple
+    holds with no LP; every other tuple is decided by ``common_point``.
+    Raises MalformedInputError before deciding any when there are more than
+    ``_TUPLE_BUDGET`` tuples.
+    """
+    for selector, bodies in _colorful_tuples(instance):
+        if _shared_generator(bodies) is None and common_point(bodies) is None:
+            return selector
+    return None
+
+
+def _unique_shared_point(bodies) -> Optional[QVector]:
+    """A shared generator ``g`` when it is provably the bodies' only common
+    point, else None.  The stacked ``hull_normals`` have rank d exactly
+    when the affine hulls, all through ``g``, meet in ``g`` alone; then the
+    intersection is ``{g}`` and ``common_point`` would return ``g`` too."""
+    g = _shared_generator(bodies)
+    if g is None or rank([n for body in bodies for n in body.hull_normals]) < g.dim:
+        return None
+    return g
+
+
+def check_colorful(instance: Instance) -> ColorfulReport:
+    """``first_failing_tuple`` with a witness point per tuple.
+
+    Returns per-tuple witness points when the property holds, otherwise the
+    first failing tuple.  A tuple whose only common point is a shared
+    generator (``_unique_shared_point``) is witnessed by it with no LP;
+    every other tuple by ``common_point``, so every witness is the point
+    ``common_point`` returns.
+    """
+    witnesses = {}
+    for selector, bodies in _colorful_tuples(instance):
+        point = _unique_shared_point(bodies)
+        if point is None:
+            point = common_point(bodies)
         if point is None:
             return ColorfulReport(False, {}, selector)
         witnesses[selector] = point
@@ -342,10 +391,10 @@ def verify_theorem(instance: Instance) -> TheoremReport:
                 f"family {i} needs {format_rational(fam.k + 2, 'k+2')} members, "
                 f"has {len(fam.bodies)}"
             )
-    colorful = check_colorful(instance)
-    if not colorful.holds:
+    failing = first_failing_tuple(instance)
+    if failing is not None:
         raise TheoremPreconditionError(
-            f"colorful intersection fails at tuple {colorful.failing_tuple}"
+            f"colorful intersection fails at tuple {failing}"
         )
     for i, fam in enumerate(instance.families, start=1):
         witness = k_transversal(fam)

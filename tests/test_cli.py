@@ -571,7 +571,12 @@ class TestJoinBudget:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started above the join budget")
 
-        for name in ("check_colorful", "build_chain_complex", "assign_normals"):
+        for name in (
+            "first_failing_tuple",
+            "check_colorful",
+            "build_chain_complex",
+            "assign_normals",
+        ):
             monkeypatch.setattr(certificate_module, name, forbidden)
         assert main(["certificate", above]) == EXIT_PRECONDITION
         printed = capsys.readouterr().out
@@ -592,7 +597,8 @@ class TestMemberCount:
         def forbidden(*args, **kwargs):
             raise AssertionError("colorful check started before the member count")
 
-        monkeypatch.setattr(certificate_module, "check_colorful", forbidden)
+        for name in ("first_failing_tuple", "check_colorful"):
+            monkeypatch.setattr(certificate_module, name, forbidden)
         assert main(["certificate", str(path)]) == EXIT_PRECONDITION
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["error: need exactly k+2 = 4 members, got 3"]

@@ -19,7 +19,10 @@ claim on 576 join simplices, and both of its families have the same subsets,
 so the same separator keys.  The ``--ks 3,1`` counterexample checks the
 claim on 720 join simplices and audits 72 of them.  The ``--ks 1,1,1``
 counterexample is the one three-family join: it checks the claim on 216
-join simplices and audits 22 of them.
+join simplices and audits 22 of them.  The ``--ks 1,1,1,1`` counterexample
+is the four-family join (1296 join simplices, 130 audits) in dimension 8,
+where each colourful hull LP is 28 x 108; every tuple's members share one
+generator, their only common point, so its colourful checks solve no LP.
 
 Each pipeline also records every distinct ``(rows, rhs)`` system the
 phase-one simplex receives.  The digest of that sorted set is compared too,
@@ -192,6 +195,15 @@ FLATS = [
     (["certificate", "inst.json", "--out", "certificate.json"], EXIT_PRECONDITION),
 ]
 
+JOIN_1_1_1_1 = [
+    (
+        ["generate", "counterexample", "--ks", "1,1,1,1", "--seed", "0", "--out", "inst.json"],
+        EXIT_OK,
+    ),
+    (["check-colorful", "inst.json", "--out", "colorful.json"], EXIT_OK),
+    (["certificate", "inst.json", "--out", "certificate.json"], EXIT_OK),
+]
+
 GOLDEN = {
     "theorem": {
         "inst.json": "28be2faa9a1e5b1d0e824431ef5cf3bb1caeb9cd3b82a0bf20811e35fbc88f19",
@@ -211,7 +223,7 @@ GOLDEN = {
         "family2.json": "c5644ba3562d1ae53bd9573fd6bd436d1b9c0960c069057ed98b9b30e0f3c707",
         "certificate.json": "a4fa4a7f4a19628723fcf5c728de88186c160ee64e5e0e9ac9d5d42824c058d8",
         "stdout": "87ab848e5d338b6bf6dbea1100ed4faf473738a0971eac15c1d8b4be8d59a730",
-        "lp-systems": "808ef6d016b0c16b0952a3ce226f2b05f4826d00613d0583670f8f5e7ea0c8f0",
+        "lp-systems": "151ace7463e0c6182bc28dce021939ef39f90b8727a151a4adfad62e73821813",
     },
     "join": {
         "inst.json": "032d0527aafc38233660ccde4031bdc95b54bb8789d5d0d1f49e34ed1681ec6c",
@@ -221,7 +233,7 @@ GOLDEN = {
         "family2.json": "258969d37432c6a4d800a710b7db69f2c33f0bbe191d0e3059f3a26a38dad91d",
         "certificate.json": "888cb70aa09b47cfe686f0fa8a64991382300d3e30dc7850000801e474d19b9e",
         "stdout": "5dab7d8c4b228cbf5fa8dec65baca86f56a963ca231fc8348243475a6bf4025a",
-        "lp-systems": "19b7ce1b964d24d733ef1f125af21b6727687cf961da748d8e724fb63719cb3e",
+        "lp-systems": "f7d16aa70083149d08d2c50a6e14498f5d16abd8e659440af6b07b2ed670e087",
     },
     "join-2-2": {
         "inst.json": "54570e492f4d59fc710ce44c491ab2c270da60bbc976536f38f7cf62290517fa",
@@ -231,7 +243,7 @@ GOLDEN = {
         "family2.json": "e9285fc52ce80fec616127f9494ec6826b161c67e25e33e2bf657968e576d2bb",
         "certificate.json": "f1549b456aa0d80f7b03a96d18a5c6e54ace1f38b64aafebb20b118acc452d25",
         "stdout": "1133eda8f8c1b5bc5354361cbd3acb3cced39a17fce0d983d21c6163bc863a34",
-        "lp-systems": "e3cf2d49199515cf8c35c6f86661c133aeb74aa413f04312ec803ad7b3ba8804",
+        "lp-systems": "f08068708fc87362b3b78ff5598b60dad72a12d52204de68e3068f058aacf2fd",
     },
     "join-3-1": {
         "inst.json": "280bd997be63734a43790831c4221eb07adc8d2f55a3b608098c3ced1e2ff24a",
@@ -241,7 +253,7 @@ GOLDEN = {
         "family2.json": "85ec5370632cf08c111d88f642fa7a104993e4514d1215ba02dd7458f0c41970",
         "certificate.json": "9752da1fc848b1365904e11c8f3e8d7870f5ad372f08ee7b8296b18ea56663d9",
         "stdout": "17b0b2da64a24737d2566db319a0c20a9e93cb64b8ab83fa066cca6aa6b51b81",
-        "lp-systems": "a5c7fc915f4dd91822976363c4f785d417b9e5b63cb05583cceb87ac6073d7ba",
+        "lp-systems": "771e07307fbaac5ca8eeb12424ec5517e69e67f91022569bdcfcc30c40b17e8f",
     },
     "join-1-1-1": {
         "inst.json": "4deb6c9121b964bceafff6d35aaa097077562f71921560f52768c3249905f6a0",
@@ -252,7 +264,7 @@ GOLDEN = {
         "family3.json": "016803e888692f70febb3159d1c513a2e656b3442b41141fd564d2918d8f4cab",
         "certificate.json": "a1783c3c8724ec76ca6ae38f3cd1dbcce8a6f0534099c40efaff323aec224158",
         "stdout": "f51b5f95e959624570087dc5c4156ecb21aac1d8079d148aef9b529c4aac7a72",
-        "lp-systems": "f7db054482f85c9e680f2ec3136e814c7e31d185edddbcc1678d358496a6a2c8",
+        "lp-systems": "c58e28f101532797017ad289fe86d1e183ae0c26b8b1799aa95a66015b4ad099",
     },
     "generate": {
         "inst.json": "50ef0bf5148895b735a151f0f2227225dab40477be9f272e63949e4bae542f92",
@@ -271,6 +283,14 @@ GOLDEN = {
         "inst.json.cert.txt": "e32d796de103873131ce1d6e1debcba9eccfbc19fcec3eb6c80c561f22631954",
         "stdout": "5b25b82d264c867fe5872be22ce23fd1a28a37e2b79d7afc40830b29603d4c2f",
         "lp-systems": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "join-1-1-1-1": {
+        "inst.json": "d115b78719bca970042e49d09aed69f01a9542c48296ae8ebf58d307808c1be4",
+        "inst.json.cert.txt": "a92c66d58895e8afe995059d9e39663ce97579f0006cd73d4682a2c63e11c7bb",
+        "colorful.json": "b200e182814c06eee78c0c1c7d28fb12cc425f1726060e8d9d78814cb8a625bc",
+        "certificate.json": "ecadd08d744a14d4e070898ded30bc73fb3e932f88724074edac6f9223e93e42",
+        "stdout": "a73a21a905b94c6105b84207430fa3b838d16ccad98b7a6c298eb02c7e1154bb",
+        "lp-systems": "5c1916f169025c5ab1813f4753890a26f05d3b0ab5089cc2d911fd3539a36443",
     },
     "flats": {
         "inst.json": "9cb91ee0a13f20c9935c4d9639d00f7e705d354444c9aecb55948ca5fc7f5b16",
@@ -299,6 +319,7 @@ def sha256(data: bytes) -> str:
         ("generate-deep", GENERATE_DEEP),
         ("join-3-1", JOIN_3_1),
         ("join-1-1-1", JOIN_1_1_1),
+        ("join-1-1-1-1", JOIN_1_1_1_1),
     ],
 )
 def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):

@@ -12,6 +12,13 @@ from transversals.exactla import (
     Relation,
     lp_feasible,
 )
+from transversals import transversal as transversal_module
+from transversals.generators import (
+    FLATS,
+    TRUNCATED,
+    gen_colorful_random,
+    gen_counterexample,
+)
 from transversals.transversal import (
     Family,
     Instance,
@@ -19,6 +26,7 @@ from transversals.transversal import (
     TheoremPreconditionError,
     check_colorful,
     common_point,
+    first_failing_tuple,
     k_transversal,
     partitions,
     validate_witness,
@@ -257,6 +265,133 @@ class TestCheckColorful:
                 families[target] = Family(fam.k, kept)
                 shrunk = Instance(instance.dim, tuple(families))
                 assert check_colorful(shrunk).holds
+
+
+# The instances of the golden pipelines: generator, targets, seed and, for
+# counterexamples, representation.
+GOLDEN_INSTANCES = [
+    ("random", [1, 1], 3, None),
+    ("counterexample", [1, 0], 5, TRUNCATED),
+    ("counterexample", [2, 1], 5, TRUNCATED),
+    ("counterexample", [2, 1], 5, FLATS),
+    ("counterexample", [2, 2], 5, TRUNCATED),
+    ("counterexample", [3, 1], 5, TRUNCATED),
+    ("counterexample", [1, 1, 1], 5, TRUNCATED),
+]
+
+
+def golden_instance(kind, ks, seed, representation):
+    if kind == "random":
+        return gen_colorful_random(ks, seed)
+    return gen_counterexample(ks, seed, representation).instance
+
+
+class TestColorfulShortcut:
+    """Polytopes that share a generator meet there, so ``first_failing_tuple``
+    solves no LP for them; ``check_colorful`` prints the shared generator only
+    where it is the tuple's one common point."""
+
+    def counting_common_point(self, monkeypatch):
+        calls = []
+
+        def counted(bodies):
+            calls.append(tuple(bodies))
+            return common_point(bodies)
+
+        monkeypatch.setattr(transversal_module, "common_point", counted)
+        return calls
+
+    def bodies(self, instance, selector):
+        return [fam.bodies[c - 1] for fam, c in zip(instance.families, selector)]
+
+    @pytest.mark.parametrize("kind,ks,seed,representation", GOLDEN_INSTANCES)
+    def test_witnesses_equal_common_point_on_golden_instances(
+        self, kind, ks, seed, representation
+    ):
+        instance = golden_instance(kind, ks, seed, representation)
+        report = check_colorful(instance)
+        assert report.holds
+        sizes = [len(fam.bodies) for fam in instance.families]
+        assert sorted(report.witnesses) == list(
+            itertools.product(*[range(1, size + 1) for size in sizes])
+        )
+        for selector, point in report.witnesses.items():
+            assert point == common_point(self.bodies(instance, selector))
+        assert first_failing_tuple(instance) is None
+
+    @pytest.mark.parametrize("ks", [[1, 0], [2, 1], [1, 1, 1]])
+    def test_truncated_counterexamples_solve_no_lp(self, ks, monkeypatch):
+        instance = gen_counterexample(ks, 5).instance
+        calls = self.counting_common_point(monkeypatch)
+        assert check_colorful(instance).holds
+        assert first_failing_tuple(instance) is None
+        assert calls == []
+
+    def test_random_instances_decide_without_lp(self, monkeypatch):
+        instance = gen_colorful_random([1, 1], 3)
+        calls = self.counting_common_point(monkeypatch)
+        assert first_failing_tuple(instance) is None
+        assert calls == []
+
+    def test_unique_shared_generator_is_the_witness(self, monkeypatch):
+        # Two segments crossing only at their shared endpoint.
+        instance = Instance(
+            2,
+            (
+                Family(0, (segment([0, 0], [2, 0]),)),
+                Family(0, (segment([0, 0], [0, 3]),)),
+            ),
+        )
+        calls = self.counting_common_point(monkeypatch)
+        assert check_colorful(instance).witnesses == {(1, 1): vec(0, 0)}
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "first,second,lp_point",
+        [
+            (segment([0], [2]), segment([0], [3]), vec(2)),
+            (segment([0, 0], [2, 0]), segment([0, 0], [3, 0]), vec(2, 0)),
+        ],
+    )
+    def test_shared_generator_without_unique_point_keeps_lp_witness(
+        self, first, second, lp_point, monkeypatch
+    ):
+        # The hulls overlap in a segment, so the shared endpoint is one of
+        # many common points and the LP's point is printed.
+        assert common_point([first, second]) == lp_point
+        instance = Instance(first.dim, (Family(0, (first,)), Family(0, (second,))))
+        calls = self.counting_common_point(monkeypatch)
+        assert check_colorful(instance).witnesses == {(1, 1): lp_point}
+        assert len(calls) == 1
+        assert first_failing_tuple(instance) is None
+        assert len(calls) == 1
+
+    def test_hand_made_failing_tuple_is_reported_first(self):
+        # (1, 1) shares the generator 0, (1, 2) meets only by LP, and (1, 3)
+        # is the first of the disjoint tuples.
+        instance = Instance(
+            1,
+            (
+                Family(0, (segment([0], [2]), segment([9], [10]))),
+                Family(0, (segment([0], [5]), segment([1], [3]), segment([7], [8]))),
+            ),
+        )
+        assert first_failing_tuple(instance) == (1, 3)
+        report = check_colorful(instance)
+        assert not report.holds and report.failing_tuple == (1, 3)
+        assert report.witnesses == {}
+
+    def test_flat_and_mixed_tuples_never_take_the_shortcut(self, monkeypatch):
+        origin = vec(0, 0)
+        line = AffineFlat(origin, (vec(1, 0),))
+        point_flat = AffineFlat(origin)
+        corner = VPolytope((origin, vec(0, 1)))
+        for bodies in ([line, corner], [corner, line], [point_flat, line]):
+            instance = Instance(2, tuple(Family(0, (body,)) for body in bodies))
+            calls = self.counting_common_point(monkeypatch)
+            assert first_failing_tuple(instance) is None
+            assert check_colorful(instance).witnesses == {(1, 1): common_point(bodies)}
+            assert calls == [tuple(bodies), tuple(bodies)]
 
 
 class TestVerifyTheorem:
