@@ -10,7 +10,9 @@ transversal ledger and the join certificate.  The three ``generate``-only
 pipelines pin the general-position ledger and both representations at
 ``--ks 1,1,1,1`` (495 subsets, 81 tuples), ``--ks 2,2,2`` (220 subsets,
 64 tuples, flats) and ``--ks 1,1,1,1,1``, the deepest subset walk the budget
-allows cheaply (depth 10, 3003 subsets).  The ``--ks 2,1`` counterexample
+allows cheaply (depth 10, 3003 subsets); the last pipeline pins
+``--ks 2,2,2,2,1,1`` in dimension 16, the widest shape the dimension budget
+admits (74 613 subsets, a 76 923-line ledger).  The ``--ks 2,1`` counterexample
 checks the claim on 144 join simplices and audits 15 of them.  Its flats
 twin decides all 12 colourful tuples as intersections of affine flats, with
 no LP, and gets the same tuple points; ``transversal`` and ``certificate``
@@ -195,6 +197,13 @@ FLATS = [
     (["certificate", "inst.json", "--out", "certificate.json"], EXIT_PRECONDITION),
 ]
 
+GENERATE_16 = [
+    (
+        ["generate", "counterexample", "--ks", "2,2,2,2,1,1", "--seed", "0", "--out", "inst.json"],
+        EXIT_OK,
+    ),
+]
+
 JOIN_1_1_1_1 = [
     (
         ["generate", "counterexample", "--ks", "1,1,1,1", "--seed", "0", "--out", "inst.json"],
@@ -292,6 +301,12 @@ GOLDEN = {
         "stdout": "a73a21a905b94c6105b84207430fa3b838d16ccad98b7a6c298eb02c7e1154bb",
         "lp-systems": "5c1916f169025c5ab1813f4753890a26f05d3b0ab5089cc2d911fd3539a36443",
     },
+    "generate-16": {
+        "inst.json": "5eac4af9ffac7ce19c7a8bfb2d369dad4ceb8d807fb0b38dd28907bb44bc9028",
+        "inst.json.cert.txt": "7a0fc0e7bf146d6c1800e74a83765de6ea400f6145e471fdd7688f46150f27bc",
+        "stdout": "5b25b82d264c867fe5872be22ce23fd1a28a37e2b79d7afc40830b29603d4c2f",
+        "lp-systems": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
     "flats": {
         "inst.json": "9cb91ee0a13f20c9935c4d9639d00f7e705d354444c9aecb55948ca5fc7f5b16",
         "inst.json.cert.txt": "65d12fec09fc9c473432a2e8faedf6422f2f36f04d0aafcf2e80d300e1919ffa",
@@ -320,6 +335,7 @@ def sha256(data: bytes) -> str:
         ("join-3-1", JOIN_3_1),
         ("join-1-1-1", JOIN_1_1_1),
         ("join-1-1-1-1", JOIN_1_1_1_1),
+        ("generate-16", GENERATE_16),
     ],
 )
 def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
