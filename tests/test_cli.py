@@ -878,6 +878,34 @@ class TestEntryPoint:
         assert result.returncode == EXIT_OK
         assert "theorem family=" in result.stdout
 
+    def test_one_parser_per_process_matches_fresh_runs(self, tmp_path, capsys):
+        """The parser is built once and reused, so a refused argument list
+        must leave nothing behind for the calls after it."""
+        path = str(tmp_path / "inst.json")
+        commands = [
+            ["generate", "random", "--ks", "1_0", "--seed", "1", "--out", path],
+            ["generate", "random", "--ks", "1,0", "--seed", "1", "--out", path],
+            ["check-colorful", path],
+        ]
+        in_process = []
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            printed = capsys.readouterr()
+            in_process.append((code, printed.out, printed.err))
+        fresh = []
+        for argv in commands:
+            result = subprocess.run(
+                [sys.executable, "-m", "transversals.cli", *argv],
+                capture_output=True,
+                text=True,
+            )
+            fresh.append((result.returncode, result.stdout, result.stderr))
+        assert in_process == fresh
+        assert [code for code, _, _ in fresh] == [EXIT_PRECONDITION, EXIT_OK, EXIT_OK]
+
 
 class TestReportLoaders:
     @pytest.mark.parametrize(

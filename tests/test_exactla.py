@@ -286,6 +286,79 @@ class TestIndependentSubsets:
             )
         assert list(independent_subsets([], 0)) == [((), True)]
 
+    def test_rows_without_dependency_are_all_independent(self):
+        """Linearly independent rows have no dependency at all, so every
+        subset of every size is independent."""
+        rng = random.Random(23)
+        for count in range(1, 7):
+            while True:
+                rows = [
+                    [F(rng.randint(-5, 5), rng.choice((1, 3))) for _ in range(count + 2)]
+                    for _ in range(count)
+                ]
+                if rank(rows) == count:
+                    break
+            for size in range(count + 1):
+                walked = list(independent_subsets(rows, size))
+                assert walked == self.reference(rows, size)
+                assert all(passed for _, passed in walked)
+
+    def test_complement_shorter_than_dependency_space(self):
+        """Seven rows in the plane have five independent dependencies, so
+        every complement of a 3- or 4-subset is too short to span them,
+        while the 2-subsets are decided one by one."""
+        rows = [[1, 0], [0, 1], [1, 1], [2, 2], [F(1, 2), 3], [0, 0], [-4, 1]]
+        for size in (3, 4):
+            walked = list(independent_subsets(rows, size))
+            assert walked == self.reference(rows, size)
+            assert not any(passed for _, passed in walked)
+        walked = list(independent_subsets(rows, 2))
+        assert walked == self.reference(rows, 2)
+        assert ((0, 1), True) in walked and ((2, 3), False) in walked
+
+    def test_size_equal_to_count(self):
+        assert list(independent_subsets([[1, 2], [3, 4]], 2)) == [((0, 1), True)]
+        assert list(independent_subsets([[1, 2], [2, 4]], 2)) == [((0, 1), False)]
+        assert list(independent_subsets([[1, 2, 0]], 1)) == [((0,), True)]
+        rng = random.Random(24)
+        for _ in range(50):
+            rows = random_rows(rng, rng.randint(1, 5), rng.randint(1, 5))
+            assert list(independent_subsets(rows, len(rows))) == self.reference(
+                rows, len(rows)
+            )
+
+    def test_zero_rows_and_zero_width_rows(self):
+        assert list(independent_subsets([], 1)) == []
+        assert list(independent_subsets([], 2)) == []
+        for count in (1, 2, 3):
+            rows = [[] for _ in range(count)]
+            for size in range(count + 2):
+                walked = list(independent_subsets(rows, size))
+                assert walked == self.reference(rows, size)
+                assert all(passed == (size == 0) for _, passed in walked)
+        assert list(independent_subsets([[], []], 1)) == [((0,), False), ((1,), False)]
+
+    @pytest.mark.parametrize("ks", [[1, 1, 1, 1], [2, 2, 2], [2, 1, 1]])
+    def test_homogenized_points_at_generator_shapes(self, ks):
+        """The counterexample's 2n+m homogenized points in dimension n+m,
+        walked at size n+m.  One set is generic; the others plant a
+        repeated point or three collinear points, which makes exactly the
+        subsets holding them dependent."""
+        n, m = len(ks), sum(ks)
+        d = n + m
+        rng = random.Random(25 + d)
+        points = [[rng.randint(-50, 50) for _ in range(d)] for _ in range(2 * n + m)]
+        repeated = [list(p) for p in points]
+        repeated[5] = list(repeated[1])
+        collinear = [list(p) for p in points]
+        collinear[7] = [2 * b - a for a, b in zip(collinear[2], collinear[4])]
+        for planted, degenerate in ((points, None), (repeated, {1, 5}), (collinear, {2, 4, 7})):
+            rows = [p + [1] for p in planted]
+            walked = list(independent_subsets(rows, d))
+            assert walked == self.reference(rows, d)
+            for subset, passed in walked:
+                assert passed == (degenerate is None or not degenerate <= set(subset))
+
 
 class TestSolveLinearColumns:
     """One elimination for many right-hand sides against one ``solve_linear``

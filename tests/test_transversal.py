@@ -333,6 +333,26 @@ class TestColorfulShortcut:
         assert first_failing_tuple(instance) is None
         assert calls == []
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_too_few_hull_normals_are_not_ranked(self, seed, monkeypatch):
+        # Full-dimensional bodies have no hull normals, so no tuple of them
+        # can have its shared generator proven unique and none is ranked.
+        instance = gen_colorful_random([1, 1, 1], seed)
+        ranked = []
+        rank = transversal_module.rank
+
+        def counted(rows):
+            ranked.append(rows)
+            return rank(rows)
+
+        monkeypatch.setattr(transversal_module, "rank", counted)
+        report = check_colorful(instance)
+        monkeypatch.undo()
+        assert ranked == []
+        assert report.holds and len(report.witnesses) == 27
+        for selector, point in report.witnesses.items():
+            assert point == common_point(self.bodies(instance, selector))
+
     def test_unique_shared_generator_is_the_witness(self, monkeypatch):
         # Two segments crossing only at their shared endpoint.
         instance = Instance(
