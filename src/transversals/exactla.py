@@ -267,16 +267,17 @@ def independent_subsets(rows, size: int):
     complement shorter than ``k`` makes every subset dependent.
 
     ``G`` is scaled to integers once and the complements are walked
-    depth-first in ``itertools.combinations`` order.  A node hands its child every later column already reduced
-    against the prefix, so each (prefix, later column) pair costs one
-    fraction-free update ``(p*col - col[c]*lead) // q``: ``lead`` is the
-    prefix's last nonzero reduced column, ``c`` its pivot entry, ``p`` its
-    pivot and ``q`` the pivot before it (Bareiss 1968; every entry stays a
-    minor of ``G``, so each division is exact).  A column that reduces to
-    zero adds no rank.  A prefix of rank ``k`` makes all its extensions
-    independent, and one that cannot reach rank ``k`` with the picks left
-    makes them all dependent, each at once.  Complementing reverses
-    ``combinations`` order, so the verdicts are yielded reversed.
+    depth-first in ``itertools.combinations`` order.  A node hands its
+    child every later column already reduced against the prefix, so each
+    (prefix, later column) pair costs one fraction-free update
+    ``(p*col - col[c]*lead) // q``: ``lead`` is the prefix's last nonzero
+    reduced column, ``c`` its pivot entry, ``p`` its pivot and ``q`` the
+    pivot before it (Bareiss 1968; every entry stays a minor of ``G``, so
+    each division is exact).  A column that reduces to zero adds no rank.
+    A prefix of rank ``k`` makes all its extensions independent, and one
+    that cannot reach rank ``k`` with the picks left makes them all
+    dependent, each at once.  Complementing reverses ``combinations``
+    order, so the verdicts are yielded reversed.
     """
     table, _ = _integer_rows(rows)
     count = len(table)

@@ -41,9 +41,9 @@ from .transversal import (
 FLATS = "flats"
 TRUNCATED = "truncated"
 
-# Most (n+m)-point subsets a counterexample may rank-check, one rank each;
-# 2n+m points have C(2n+m, n+m) of them, which --ks 1,1,1,1,1,1,1,1,1,1
-# takes to 30045015.
+# Most (n+m)-point subsets a counterexample may rank-check, one ledger
+# record each from a single subset walk; 2n+m points have C(2n+m, n+m) of
+# them, which --ks 1,1,1,1,1,1,1,1,1,1 takes to 30045015.
 _SUBSET_BUDGET = 100_000
 
 # Highest ambient dimension a generator may sample in; the budgets on counts
@@ -130,9 +130,13 @@ def _general_position_checks(ks, points):
     the points, in ``itertools.combinations`` order, then one
     "family-affine-dim" record per color group, then one
     "tuple-intersection-unique" record per member tuple in sorted order.
-    The subsets are decided by one depth-first walk over the homogenized
-    points (``exactla.independent_subsets``), which reduces each point's row
-    once per prefix it can extend, not once per subset.
+    The subsets are decided by one ``exactla.independent_subsets`` walk
+    over the homogenized points, on the dual: n+m points are affinely
+    independent exactly when a basis of the dependencies of all 2n+m
+    homogenized points keeps full rank on the n points left out.  On
+    generic points that basis has n-1 vectors, so the walk reduces columns
+    of length n-1 over n-point complements instead of rows of length n+m+1
+    over (n+m)-point subsets.
 
     Family rows are one difference-row matrix per family (a basis of the
     group's span directions).  A tuple's system stacks every family's
