@@ -277,7 +277,10 @@ def independent_subsets(rows, size: int):
     A prefix of rank ``k`` makes all its extensions independent, and one
     that cannot reach rank ``k`` with the picks left makes them all
     dependent, each at once.  Complementing reverses ``combinations``
-    order, so the verdicts are yielded reversed.
+    order, so the verdicts are yielded reversed.  The work grows with ``k``
+    and with the complement size, so the walk suits sets with few more rows
+    than their rank, such as the counterexample's 2n+m points in dimension
+    n+m; many rows of small rank make it slow.
     """
     table, _ = _integer_rows(rows)
     count = len(table)
