@@ -9,10 +9,9 @@ the counterexample instances exercise the rank certificates, the negative
 transversal ledger and the join certificate.  The three ``generate``-only
 pipelines pin the general-position ledger and both representations at
 ``--ks 1,1,1,1`` (495 subsets, 81 tuples), ``--ks 2,2,2`` (220 subsets,
-64 tuples, flats) and ``--ks 1,1,1,1,1``, the deepest subset walk the budget
-allows cheaply (depth 10, 3003 subsets); the last pipeline pins
-``--ks 2,2,2,2,1,1`` in dimension 16, the widest shape the dimension budget
-admits (74 613 subsets, a 76 923-line ledger).  The ``--ks 2,1`` counterexample
+64 tuples, flats) and ``--ks 1,1,1,1,1`` (3003 subsets of 15 points in
+dimension 10); the last pipeline pins ``--ks 2,2,2,2,1,1`` in dimension 16,
+the highest the generators admit (74 613 subsets, a 76 923-line ledger).  The ``--ks 2,1`` counterexample
 checks the claim on 144 join simplices and audits 15 of them.  Its flats
 twin decides all 12 colourful tuples as intersections of affine flats, with
 no LP, and gets the same tuple points; ``transversal`` and ``certificate``
