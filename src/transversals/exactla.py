@@ -76,7 +76,7 @@ def as_rational(value) -> Fraction:
     raise MalformedInputError(f"expected an exact rational, got {value!r}")
 
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def _over_digit_limit(what: str) -> MalformedInputError:
@@ -89,10 +89,16 @@ def format_rational(value: Fraction, what: str = "result") -> str:
     Refused with MalformedInputError naming ``what`` above
     ``sys.get_int_max_str_digits()``."""
     value = as_rational(value)
+    return _format_lowest(value.numerator, value.denominator, what)
+
+
+def _format_lowest(numerator: int, denominator: int, what: str = "result") -> str:
+    """``format_rational`` of ``numerator / denominator``, given in lowest
+    terms with ``denominator > 0``."""
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        if denominator == 1:
+            return str(numerator)
+        return f"{numerator}/{denominator}"
     except ValueError as exc:
         raise _over_digit_limit(what) from exc
 
@@ -100,11 +106,14 @@ def format_rational(value: Fraction, what: str = "result") -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse the wire format in ASCII digits.  Decimal points and negative
     denominators are rejected so no consumer can silently lose precision;
-    a literal above the digit limit is refused without being echoed."""
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+    a literal above the digit limit is refused without being echoed.  The
+    two matched parts are read by ``int`` once each."""
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise MalformedInputError(f"bad rational literal {text!r}")
+    numerator, denominator = match.groups(default="1")
     try:
-        return Fraction(text)
+        return Fraction(int(numerator), int(denominator))
     except ValueError as exc:
         raise _over_digit_limit("rational literal") from exc
 
@@ -533,9 +542,9 @@ def _farkas(original, basis, n: int) -> list:
 
     So only the rows held by an original column are unknown.  With the fixed
     ``y_i`` moved to the right-hand side, their equations are one square
-    system, nonsingular because ``B`` is, and one fraction-free elimination
-    solves it.  The result is checked by exact integer substitution before
-    it is returned.
+    integer system, nonsingular because ``B`` is, and
+    ``_fraction_free_solve`` solves it.  The result is checked by exact
+    integer substitution before it is returned.
     """
     fixed = [
         (i, -1 if original[i][-1] < 0 else 1) for i, var in enumerate(basis) if var >= n
@@ -547,17 +556,50 @@ def _farkas(original, basis, n: int) -> list:
         for var in basis
         if var < n
     ]
-    _, table, denominator = _reduced_echelon(system)
+    numerators, denominator = _fraction_free_solve(system)
     sign = 1 if denominator > 0 else -1
     y = [0] * len(original)
     for i, s in fixed:
         y[i] = s * sign * denominator
-    for i, row in zip(unknown, table):
-        y[i] = sign * row[-1]
+    for i, value in zip(unknown, numerators):
+        y[i] = sign * value
     *columns, value = [sum(map(operator.mul, y, column)) for column in zip(*original)]
     if any(c > 0 for c in columns) or value <= 0:
         raise AssertionError("Farkas vector fails the substitution check")
     return [Fraction(v, sign * denominator) for v in y]
+
+
+def _fraction_free_solve(system) -> tuple:
+    """``(numerators, denominator)`` with ``x = numerators / denominator``
+    the solution of ``[M | b]``, k integer rows of k + 1 entries with ``M``
+    nonsingular; ``denominator`` is the last pivot.
+
+    Forward elimination only, with the update and the pivot choice of
+    ``_reduced_echelon`` (first nonzero entry at or below the diagonal), so
+    the last pivot is the one Gauss-Jordan would end on.  Then fraction-free
+    back substitution: row i reads ``sum_{j >= i} T[i][j] x_j = T[i][k]``,
+    so ``X = denominator * x`` has ``X_i = (denominator * T[i][k] -
+    sum_{j > i} T[i][j] X_j) // T[i][i]``.  Each ``X_i`` is plus or minus a
+    Cramer numerator of ``M``, an integer, so every division is exact.
+    """
+    table = [list(row) for row in system]
+    k = len(table)
+    denominator = 1
+    for col in range(k):
+        pivot_row = next(i for i in range(col, k) if table[i][col])
+        table[col], table[pivot_row] = table[pivot_row], table[col]
+        lead = table[col]
+        pivot = lead[col]
+        for i in range(col + 1, k):
+            f = table[i][col]
+            table[i] = [(pivot * a - f * b) // denominator for a, b in zip(table[i], lead)]
+        denominator = pivot
+    numerators = [0] * k
+    for i in reversed(range(k)):
+        row = table[i]
+        rest = sum(row[j] * numerators[j] for j in range(i + 1, k))
+        numerators[i] = (denominator * row[k] - rest) // row[i]
+    return numerators, denominator
 
 
 def standard_form_feasible(rows, rhs):

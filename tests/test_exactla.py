@@ -71,6 +71,17 @@ class TestWireFormat:
         assert (q.numerator, q.denominator) == (3, 2)
         assert q.denominator > 0
 
+    @pytest.mark.parametrize(
+        "text", ["6/4", "-6/4", "-12/18", "0", "-0", "0/7", "-0/3", "007/14", "-5", "12/1"]
+    )
+    def test_parse_equals_fraction_of_the_text(self, text):
+        """The two parts are read by ``int`` once; the result is the one
+        ``Fraction`` gives for the whole text, unreduced, negative and zero
+        literals included."""
+        q = parse_rational(text)
+        assert q == F(text) and type(q) is F
+        assert (q.numerator, q.denominator) == (F(text).numerator, F(text).denominator)
+
 
 class TestVectors:
     def test_floats_rejected(self):
@@ -1225,12 +1236,12 @@ class TestShortBackSolve:
         )
 
     def test_corrupted_solution_fails_substitution(self, monkeypatch):
-        eliminate = exactla._reduced_echelon
+        solve = exactla._fraction_free_solve
 
-        def corrupted(rows):
-            pivots, table, denominator = eliminate(rows)
-            return pivots, [row[:-1] + [-row[-1]] for row in table], denominator
+        def corrupted(system):
+            numerators, denominator = solve(system)
+            return [-v for v in numerators], denominator
 
-        monkeypatch.setattr(exactla, "_reduced_echelon", corrupted)
+        monkeypatch.setattr(exactla, "_fraction_free_solve", corrupted)
         with pytest.raises(AssertionError, match="substitution check"):
             _phase_one([[F(1), F(0)], [F(1), F(0)]], [F(1), F(2)])
