@@ -10,6 +10,7 @@ ever approximate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -36,8 +37,9 @@ class VPolytope:
 
     ``hull_normals`` are a basis of the vectors orthogonal to the affine
     hull of the generators: the kernel basis of their differences from the
-    first generator, so the identity rows for a single point.  They are
-    computed on first use.
+    first generator, so the identity rows for a single point, each scaled
+    to a primitive integer row (integer entries with gcd 1), which keeps
+    its direction and the basis's rank.  They are computed on first use.
     """
 
     generators: tuple
@@ -61,7 +63,9 @@ class VPolytope:
         # The kernel of one zero row is the identity rows, in order.
         base = self.generators[0]
         differences = [g - base for g in self.generators[1:]]
-        return solve_linear(differences or [[_ZERO] * self.dim]).kernel_basis
+        kernel = solve_linear(differences or [[_ZERO] * self.dim]).kernel_basis
+        rows = (normal._integer_form()[0] for normal in kernel)
+        return tuple(QVector([e // math.gcd(*row) for e in row]) for row in rows)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from transversals.exactla import (
     QVector,
     Relation,
     lp_feasible,
+    solve_linear,
 )
 from transversals import transversal as transversal_module
 from transversals.generators import (
@@ -385,6 +387,32 @@ class TestColorfulShortcut:
         assert len(calls) == 1
         assert first_failing_tuple(instance) is None
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("ks,seed", [([1, 0], 5), ([2, 1], 5), ([2, 2], 1), ([1, 1, 1], 3)])
+    def test_integer_hull_normals_keep_the_witnesses(self, ks, seed, monkeypatch):
+        """``hull_normals`` are primitive integer rows, each a positive
+        multiple of a row of the rational kernel basis, so the rank tests of
+        ``_unique_shared_point`` and the witnesses are those the rational
+        kernel gives."""
+
+        def rational_kernel(body):
+            base = body.generators[0]
+            differences = [g - base for g in body.generators[1:]]
+            return solve_linear(differences or [[0] * body.dim]).kernel_basis
+
+        instance = gen_counterexample(ks, seed).instance
+        witnesses = check_colorful(instance).witnesses
+        for family in instance.families:
+            for body in family.bodies:
+                rational = rational_kernel(body)
+                assert len(body.hull_normals) == len(rational)
+                for normal, row in zip(body.hull_normals, rational):
+                    assert all(e.denominator == 1 for e in normal)
+                    assert math.gcd(*(e.numerator for e in normal)) == 1
+                    ratio = next(a / b for a, b in zip(normal, row) if b)
+                    assert ratio > 0 and normal == row * ratio
+        monkeypatch.setattr(VPolytope, "hull_normals", property(rational_kernel))
+        assert check_colorful(instance).witnesses == witnesses
 
     def test_hand_made_failing_tuple_is_reported_first(self):
         # (1, 1) shares the generator 0, (1, 2) meets only by LP, and (1, 3)
