@@ -26,10 +26,11 @@ from .exactla import (
     PreconditionError,
     QVector,
     _ZERO,
+    _format_lowest,
+    _reduced_echelon,
     check_budget,
     check_two_sided,
     farkas_separator,
-    format_rational,
     hull_weights,
 )
 from .reporting import CheckRecord
@@ -289,19 +290,32 @@ def _structural_checks(complexes, assignments):
     return checks, record
 
 
-def _dot_table(assignment: NormalAssignment, points) -> dict:
-    """Subset -> ``(normal, offset, dots)``, where ``dots`` maps each key of
-    ``points`` to the normal's inner product with that tuple point.  A
-    complementary pair costs one set of products: the complement's normal
-    is the exact negation, as the antipodality check has confirmed, so its
-    products are the negations."""
+def _dot_table(assignment: NormalAssignment, points: dict) -> dict:
+    """Subset -> ``(normal, offset, sides)``, where ``sides`` maps each key
+    of ``points`` to the sign, -1, 0 or 1, of ``normal . p - offset`` at
+    that tuple point.
+
+    Computed on integers: with ``a / s_a`` and ``b / s_b`` the integer
+    forms of the normal and the point and ``num / den`` the offset, the
+    sign is that of ``(a . b) * den - num * s_a * s_b``, because the scales
+    and ``den`` are positive.  A complementary pair costs one set of
+    products: the complement's normal and offset are the exact negations,
+    as the antipodality check has confirmed, so its signs are the
+    negations."""
     ground = frozenset(range(1, assignment.family_size + 1))
+    forms = {key: point._integer_form() for key, point in points.items()}
     table = {}
     for subset, (normal, offset) in assignment.normals.items():
         if subset not in table:
-            dots = {key: normal.dot(point) for key, point in points.items()}
-            table[subset] = (normal, offset, dots)
-            negated = {key: -d for key, d in dots.items()}
+            a, scale = normal._integer_form()
+            den = offset.denominator
+            num = offset.numerator * scale
+            sides = {}
+            for key, (b, point_scale) in forms.items():
+                side = sum(map(operator.mul, a, b)) * den - num * point_scale
+                sides[key] = (side > 0) - (side < 0)
+            table[subset] = (normal, offset, sides)
+            negated = {key: -side for key, side in sides.items()}
             table[ground - subset] = (*assignment.normals[ground - subset], negated)
     return table
 
@@ -323,16 +337,17 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
     the subsets that contain ``f`` and not ``l``, so one two-sided check
     over those separators of every family checks the same bounds as all of
     the pair's simplices together, and the functional is the same
-    difference vector.  The bounds are read from a table made once per
-    certificate (``_dot_table``: every separator against every tuple
-    point), and ``check_two_sided`` is the bound check
-    ``positive_functional`` makes, so failures read the same; the
+    difference vector.  The bounds are read as signs from a table made
+    once per certificate on integers (``_dot_table``: every separator
+    against every tuple point), and the functional is formatted from the
+    two points' integer forms, each coordinate reduced by one gcd; the
     difference's product with a normal is ``hi - lo`` by linearity, which
-    the check has shown positive.  When a pair's check fails, each of its
-    simplices is checked on its own normals, in index order, so the first
-    failing simplex is the one reported.  Every tenth simplex is
-    audited independently: the LP asking for a zero convex combination of
-    the normals must be infeasible.
+    the check has shown positive.  Only a failing check makes Fractions:
+    its bounds go to ``check_two_sided``, the check ``positive_functional``
+    makes, so failures read the same.  When a pair's check fails, each of
+    its simplices is checked on its own normals, in index order, so the
+    first failing simplex is the one reported.  Every tenth simplex is
+    audited independently by ``origin_in_hull``.
     """
     families = instance.families
     assignments = list(assignments)
@@ -380,12 +395,22 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
         straddled.append(pairs)
 
     def functional(separators, first_tuple, last_tuple):
-        check_two_sided(
-            (dots[last_tuple], offset, dots[first_tuple])
-            for _, offset, dots in separators
-        )
         above, below = points[first_tuple], points[last_tuple]
-        return ",".join(format_rational(a - b) for a, b in zip(above, below))
+        if not all(
+            sides[last_tuple] < 0 < sides[first_tuple] for _, _, sides in separators
+        ):
+            check_two_sided(
+                (normal.dot(below), offset, normal.dot(above))
+                for normal, offset, _ in separators
+            )
+        (x, x_scale), (y, y_scale) = above._integer_form(), below._integer_form()
+        scale = x_scale * y_scale
+        coordinates = []
+        for a, b in zip(x, y):
+            num = a * y_scale - b * x_scale
+            g = math.gcd(num, scale)
+            coordinates.append(_format_lowest(num // g, scale // g))
+        return ",".join(coordinates)
 
     # (first tuple, last tuple) -> formatted functional, or None when the
     # pair's check failed and each of its simplices is checked on its own.
@@ -406,8 +431,10 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
                 functionals[key] = functional(union, *key)
             except PreconditionError:
                 functionals[key] = None
-        separators = [s for group in chain_separators for s in group]
         formatted = functionals[key]
+        audited = index % _AUDIT_STRIDE == 0
+        if formatted is None or audited:
+            separators = [s for group in chain_separators for s in group]
         if formatted is None:
             try:
                 formatted = functional(separators, *key)
@@ -417,14 +444,11 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
                     f"bounds ({exc})"
                 ) from exc
 
-        audited = False
-        if index % _AUDIT_STRIDE == 0:
-            if origin_in_hull([normal for normal, _, _ in separators]):
-                raise CertificateInconsistencyError(
-                    f"simplex {index}: audit LP found the origin inside the "
-                    "normal hull"
-                )
-            audited = True
+        if audited and origin_in_hull([normal for normal, _, _ in separators]):
+            raise CertificateInconsistencyError(
+                f"simplex {index}: audit LP found the origin inside the "
+                "normal hull"
+            )
 
         walked += 1
         checks.append(
@@ -452,7 +476,18 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
 def origin_in_hull(vectors) -> bool:
     """Exact test whether the origin is a convex combination of the vectors.
 
-    Decides ``{w >= 0 : sum_j w_j v_j = 0, sum_j w_j = 1}``, which is
+    First a functional (Gordan 1873): the origin is outside the hull when
+    some ``u`` has ``v . u > 0`` for every vector ``v``.  One fraction-free
+    elimination of ``[V | 1]`` (``exactla._reduced_echelon`` on the
+    vectors' integer forms) looks for a ``u`` with ``v . u = 1`` for every
+    ``v``, its free variables at zero.  When no pivot lands in the last
+    column, ``u = w / D`` with integer ``w`` and ``D``, both negated when
+    ``D < 0``; ``v . w == D * s > 0`` is checked by integer substitution
+    for every ``v = a / s``, and the answer is False with no LP.
+
+    Only an inconsistent ``[V | 1]`` (a zero vector, or a dependency among
+    the vectors whose coefficients do not sum to zero) is decided by
+    ``{w >= 0 : sum_j w_j v_j = 0, sum_j w_j = 1}``, which is
     ``exactla.hull_weights`` with one block and the origin as target.
     Weights it finds are substituted back exactly before the answer is
     trusted.
@@ -463,6 +498,20 @@ def origin_in_hull(vectors) -> bool:
     d = vectors[0].dim
     if any(v.dim != d for v in vectors):
         raise MalformedInputError("mixed dimensions in hull input")
+    forms = [v._integer_form() for v in vectors]
+    # Every row ends in its scale s >= 1, so there is at least one pivot.
+    pivots, table, denominator = _reduced_echelon([[*a, s] for a, s in forms])
+    if pivots[-1] < d:
+        sign = 1 if denominator > 0 else -1
+        functional = [0] * d
+        for row, col in zip(table, pivots):
+            functional[col] = sign * row[d]
+        value = sign * denominator
+        if value > 0 and all(
+            sum(map(operator.mul, a, functional)) == value * s for a, s in forms
+        ):
+            return False
+        raise AssertionError("Gordan functional fails the substitution check")
     found = hull_weights([vectors], [0], QVector([_ZERO] * d))
     if found is None:
         return False

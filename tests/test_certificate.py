@@ -369,12 +369,53 @@ class TestVerifyClaim:
         assert answers.count(True) >= 50 and answers.count(False) >= 50
 
     def test_origin_in_hull_checks_the_weights(self, monkeypatch):
+        # u . (1, 0) = 1 and u . (2, 0) = 1 is inconsistent, so no functional
+        # settles this pair and the LP answers; its weights are checked.
         monkeypatch.setattr(
             exactla_module,
             "standard_form_feasible",
             lambda rows, rhs: [Fraction(1, 2), Fraction(1, 2)],
         )
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match="weights outside the hull system"):
+            origin_in_hull([vec(1, 0), vec(2, 0)])
+
+    def test_inconsistent_systems_go_to_the_lp(self, monkeypatch):
+        """[V | 1] is inconsistent for a zero vector and for a dependency
+        whose coefficients do not sum to zero; the LP decides those."""
+        calls = []
+        solve = certificate_module.hull_weights
+
+        def spy(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(certificate_module, "hull_weights", spy)
+        assert not origin_in_hull([vec(1, 0), vec(2, 0)])
+        assert origin_in_hull([vec(1, 0), vec(-1, 0)])
+        assert origin_in_hull([vec(0, 0)])
+        assert origin_in_hull([vec(0, 0), vec(1, 1)])
+        assert len(calls) == 4
+
+    def test_consistent_systems_solve_no_lp(self, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("the functional should settle this")
+
+        monkeypatch.setattr(certificate_module, "hull_weights", no_lp)
+        assert not origin_in_hull([vec(1, 0), vec(0, 1)])
+        assert not origin_in_hull([vec(1, 0), vec(1, 0)])  # a repeated vector
+        assert not origin_in_hull([vec(2, 0), vec(0, 2), vec(1, 1)])  # 3 in the plane
+        assert not origin_in_hull([vec(Fraction(-1, 3), 5), vec(Fraction(2, 7), 1)])
+        assert not origin_in_hull([vec(1, 2, 3)])
+
+    def test_corrupted_functional_fails_substitution(self, monkeypatch):
+        eliminate = certificate_module._reduced_echelon
+
+        def corrupted(rows):
+            pivots, table, denominator = eliminate(rows)
+            return pivots, [row[:-1] + [-row[-1]] for row in table], denominator
+
+        monkeypatch.setattr(certificate_module, "_reduced_echelon", corrupted)
+        with pytest.raises(AssertionError, match="Gordan functional"):
             origin_in_hull([vec(1, 0), vec(0, 1)])
 
     def test_origin_in_hull_rejects_mixed_dimensions(self):
@@ -477,6 +518,168 @@ class TestClaimAgainstPerSimplexReference:
         assert kind == "error"
         assert message.startswith("simplex 0: ") and "at index 4: " in message
         assert sizes == [6, 5]
+
+
+def fraction_dot_table(assignment, points):
+    """The claim check's table in Fractions: subset -> ``(normal, offset,
+    dots)`` with ``dots`` each tuple point's ``QVector.dot`` with the
+    normal, the complement's the negations."""
+    ground = frozenset(range(1, assignment.family_size + 1))
+    table = {}
+    for subset, (normal, offset) in assignment.normals.items():
+        if subset not in table:
+            dots = {key: normal.dot(point) for key, point in points.items()}
+            table[subset] = (normal, offset, dots)
+            negated = {key: -d for key, d in dots.items()}
+            table[ground - subset] = (*assignment.normals[ground - subset], negated)
+    return table
+
+
+def fraction_claim_lines(instance, assignments, points):
+    """The pair walk of ``verify_claim`` on ``fraction_dot_table``: every
+    bound read by ``check_two_sided`` and every functional formatted from
+    the Fraction difference of the two tuple points, audits by the
+    free-variable reference."""
+    complexes = [build_chain_complex(f.k) for f in instance.families]
+    chain_rows = []
+    straddled = []
+    for i, (cx, assignment) in enumerate(zip(complexes, assignments), start=1):
+        entries = fraction_dot_table(assignment, points)
+        size = cx.k + 2
+        rows = []
+        for chain in cx.maximal_chains:
+            (first,) = chain[0]
+            (last,) = involution(chain[-1], size)
+            label = "F%d:%s" % (
+                i,
+                "<".join("{%s}" % ",".join(str(j) for j in sorted(v)) for v in chain),
+            )
+            rows.append((first, last, [entries[v] for v in chain], label))
+        chain_rows.append(rows)
+        pairs = {}
+        for vertex in cx.vertices:
+            for first in vertex:
+                for last in range(1, size + 1):
+                    if last not in vertex:
+                        pairs.setdefault((first, last), []).append(entries[vertex])
+        straddled.append(pairs)
+
+    def functional(separators, first_tuple, last_tuple):
+        check_two_sided(
+            (dots[last_tuple], offset, dots[first_tuple])
+            for _, offset, dots in separators
+        )
+        above, below = points[first_tuple], points[last_tuple]
+        return ",".join(format_rational(a - b) for a, b in zip(above, below))
+
+    functionals = {}
+    lines = []
+    for index, rows in enumerate(itertools.product(*chain_rows)):
+        firsts, lasts, chain_separators, labels = zip(*rows)
+        key = (firsts, lasts)
+        if key not in functionals:
+            union = [
+                separator
+                for pairs, first, last in zip(straddled, *key)
+                for separator in pairs[first, last]
+            ]
+            try:
+                functionals[key] = functional(union, *key)
+            except PreconditionError:
+                functionals[key] = None
+        separators = [s for group in chain_separators for s in group]
+        formatted = functionals[key]
+        if formatted is None:
+            try:
+                formatted = functional(separators, *key)
+            except PreconditionError as exc:
+                raise CertificateInconsistencyError(
+                    f"simplex {index}: separator orientation broke the two-sided "
+                    f"bounds ({exc})"
+                ) from exc
+        audited = index % _AUDIT_STRIDE == 0
+        if audited:
+            assert not reference_origin_in_hull([normal for normal, _, _ in separators])
+        record = CheckRecord(
+            "claim-simplex",
+            f"index={index}",
+            True,
+            "S=[%s] v=(%s)%s" % (" ".join(labels), formatted, " audited" if audited else ""),
+        )
+        lines.append(record.ledger_line())
+    return lines
+
+
+def rational_assignments(assignments, points, rng, moved):
+    """Each complementary pair's normal and offset scaled by one random
+    positive rational, which keeps every separator; with probability
+    ``moved`` the offset is then moved to a random tuple point's level,
+    shifted by a small random rational or not at all."""
+    changed = []
+    for assignment in assignments:
+        ground = frozenset(range(1, assignment.family_size + 1))
+        normals = {}
+        for subset in sorted(assignment.normals, key=sorted):
+            if subset in normals:
+                continue
+            normal, offset = assignment.normals[subset]
+            scale = Fraction(rng.randint(1, 60), rng.randint(1, 60))
+            normal, offset = normal * scale, offset * scale
+            if rng.random() < moved:
+                level = normal.dot(rng.choice(list(points.values())))
+                offset = level + Fraction(rng.randint(-3, 3), rng.randint(1, 5))
+            normals[subset] = (normal, offset)
+            normals[ground - subset] = (-normal, -offset)
+        changed.append(NormalAssignment(assignment.family_size, normals))
+    return changed
+
+
+class TestIntegerClaimWalk:
+    """The claim walk reads its bounds as integer signs and formats its
+    functionals from integer forms; the Fraction walk it replaced is kept
+    above as the reference."""
+
+    @pytest.mark.parametrize("ks,seed", [([2, 1], 0), ([1, 1, 1], 1), ([1, 0], 2)])
+    def test_same_outcome_on_rational_assignments(self, ks, seed):
+        instance = gen_counterexample(ks, seed=seed).instance
+        base = [assign_normals(fam, i + 1) for i, fam in enumerate(instance.families)]
+        points = check_colorful(instance).witnesses
+        rng = random.Random(9100 + seed)
+        outcomes = []
+        for trial in range(10):
+            assignments = rational_assignments(base, points, rng, 0.0 if trial < 3 else 0.1)
+            outcome = claim_outcome(verify_claim_lines, instance, assignments, points)
+            expected = claim_outcome(fraction_claim_lines, instance, assignments, points)
+            assert outcome == expected
+            outcomes.append(outcome[0])
+        assert outcomes[:3] == ["lines"] * 3 and "error" in outcomes
+
+    def test_same_sides_as_the_fraction_table(self):
+        instance = gen_counterexample([2, 2], seed=3).instance
+        base = [assign_normals(fam, i + 1) for i, fam in enumerate(instance.families)]
+        points = dict(check_colorful(instance).witnesses)
+        rng = random.Random(77)
+        # points with coordinates over several denominators, and offsets on them
+        for key in list(points)[::3]:
+            points[key] = QVector(e + Fraction(rng.randint(-5, 5), rng.choice((1, 3, 8)))
+                                  for e in points[key])
+        for assignment in rational_assignments(base, points, rng, 0.5):
+            subset = rng.choice(sorted(assignment.normals, key=sorted))
+            normal, _ = assignment.normals[subset]
+            offset = normal.dot(rng.choice(list(points.values())))
+            complement = frozenset(range(1, assignment.family_size + 1)) - subset
+            assignment.normals[subset] = (normal, offset)
+            assignment.normals[complement] = (-normal, -offset)
+            table = certificate_module._dot_table(assignment, points)
+            reference = fraction_dot_table(assignment, points)
+            signs = set()
+            for subset, (normal, offset, sides) in table.items():
+                assert (normal, offset) == reference[subset][:2]
+                for key, dot in reference[subset][2].items():
+                    expected = (dot > offset) - (dot < offset)
+                    assert sides[key] == expected
+                    signs.add(expected)
+            assert signs == {-1, 0, 1}
 
 
 class TestFullCertificate:

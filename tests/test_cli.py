@@ -502,6 +502,13 @@ class TestExitTable:
         path = str(tmp_path / "ce.json")
         assert cmd_generate("counterexample", [0, 0], 3, out_path=path) == EXIT_OK
         capsys.readouterr()
+        # Every audit's [V | 1] reads inconsistent, as for normals that no
+        # functional settles, so the audit LP answers with stubbed weights.
+        monkeypatch.setattr(
+            certificate_module,
+            "_reduced_echelon",
+            lambda rows: ([len(rows[0]) - 1], rows, 1),
+        )
         monkeypatch.setattr(
             certificate_module,
             "hull_weights",
@@ -514,6 +521,25 @@ class TestExitTable:
             "simplex produced weights outside the hull system"
         ]
         assert "in origin_in_hull" in printed.err  # the traceback, for triage
+
+    def test_failed_functional_substitution_exits_three(self, tmp_path, monkeypatch, capsys):
+        path = str(tmp_path / "ce.json")
+        assert cmd_generate("counterexample", [0, 0], 3, out_path=path) == EXIT_OK
+        capsys.readouterr()
+        eliminate = certificate_module._reduced_echelon
+
+        def corrupted(rows):
+            pivots, table, denominator = eliminate(rows)
+            return pivots, [row[:-1] + [row[-1] + 1] for row in table], denominator
+
+        monkeypatch.setattr(certificate_module, "_reduced_echelon", corrupted)
+        assert main(["certificate", path]) == EXIT_THEOREM_VIOLATION
+        printed = capsys.readouterr()
+        assert printed.out.splitlines() == [
+            "error: internal error: AssertionError: "
+            "Gordan functional fails the substitution check"
+        ]
+        assert "in origin_in_hull" in printed.err
 
     @pytest.mark.parametrize(
         "command", [["check-colorful"], ["transversal", "--family", "1"], ["certificate"]]

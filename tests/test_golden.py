@@ -28,7 +28,12 @@ generator, their only common point, so its colourful checks solve no LP.
 Each pipeline also records every distinct ``(rows, rhs)`` system the
 phase-one simplex receives.  The digest of that sorted set is compared too,
 so a system builder that reorders columns or rows fails here even when it
-happens to find the same witnesses.
+happens to find the same witnesses.  The certificate's audits solve no LP
+when a Gordan functional settles them, which it does on every audited
+simplex of these instances, so the six certificate pipelines record only
+their partition-scan and colourful systems: each set is a subset of the
+one recorded when every audit solved its LP (6 -> 4, 25 -> 10, 72 -> 14,
+90 -> 18, 31 -> 9 and 142 -> 12 systems).
 """
 
 import hashlib
@@ -231,7 +236,7 @@ GOLDEN = {
         "family2.json": "c5644ba3562d1ae53bd9573fd6bd436d1b9c0960c069057ed98b9b30e0f3c707",
         "certificate.json": "a4fa4a7f4a19628723fcf5c728de88186c160ee64e5e0e9ac9d5d42824c058d8",
         "stdout": "87ab848e5d338b6bf6dbea1100ed4faf473738a0971eac15c1d8b4be8d59a730",
-        "lp-systems": "151ace7463e0c6182bc28dce021939ef39f90b8727a151a4adfad62e73821813",
+        "lp-systems": "8afb54ace76dc96d10f1cd82803e58a08ab2854bde25bd4755744ea4781acbaa",
     },
     "join": {
         "inst.json": "032d0527aafc38233660ccde4031bdc95b54bb8789d5d0d1f49e34ed1681ec6c",
@@ -241,7 +246,7 @@ GOLDEN = {
         "family2.json": "258969d37432c6a4d800a710b7db69f2c33f0bbe191d0e3059f3a26a38dad91d",
         "certificate.json": "888cb70aa09b47cfe686f0fa8a64991382300d3e30dc7850000801e474d19b9e",
         "stdout": "5dab7d8c4b228cbf5fa8dec65baca86f56a963ca231fc8348243475a6bf4025a",
-        "lp-systems": "f7d16aa70083149d08d2c50a6e14498f5d16abd8e659440af6b07b2ed670e087",
+        "lp-systems": "8d37351bf3e143d365881861bb3e858f5ccc50ec3916e59a7c23cf0a5957a124",
     },
     "join-2-2": {
         "inst.json": "54570e492f4d59fc710ce44c491ab2c270da60bbc976536f38f7cf62290517fa",
@@ -251,7 +256,7 @@ GOLDEN = {
         "family2.json": "e9285fc52ce80fec616127f9494ec6826b161c67e25e33e2bf657968e576d2bb",
         "certificate.json": "f1549b456aa0d80f7b03a96d18a5c6e54ace1f38b64aafebb20b118acc452d25",
         "stdout": "1133eda8f8c1b5bc5354361cbd3acb3cced39a17fce0d983d21c6163bc863a34",
-        "lp-systems": "f08068708fc87362b3b78ff5598b60dad72a12d52204de68e3068f058aacf2fd",
+        "lp-systems": "52d20b5d565d20b2001351cfbb0835d92bdd2113b5577b75888f0b91e93c7de1",
     },
     "join-3-1": {
         "inst.json": "280bd997be63734a43790831c4221eb07adc8d2f55a3b608098c3ced1e2ff24a",
@@ -261,7 +266,7 @@ GOLDEN = {
         "family2.json": "85ec5370632cf08c111d88f642fa7a104993e4514d1215ba02dd7458f0c41970",
         "certificate.json": "9752da1fc848b1365904e11c8f3e8d7870f5ad372f08ee7b8296b18ea56663d9",
         "stdout": "17b0b2da64a24737d2566db319a0c20a9e93cb64b8ab83fa066cca6aa6b51b81",
-        "lp-systems": "771e07307fbaac5ca8eeb12424ec5517e69e67f91022569bdcfcc30c40b17e8f",
+        "lp-systems": "71a3f01c44cb18b685aebcbc4829f69e9adffe180ae68c0c88ab1e81b33390d0",
     },
     "join-1-1-1": {
         "inst.json": "4deb6c9121b964bceafff6d35aaa097077562f71921560f52768c3249905f6a0",
@@ -272,7 +277,7 @@ GOLDEN = {
         "family3.json": "016803e888692f70febb3159d1c513a2e656b3442b41141fd564d2918d8f4cab",
         "certificate.json": "a1783c3c8724ec76ca6ae38f3cd1dbcce8a6f0534099c40efaff323aec224158",
         "stdout": "f51b5f95e959624570087dc5c4156ecb21aac1d8079d148aef9b529c4aac7a72",
-        "lp-systems": "c58e28f101532797017ad289fe86d1e183ae0c26b8b1799aa95a66015b4ad099",
+        "lp-systems": "9a4796661c8a26a2b18bd3b848176f4512c7c05f7fa28133034a76936a46e199",
     },
     "generate": {
         "inst.json": "50ef0bf5148895b735a151f0f2227225dab40477be9f272e63949e4bae542f92",
@@ -298,7 +303,7 @@ GOLDEN = {
         "colorful.json": "b200e182814c06eee78c0c1c7d28fb12cc425f1726060e8d9d78814cb8a625bc",
         "certificate.json": "ecadd08d744a14d4e070898ded30bc73fb3e932f88724074edac6f9223e93e42",
         "stdout": "a73a21a905b94c6105b84207430fa3b838d16ccad98b7a6c298eb02c7e1154bb",
-        "lp-systems": "5c1916f169025c5ab1813f4753890a26f05d3b0ab5089cc2d911fd3539a36443",
+        "lp-systems": "40749eeb8795b293a17b2b92baed7a29db1ac3964ff25f1157636496fc41c6a1",
     },
     "generate-16": {
         "inst.json": "5eac4af9ffac7ce19c7a8bfb2d369dad4ceb8d807fb0b38dd28907bb44bc9028",
