@@ -18,7 +18,9 @@ Both eliminations pivot on integers over one common denominator (Edmonds
 1967, Bareiss 1968): the input is scaled to integers once, every update is
 an exact integer division, and ``fractions.Fraction`` appears only in the
 values read in and returned.  The pivots are the ones rational arithmetic
-would choose, so every result is the same rational.  Dot products are
+would choose, so every result is the same rational.  The Farkas
+back-solve's small square system, already integer, is solved by forward
+elimination and fraction-free back substitution.  Dot products are
 integer too: a vector keeps its numerators over the lcm of its
 denominators, and a product of two such forms makes one Fraction.
 
