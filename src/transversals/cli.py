@@ -106,10 +106,10 @@ def _vector_from_json(obj, where: str, dim=None) -> QVector:
     return QVector(entries)
 
 
-def flat_to_json(flat: AffineFlat) -> dict:
+def flat_to_json(flat: AffineFlat, vector_to_json=_vector_to_json) -> dict:
     return {
-        "base": _vector_to_json(flat.base),
-        "directions": [_vector_to_json(d) for d in flat.directions],
+        "base": vector_to_json(flat.base),
+        "directions": [vector_to_json(d) for d in flat.directions],
     }
 
 
@@ -128,13 +128,13 @@ def _flat_from_json(base, directions, where: str, dim=None) -> AffineFlat:
         raise InstanceFormatError(f"{where}: {exc}") from exc
 
 
-def _body_to_json(body):
+def _body_to_json(body, vector_to_json):
     if isinstance(body, VPolytope):
         return {
             "type": "vpolytope",
-            "points": [_vector_to_json(g) for g in body.generators],
+            "points": [vector_to_json(g) for g in body.generators],
         }
-    return {"type": "flat", **flat_to_json(body)}
+    return {"type": "flat", **flat_to_json(body, vector_to_json)}
 
 
 def _body_from_json(obj, where: str, dim: int):
@@ -157,10 +157,21 @@ def _body_from_json(obj, where: str, dim: int):
 
 
 def instance_to_json(instance: Instance, meta=None) -> dict:
+    """The instance document.  Each vector object is formatted once and its
+    list reused wherever the instance holds it again, as a counterexample's
+    tuple points and fiber directions are held."""
+    formatted = {}  # keyed by id(vector); the instance keeps every id live
+
+    def vector_to_json(vector):
+        key = id(vector)
+        if key not in formatted:
+            formatted[key] = _vector_to_json(vector)
+        return formatted[key]
+
     doc = {
         "dimension": instance.dim,
         "families": [
-            {"k": fam.k, "sets": [_body_to_json(b) for b in fam.bodies]}
+            {"k": fam.k, "sets": [_body_to_json(b, vector_to_json) for b in fam.bodies]}
             for fam in instance.families
         ],
     }

@@ -104,6 +104,17 @@ class AffineFlat:
         """Intrinsic dimension of the flat."""
         return len(self.directions)
 
+    def translated(self, base) -> "AffineFlat":
+        """The flat through ``base`` with these directions.  They were
+        checked when this flat was made, so they are not ranked again."""
+        base = base if isinstance(base, QVector) else QVector(base)
+        if base.dim != self.dim:
+            raise MalformedInputError("flat directions have mixed dimensions")
+        flat = object.__new__(AffineFlat)
+        object.__setattr__(flat, "base", base)
+        object.__setattr__(flat, "directions", self.directions)
+        return flat
+
     @cached_property
     def equations(self) -> tuple:
         # The kernel of one zero row is the identity rows, in order.

@@ -23,6 +23,7 @@ from .convex import AffineFlat, VPolytope
 from .exactla import (
     MalformedInputError,
     QVector,
+    _reduced_echelon,
     check_budget,
     independent_subsets,
     rank,
@@ -141,10 +142,16 @@ def _general_position_checks(ks, points):
     Family rows are one difference-row matrix per family (a basis of the
     group's span directions).  A tuple's system stacks every family's
     orthogonality equations ``row . x = row . anchor``; the stacked matrix
-    is square and the same for every tuple, so one ``solve_linear`` with one
-    right-hand side per tuple answers all of them.  Full rank gives each
-    tuple its unique intersection point, which is the genericity the
-    construction actually uses; a singular matrix fails every tuple.
+    is square and the same for every tuple, and a tuple's right-hand side
+    is the sum of one block per member: the member's ``row . anchor`` on
+    its family's rows, zero elsewhere.  So one ``_reduced_echelon`` of the
+    matrix beside one such column per (family, member), sum(k_i+2) columns
+    instead of prod(k_i+2), answers every tuple.  Full rank, the d pivots
+    on the d matrix columns, gives each tuple its unique intersection
+    point, the sum of its members' reduced columns over the one shared
+    denominator (the solution is linear in the right-hand side).  That is
+    the genericity the construction actually uses; a singular matrix fails
+    every tuple.
     """
     n = len(ks)
     m = sum(ks)
@@ -158,11 +165,12 @@ def _general_position_checks(ks, points):
         at += k + 2
 
     homogenized = [list(p.entries) + [1] for p in points]
+    names = [str(i + 1) for i in range(len(points))]
     for subset, passed in independent_subsets(homogenized, d):
         checks.append(
             CheckRecord(
                 "affine-span-unique",
-                "subset=(%s)" % ",".join(str(i + 1) for i in subset),
+                "subset=(%s)" % ",".join(map(names.__getitem__, subset)),
                 passed,
             )
         )
@@ -175,20 +183,18 @@ def _general_position_checks(ks, points):
         )
         family_rows.append(_difference_rows(group))
 
-    # rhs[i][j]: family i's orthogonality right-hand sides at its member j+1.
-    rhs = [
-        [[row.dot(anchor) for row in rows] for anchor in group]
-        for rows, group in zip(family_rows, parts)
-    ]
+    # Right-hand side c belongs to point c, the member it anchors.
+    augmented = []
+    at = 0
+    for rows, group in zip(family_rows, parts):
+        for row in rows:
+            rhs = [0] * len(points)
+            rhs[at : at + len(group)] = [row.dot(anchor) for anchor in group]
+            augmented.append(list(row) + rhs)
+        at += len(group)
+    pivots, table, denominator = _reduced_echelon(augmented)
+    unique = pivots == list(range(d))
     selectors = list(_member_tuples(k + 2 for k in ks))
-    solution = solve_linear(
-        (row for rows in family_rows for row in rows),
-        (
-            [b for i, choice in enumerate(selector) for b in rhs[i][choice - 1]]
-            for selector in selectors
-        ),
-    )
-    unique = solution is not None and not solution.kernel_basis
     for selector in selectors:
         checks.append(
             CheckRecord(
@@ -197,7 +203,19 @@ def _general_position_checks(ks, points):
                 unique,
             )
         )
-    tuple_points = dict(zip(selectors, solution.particulars)) if unique else {}
+    tuple_points = {}
+    if unique:
+        # Point c's reduced column, read in point order.  Summing one member
+        # per family in product order walks the tuples in sorted order.
+        solved = zip(*(row[d:] for row in table))
+        sums = [[0] * d]
+        for group in parts:
+            members = [next(solved) for _ in group]
+            sums = [[a + b for a, b in zip(s, m)] for s in sums for m in members]
+        tuple_points = {
+            selector: QVector([Fraction(v, denominator) for v in numerators])
+            for selector, numerators in zip(selectors, sums)
+        }
 
     ok = all(c.passed for c in checks)
     return ok, checks, parts, family_rows, tuple_points
@@ -250,9 +268,10 @@ def counterexample_from_points(ks, points, representation: str = TRUNCATED) -> C
         families = []
         for i, group in enumerate(parts):
             # Every fiber of a group has the same direction space, the kernel
-            # of the group's difference rows; only its base point moves.
-            kernel = solve_linear(family_rows[i]).kernel_basis
-            fibers = tuple(AffineFlat(anchor, kernel) for anchor in group)
+            # of the group's difference rows; only its base point moves, so
+            # the first fiber checks it and the rest are its translates.
+            first = AffineFlat(group[0], solve_linear(family_rows[i]).kernel_basis)
+            fibers = (first,) + tuple(first.translated(a) for a in group[1:])
             families.append(Family(ks[i], fibers))
 
     instance = Instance(d, tuple(families))

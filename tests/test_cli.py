@@ -37,7 +37,11 @@ from transversals import transversal as transversal_module
 from transversals.certificate import CertificateInconsistencyError, ColorfulViolationError
 from transversals.convex import AffineFlat, UnsupportedRepresentationError, VPolytope
 from transversals.exactla import MalformedInputError, QVector
-from transversals.generators import RetryExhaustedError, counterexample_from_points
+from transversals.generators import (
+    RetryExhaustedError,
+    counterexample_from_points,
+    gen_counterexample,
+)
 from transversals.transversal import (
     Family,
     Instance,
@@ -91,6 +95,33 @@ class TestFileFormat:
         assert loaded == instance
         assert meta == {"note": "fixture"}
         assert instance_from_json(instance_to_json(loaded, meta))[0] == instance
+
+    @pytest.mark.parametrize("representation", ["truncated", "flats"])
+    def test_shared_vectors_give_the_bytes_of_fresh_copies(self, tmp_path, representation):
+        def fresh(v):
+            return QVector(v.entries)
+
+        def copied(body):
+            if isinstance(body, VPolytope):
+                return VPolytope(tuple(map(fresh, body.generators)))
+            return AffineFlat(fresh(body.base), tuple(map(fresh, body.directions)))
+
+        shared = gen_counterexample([1, 1, 1], 4, representation).instance
+        vectors = [
+            v
+            for family in shared.families
+            for body in family.bodies
+            for v in (body.generators if isinstance(body, VPolytope) else body.directions)
+        ]
+        assert len({id(v) for v in vectors}) < len(vectors)
+        copy = Instance(
+            shared.dim,
+            tuple(Family(f.k, tuple(map(copied, f.bodies))) for f in shared.families),
+        )
+        save_instance(str(tmp_path / "shared.json"), shared, {"seed": 4})
+        save_instance(str(tmp_path / "fresh.json"), copy, {"seed": 4})
+        assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+        assert instance_to_json(shared) == instance_to_json(copy)
 
     def test_rationals_serialized_as_strings(self, tmp_path):
         from fractions import Fraction as F

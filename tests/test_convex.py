@@ -49,6 +49,32 @@ class TestRepresentations:
         assert normal.dot(vec(1, 1)) == 0 and normal.dot(vec(1, 2)) == value
 
 
+class TestTranslatedFlat:
+    def test_matches_the_constructor(self):
+        rng = random.Random(19)
+        for dim in (1, 2, 3, 5):
+            for count in range(dim + 1):
+                kernel = random_directions(rng, dim, count, lambda: rng.randint(-9, 9))
+                first = AffineFlat(vec(*(rng.randint(-9, 9) for _ in range(dim))), kernel)
+                anchor = vec(*(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(dim)))
+                moved = first.translated(anchor)
+                made = AffineFlat(anchor, kernel)
+                assert moved == made
+                assert moved.base == made.base and moved.directions == made.directions
+                assert moved.equations == made.equations
+                assert first.translated(list(anchor)) == made
+
+    def test_refuses_another_dimension(self):
+        with pytest.raises(MalformedInputError):
+            AffineFlat(vec(0, 0), (vec(1, 1),)).translated(vec(1, 2, 3))
+
+    def test_constructor_still_refuses_dependent_directions(self):
+        first = AffineFlat(vec(0, 0, 0), (vec(1, 2, 0), vec(0, 1, 1)))
+        first.translated(vec(1, 1, 1))
+        with pytest.raises(MalformedInputError, match="linearly dependent"):
+            AffineFlat(vec(1, 1, 1), first.directions + (vec(1, 3, 1),))
+
+
 class TestCommonPoint:
     def test_coincident_point_polytopes(self):
         point = VPolytope((vec(1, 1),))

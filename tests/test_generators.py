@@ -1,11 +1,12 @@
 import itertools
 import random
+from fractions import Fraction as F
 
 import pytest
 
-from transversals import generators
+from transversals import convex, generators
 from transversals.convex import VPolytope, contains
-from transversals.exactla import QVector, rank, solve_linear
+from transversals.exactla import QVector, _reduced_echelon, rank, solve_linear
 from transversals.generators import (
     FLATS,
     TRUNCATED,
@@ -230,6 +231,124 @@ class TestSharedEliminationMatchesReference:
         else:
             assert names == {"tuple-intersection-unique"}
             assert len(failed) == len(list(_member_tuples(k + 2 for k in ks)))
+
+
+def reference_tuple_solve(ks, points):
+    """The "tuple-intersection-unique" records and tuple points as computed
+    before the right-hand sides were taken per member: one ``solve_linear``
+    with one right-hand side per member tuple."""
+    parts = []
+    at = 0
+    for k in ks:
+        parts.append(points[at : at + k + 2])
+        at += k + 2
+    family_rows = [[p - group[0] for p in group[1:]] for group in parts]
+    rhs = [
+        [[row.dot(anchor) for row in rows] for anchor in group]
+        for rows, group in zip(family_rows, parts)
+    ]
+    selectors = list(_member_tuples(k + 2 for k in ks))
+    solution = solve_linear(
+        (row for rows in family_rows for row in rows),
+        (
+            [b for i, choice in enumerate(selector) for b in rhs[i][choice - 1]]
+            for selector in selectors
+        ),
+    )
+    unique = solution is not None and not solution.kernel_basis
+    checks = [
+        CheckRecord(
+            "tuple-intersection-unique",
+            "tuple=(%s)" % ",".join(str(c) for c in selector),
+            unique,
+        )
+        for selector in selectors
+    ]
+    return checks, dict(zip(selectors, solution.particulars)) if unique else {}
+
+
+def singular_cases():
+    """(name, ks, points) whose stacked difference rows are dependent while
+    every group keeps its own affine dimension."""
+    rng = random.Random(23)
+    cases = []
+    for ks in ([1, 1, 1, 1], [2, 2, 2], [2, 1, 1], [1, 0]):
+        points = random_points(rng, ks, 1000)
+        # The last group's last difference row repeats the first group's first.
+        points[-1] = points[-2] + (points[1] - points[0])
+        cases.append(("repeated-row-%s" % "".join(map(str, ks)), ks, points))
+    # Rational points, the last row a combination of two other groups' rows.
+    points = [
+        vec(*(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)))
+        for _ in range(7)
+    ]
+    points[-1] = points[-2] + F(1, 3) * (points[1] - points[0]) - (points[4] - points[3])
+    cases.append(("rational-combination", [1, 0, 0], points))
+    return cases
+
+
+class TestMemberColumnsMatchTupleColumns:
+    """One right-hand side per (family, member) gives the records and the
+    tuple points that one right-hand side per tuple gave."""
+
+    def assert_matches(self, ks, points):
+        checks, tuple_points = reference_tuple_solve(ks, points)
+        _, got_checks, _, _, got_points = _general_position_checks(ks, points)
+        got_tuple_checks = [c for c in got_checks if c.name == "tuple-intersection-unique"]
+        assert got_tuple_checks == checks
+        assert list(got_points.items()) == list(tuple_points.items())
+        return checks
+
+    @pytest.mark.parametrize("ks", [[1, 1, 1, 1], [2, 2, 2], [2, 1, 1], [1, 0]])
+    def test_random_point_sets(self, ks):
+        rng = random.Random(sum(ks) * 7 + len(ks))
+        outcomes = set()
+        for side in (1, 3, 1000):
+            for _ in range(3):
+                checks = self.assert_matches(ks, random_points(rng, ks, side))
+                outcomes.add(checks[0].passed)
+        assert True in outcomes
+
+    @pytest.mark.parametrize("name,ks,points", singular_cases())
+    def test_singular_stack_fails_every_tuple(self, name, ks, points):
+        checks = self.assert_matches(ks, points)
+        assert not any(c.passed for c in checks)
+        _, got_checks, _, _, _ = _general_position_checks(ks, points)
+        family_checks = [c for c in got_checks if c.name == "family-affine-dim"]
+        assert all(c.passed for c in family_checks)
+
+
+class TestWorkCounts:
+    """The tuple solve eliminates one column per member, and a flats
+    counterexample ranks each color group's directions once."""
+
+    def test_one_right_hand_side_per_member(self, monkeypatch):
+        shapes = []
+
+        def counting(rows):
+            shapes.append((len(rows), len(rows[0])))
+            return _reduced_echelon(rows)
+
+        monkeypatch.setattr(generators, "_reduced_echelon", counting)
+        gen_counterexample([1, 1, 1, 1], 0)
+        # d = 8 matrix columns and 4 * 3 member columns, not 3**4 = 81.
+        assert shapes and set(shapes) == {(8, 8 + 12)}
+
+    @pytest.mark.parametrize("ks", [[1, 1, 1, 1], [2, 1, 1], [1, 0]])
+    def test_directions_ranked_once_per_group(self, monkeypatch, ks):
+        calls = []
+
+        def counting(rows):
+            rows = list(rows)
+            calls.append(len(rows))
+            return rank(rows)
+
+        monkeypatch.setattr(convex, "rank", counting)
+        ce = gen_counterexample(ks, 3, FLATS)
+        assert len(calls) == len(ks)
+        for family in ce.instance.families:
+            first = family.bodies[0]
+            assert all(f.directions is first.directions for f in family.bodies)
 
 
 class TestSingleFamilyBoundary:
