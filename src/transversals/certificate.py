@@ -27,7 +27,7 @@ from .exactla import (
     QVector,
     _ZERO,
     _format_lowest,
-    _reduced_echelon,
+    _integer_solve,
     check_budget,
     check_two_sided,
     farkas_separator,
@@ -477,13 +477,13 @@ def origin_in_hull(vectors) -> bool:
     """Exact test whether the origin is a convex combination of the vectors.
 
     First a functional (Gordan 1873): the origin is outside the hull when
-    some ``u`` has ``v . u > 0`` for every vector ``v``.  One fraction-free
-    elimination of ``[V | 1]`` (``exactla._reduced_echelon`` on the
-    vectors' integer forms) looks for a ``u`` with ``v . u = 1`` for every
-    ``v``, its free variables at zero.  When no pivot lands in the last
-    column, ``u = w / D`` with integer ``w`` and ``D``, both negated when
-    ``D < 0``; ``v . w == D * s > 0`` is checked by integer substitution
-    for every ``v = a / s``, and the answer is False with no LP.
+    some ``u`` has ``v . u > 0`` for every vector ``v``.  One
+    ``exactla._integer_solve`` of ``[V | 1]``, the row of each ``v = a / s``
+    scaled to ``[a | s]``, looks for a ``u`` with ``v . u = 1`` for every
+    ``v``, its free variables at zero.  When that system is consistent, its
+    particular solution is ``u = w / D`` with integer ``w`` and ``D > 0``;
+    ``a . w == D * s`` is checked by integer substitution for every ``v``,
+    and the answer is False with no LP.
 
     Only an inconsistent ``[V | 1]`` (a zero vector, or a dependency among
     the vectors whose coefficients do not sum to zero) is decided by
@@ -499,17 +499,10 @@ def origin_in_hull(vectors) -> bool:
     if any(v.dim != d for v in vectors):
         raise MalformedInputError("mixed dimensions in hull input")
     forms = [v._integer_form() for v in vectors]
-    # Every row ends in its scale s >= 1, so there is at least one pivot.
-    pivots, table, denominator = _reduced_echelon([[*a, s] for a, s in forms])
-    if pivots[-1] < d:
-        sign = 1 if denominator > 0 else -1
-        functional = [0] * d
-        for row, col in zip(table, pivots):
-            functional[col] = sign * row[d]
-        value = sign * denominator
-        if value > 0 and all(
-            sum(map(operator.mul, a, functional)) == value * s for a, s in forms
-        ):
+    solved = _integer_solve([[*a, s] for a, s in forms], d)
+    if solved is not None:
+        (functional,), _, denominator = solved
+        if all(sum(map(operator.mul, a, functional)) == denominator * s for a, s in forms):
             return False
         raise AssertionError("Gordan functional fails the substitution check")
     found = hull_weights([vectors], [0], QVector([_ZERO] * d))

@@ -462,6 +462,8 @@ def cmd_generate(
     dim=None,
 ) -> int:
     ks = list(ks)
+    if dim is not None and kind != "planted":
+        raise MalformedInputError(f"--dim applies to the planted kind only, not {kind}")
     meta = {"generator": kind, "ks": ks, "seed": seed}
     if kind == "counterexample":
         ce = gen_counterexample(ks, seed, representation)
@@ -516,12 +518,22 @@ def cmd_certificate(path: str, out=None) -> int:
 # argument parsing
 
 
+# An integer option in ASCII digits only; ``int`` alone would also take
+# ``1_0``, ``+2``, spaces and non-ASCII digits.
+_INTEGER = re.compile("-?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_ks(text: str):
-    """Comma list of non-negative integers written in ASCII digits only;
-    ``int`` alone would also take ``1_0``, ``+2``, spaces and non-ASCII
-    digits."""
+    """Comma list of non-negative integers, each read as ``_parse_int``
+    reads one."""
     parts = text.split(",")
-    if not all(re.fullmatch("[0-9]+", part) for part in parts):
+    if not all(_INTEGER.fullmatch(part) and part[0] != "-" for part in parts):
         raise argparse.ArgumentTypeError(f"bad --ks list {text!r}")
     return [int(part) for part in parts]
 
@@ -541,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write a machine-readable report here")
         if family:
             p.add_argument(
-                "--family", type=int, required=True, help="family index, 1-based"
+                "--family", type=_parse_int, required=True, help="family index, 1-based"
             )
 
     p = sub.add_parser("check-colorful", help="decide the colorful intersection property")
@@ -556,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a generated instance file")
     p.add_argument("kind", choices=["counterexample", "planted", "random"])
     p.add_argument("--ks", type=_parse_ks, required=True, help="comma list of targets")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_parse_int, required=True)
     p.add_argument(
         "--representation",
         choices=[FLATS, TRUNCATED],
@@ -564,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="counterexample member representation",
     )
     p.add_argument(
-        "--dim", type=int, default=None, help="ambient dimension (planted kind only)"
+        "--dim", type=_parse_int, default=None, help="ambient dimension (planted kind only)"
     )
     p.add_argument("--out", required=True, help="instance file to write")
     return parser

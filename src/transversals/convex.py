@@ -19,7 +19,9 @@ from .exactla import (
     MalformedInputError,
     QVector,
     _ZERO,
-    _reduced_echelon,
+    _echelon,
+    _integer_rows,
+    _integer_solve,
     hull_weights,
     rank,
     solve_linear,
@@ -36,10 +38,11 @@ class VPolytope:
     convex position; a single point is a valid polytope.
 
     ``hull_normals`` are a basis of the vectors orthogonal to the affine
-    hull of the generators: the kernel basis of their differences from the
-    first generator, so the identity rows for a single point, each scaled
-    to a primitive integer row (integer entries with gcd 1), which keeps
-    its direction and the basis's rank.  They are computed on first use.
+    hull of the generators: the kernel of their differences from the first
+    generator, so the identity rows for a single point, read in integers
+    from ``exactla._integer_solve`` and each divided by the gcd of its
+    entries, which keeps its direction and the basis's rank.  They are
+    computed on first use.
     """
 
     generators: tuple
@@ -63,9 +66,9 @@ class VPolytope:
         # The kernel of one zero row is the identity rows, in order.
         base = self.generators[0]
         differences = [g - base for g in self.generators[1:]]
-        kernel = solve_linear(differences or [[_ZERO] * self.dim]).kernel_basis
-        rows = (normal._integer_form()[0] for normal in kernel)
-        return tuple(QVector([e // math.gcd(*row) for e in row]) for row in rows)
+        table, _ = _integer_rows(differences or [[_ZERO] * self.dim])
+        _, kernel, _ = _integer_solve(table, self.dim)
+        return tuple(QVector([e // math.gcd(*row) for e in row]) for row in kernel)
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,6 @@ def affine_span(points) -> AffineFlat:
     _common_dim(points)
     base = points[0]
     differences = [p - base for p in points[1:]]
-    pivots, _, _ = _reduced_echelon(
-        [[v[c] for v in differences] for c in range(base.dim)]
-    )
+    table, _ = _integer_rows([v[c] for v in differences] for c in range(base.dim))
+    pivots, _ = _echelon(table)
     return AffineFlat(base, tuple(differences[j] for j in pivots))

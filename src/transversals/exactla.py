@@ -1,7 +1,7 @@
 """Exact rational linear algebra and linear-programming feasibility.
 
 Every geometric decision in this package reduces to the primitives kept
-here: Gauss-Jordan elimination (ranks, linear solves), a phase-one primal
+here: Gaussian elimination (ranks, linear solves), a phase-one primal
 simplex for feasibility of equality systems over nonnegative variables
 (Dantzig pivoting with a permanent Bland anti-cycling fallback), and exact
 substitution checks.  There is no floating point on any decision path.
@@ -14,15 +14,18 @@ asking whether two pooled hulls meet, ``y`` holds a strictly separating
 direction; ``farkas_separator`` rounds it to a small integer normal, with
 the simplest rational offset inside the gap, and checks it exactly.
 
-Both eliminations pivot on integers over one common denominator (Edmonds
-1967, Bareiss 1968): the input is scaled to integers once, every update is
-an exact integer division, and ``fractions.Fraction`` appears only in the
-values read in and returned.  The pivots are the ones rational arithmetic
-would choose, so every result is the same rational.  The Farkas
-back-solve's small square system, already integer, is solved by forward
-elimination and fraction-free back substitution.  Dot products are
-integer too: a vector keeps its numerators over the lcm of its
-denominators, and a product of two such forms makes one Fraction.
+The elimination and the simplex pivot on integers over one common
+denominator (Edmonds 1967, Bareiss 1968): the input is scaled to integers
+once, every update is an exact integer division, and
+``fractions.Fraction`` appears only in the values read in and returned.
+The pivots are the ones rational arithmetic would choose, so every result
+is the same rational.  There is one elimination, forward only
+(``_echelon``), and one solve on top of it (``_integer_solve``: forward
+elimination, then fraction-free back substitution), which returns integer
+rows over one positive denominator; every linear solve, the Farkas
+back-solve included, goes through it.  Dot products are integer too: a
+vector keeps its numerators over the lcm of its denominators, and a
+product of two such forms makes one Fraction.
 
 Rationals serialize as decimal integer strings or ``"p/q"`` strings with
 positive denominator; that is the only numeric wire format used anywhere
@@ -216,19 +219,19 @@ def _integer_rows(rows) -> tuple:
     return table, scale
 
 
-def _reduced_echelon(rows) -> tuple:
-    """Fraction-free Gauss-Jordan elimination; returns ``(pivots, table,
-    denominator)``.
+def _echelon(table) -> tuple:
+    """Fraction-free forward elimination of the integer rows ``table``, in
+    place; returns ``(pivots, denominator)``.
 
-    ``pivots`` are the pivot column indices and the reduced row echelon form
-    of ``rows`` is ``table / denominator`` cell by cell.  The rows are scaled
-    to integers once and every step is the integer update
-    ``(p*T[i] - T[i][c]*T[r]) // D`` with ``D`` the previous pivot, so no
-    Fraction is made during elimination (Bareiss 1968; every division is
-    exact by Sylvester's identity).  Deterministic: pivots on the first
-    nonzero entry scanning top to bottom, left to right.
+    ``pivots`` are the pivot column indices: row r of the result is zero
+    left of ``pivots[r]``, and the rows after the last pivot row are zero.
+    Every step is the integer update ``(p*T[i] - T[i][c]*T[r]) // D`` of the
+    rows below the pivot, with ``D`` the previous pivot, so every entry is a
+    minor of the input and every division is exact (Bareiss 1968, by
+    Sylvester's identity); ``denominator`` is the last pivot.
+    Deterministic: pivots on the first nonzero entry scanning top to bottom,
+    left to right.
     """
-    table, _ = _integer_rows(rows)
     num_rows = len(table)
     num_cols = len(table[0]) if num_rows else 0
     pivots = []
@@ -243,21 +246,54 @@ def _reduced_echelon(rows) -> tuple:
         table[row], table[pivot_row] = table[pivot_row], table[row]
         lead = table[row]
         pivot = lead[col]
-        for i in range(num_rows):
-            if i != row:
-                f = table[i][col]
-                table[i] = [
-                    (pivot * a - f * b) // denominator for a, b in zip(table[i], lead)
-                ]
+        for i in range(row + 1, num_rows):
+            f = table[i][col]
+            table[i] = [(pivot * a - f * b) // denominator for a, b in zip(table[i], lead)]
         denominator = pivot
         pivots.append(col)
         row += 1
-    return pivots, table, denominator
+    return pivots, denominator
+
+
+def _integer_solve(table, width: int) -> Optional[tuple]:
+    """Solve the integer system ``[M | b_1 ... b_t]``, given as at least one
+    row with ``M`` the first ``width`` columns; the rows are changed in place.
+
+    Returns None when a pivot lands in a right-hand-side column: that column
+    is inconsistent.  Otherwise returns ``(particulars, kernel, D)``, integer
+    rows over one denominator ``D > 0``: one particular solution per column,
+    its free variables at zero, and one kernel vector per free column ``f``,
+    in order, with ``D`` at ``f`` and zero at the other free columns.
+
+    ``_echelon`` eliminates forward; then fraction-free back substitution
+    solves each vector ``z`` from its fixed entries (``D`` at ``f``, or
+    ``-D`` at the right-hand side's column) so that every echelon row reads
+    ``row . z = 0``, pivot rows from the bottom up.  Those are ``D`` times
+    the vectors that reduced row echelon form would give, whose numerators
+    over ``D`` are integers (Cramer's rule), so every division is exact.
+    """
+    pivots, denominator = _echelon(table)
+    if pivots and pivots[-1] >= width:
+        return None
+    denominator = abs(denominator)
+
+    def back(column, value):
+        z = [0] * len(table[0])
+        z[column] = value
+        for r in reversed(range(len(pivots))):
+            row = table[r]
+            z[pivots[r]] = -sum(map(operator.mul, row, z)) // row[pivots[r]]
+        return z[:width]
+
+    pivoted = set(pivots)
+    kernel = [back(f, denominator) for f in range(width) if f not in pivoted]
+    particulars = [back(j, -denominator) for j in range(width, len(table[0]))]
+    return particulars, kernel, denominator
 
 
 def rank(rows) -> int:
-    """Exact rank of the rows via fraction-free Gaussian elimination."""
-    return len(_reduced_echelon(rows)[0])
+    """Exact rank of the rows via fraction-free forward elimination."""
+    return len(_echelon(_integer_rows(rows)[0])[0])
 
 
 def independent_subsets(rows, size: int):
@@ -266,7 +302,7 @@ def independent_subsets(rows, size: int):
     whether those rows are linearly independent.
 
     The subsets are decided on the dual (Whitney 1935).  One
-    ``solve_linear`` of the transposed rows gives a basis ``g_1 .. g_k`` of
+    ``_integer_solve`` of the transposed rows gives a basis ``g_1 .. g_k`` of
     the dependencies ``z`` (``sum z_i row_i = 0``), with ``k`` the row count
     minus the rank; ``G`` stacks them, so row ``i`` owns the column
     ``G[:, i]`` of length ``k``.  A subset ``S`` is independent exactly when
@@ -277,7 +313,7 @@ def independent_subsets(rows, size: int):
     than ``Q^k``.  So ``k = 0`` makes every subset independent, and a
     complement shorter than ``k`` makes every subset dependent.
 
-    ``G`` is scaled to integers once and the complements are walked
+    ``G`` comes in integers and the complements are walked
     depth-first in ``itertools.combinations`` order.  A node hands its
     child every later column already reduced against the prefix, so each
     (prefix, later column) pair costs one fraction-free update
@@ -301,7 +337,7 @@ def independent_subsets(rows, size: int):
     if size > count or not table[0]:
         # No subsets, or rows of width zero: all zero, so all dependent.
         return zip(subsets, itertools.repeat(False))
-    basis, _ = _integer_rows(solve_linear(zip(*table)).kernel_basis)
+    _, basis, _ = _integer_solve(list(zip(*table)), count)
     k = len(basis)
     if not k or count - size < k:
         return zip(subsets, itertools.repeat(not k))
@@ -356,26 +392,18 @@ def solve_linear(rows, rhs_columns=()) -> Optional[LinearSolution]:
     rhs_columns = list(rhs_columns)
     if any(len(b) != len(rows) for b in rhs_columns):
         raise MalformedInputError("right-hand side length does not match row count")
-    n = len(rows[0])
-    pivots, table, denominator = _reduced_echelon(
-        [list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(rows)]
+    table, _ = _integer_rows(
+        list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(rows)
     )
-    if pivots and pivots[-1] >= n:
+    solved = _integer_solve(table, len(rows[0]))
+    if solved is None:
         return None
-    particulars = []
-    for column in range(n, n + len(rhs_columns)):
-        particular = [_ZERO] * n
-        for r, c in enumerate(pivots):
-            particular[c] = Fraction(table[r][column], denominator)
-        particulars.append(QVector(particular))
-    kernel = []
-    for free in sorted(set(range(n)) - set(pivots)):
-        vec = [_ZERO] * n
-        vec[free] = _ONE
-        for r, c in enumerate(pivots):
-            vec[c] = Fraction(-table[r][free], denominator)
-        kernel.append(QVector(vec))
-    return LinearSolution(tuple(particulars), tuple(kernel))
+    particulars, kernel, denominator = solved
+
+    def rational(vectors):
+        return tuple(QVector(Fraction(v, denominator) for v in z) for z in vectors)
+
+    return LinearSolution(rational(particulars), rational(kernel))
 
 
 class Relation(Enum):
@@ -544,9 +572,9 @@ def _farkas(original, basis, n: int) -> list:
 
     So only the rows held by an original column are unknown.  With the fixed
     ``y_i`` moved to the right-hand side, their equations are one square
-    integer system, nonsingular because ``B`` is, and
-    ``_fraction_free_solve`` solves it.  The result is checked by exact
-    integer substitution before it is returned.
+    integer system, nonsingular because ``B`` is, and ``_integer_solve``
+    solves it over ``D > 0``; with no unknown rows, ``D = 1``.  The result
+    is checked by exact integer substitution before it is returned.
     """
     fixed = [
         (i, -1 if original[i][-1] < 0 else 1) for i, var in enumerate(basis) if var >= n
@@ -558,50 +586,18 @@ def _farkas(original, basis, n: int) -> list:
         for var in basis
         if var < n
     ]
-    numerators, denominator = _fraction_free_solve(system)
-    sign = 1 if denominator > 0 else -1
+    solved, denominator = [], 1
+    if system:
+        (solved,), _, denominator = _integer_solve(system, len(unknown))
     y = [0] * len(original)
     for i, s in fixed:
-        y[i] = s * sign * denominator
-    for i, value in zip(unknown, numerators):
-        y[i] = sign * value
+        y[i] = s * denominator
+    for i, value in zip(unknown, solved):
+        y[i] = value
     *columns, value = [sum(map(operator.mul, y, column)) for column in zip(*original)]
     if any(c > 0 for c in columns) or value <= 0:
         raise AssertionError("Farkas vector fails the substitution check")
-    return [Fraction(v, sign * denominator) for v in y]
-
-
-def _fraction_free_solve(system) -> tuple:
-    """``(numerators, denominator)`` with ``x = numerators / denominator``
-    the solution of ``[M | b]``, k integer rows of k + 1 entries with ``M``
-    nonsingular; ``denominator`` is the last pivot.
-
-    Forward elimination only, with the update and the pivot choice of
-    ``_reduced_echelon`` (first nonzero entry at or below the diagonal), so
-    the last pivot is the one Gauss-Jordan would end on.  Then fraction-free
-    back substitution: row i reads ``sum_{j >= i} T[i][j] x_j = T[i][k]``,
-    so ``X = denominator * x`` has ``X_i = (denominator * T[i][k] -
-    sum_{j > i} T[i][j] X_j) // T[i][i]``.  Each ``X_i`` is plus or minus a
-    Cramer numerator of ``M``, an integer, so every division is exact.
-    """
-    table = [list(row) for row in system]
-    k = len(table)
-    denominator = 1
-    for col in range(k):
-        pivot_row = next(i for i in range(col, k) if table[i][col])
-        table[col], table[pivot_row] = table[pivot_row], table[col]
-        lead = table[col]
-        pivot = lead[col]
-        for i in range(col + 1, k):
-            f = table[i][col]
-            table[i] = [(pivot * a - f * b) // denominator for a, b in zip(table[i], lead)]
-        denominator = pivot
-    numerators = [0] * k
-    for i in reversed(range(k)):
-        row = table[i]
-        rest = sum(row[j] * numerators[j] for j in range(i + 1, k))
-        numerators[i] = (denominator * row[k] - rest) // row[i]
-    return numerators, denominator
+    return [Fraction(v, denominator) for v in y]
 
 
 def standard_form_feasible(rows, rhs):

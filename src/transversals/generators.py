@@ -23,7 +23,8 @@ from .convex import AffineFlat, VPolytope
 from .exactla import (
     MalformedInputError,
     QVector,
-    _reduced_echelon,
+    _integer_rows,
+    _integer_solve,
     check_budget,
     independent_subsets,
     rank,
@@ -144,11 +145,11 @@ def _general_position_checks(ks, points):
     orthogonality equations ``row . x = row . anchor``; the stacked matrix
     is square and the same for every tuple, and a tuple's right-hand side
     is the sum of one block per member: the member's ``row . anchor`` on
-    its family's rows, zero elsewhere.  So one ``_reduced_echelon`` of the
-    matrix beside one such column per (family, member), sum(k_i+2) columns
-    instead of prod(k_i+2), answers every tuple.  Full rank, the d pivots
-    on the d matrix columns, gives each tuple its unique intersection
-    point, the sum of its members' reduced columns over the one shared
+    its family's rows, zero elsewhere.  So one ``exactla._integer_solve``
+    of the matrix beside one such column per (family, member), sum(k_i+2)
+    columns instead of prod(k_i+2), answers every tuple.  A consistent
+    solve with no kernel gives each tuple its unique intersection point,
+    the sum of its members' particular solutions over the one shared
     denominator (the solution is linear in the right-hand side).  That is
     the genericity the construction actually uses; a singular matrix fails
     every tuple.
@@ -192,8 +193,8 @@ def _general_position_checks(ks, points):
             rhs[at : at + len(group)] = [row.dot(anchor) for anchor in group]
             augmented.append(list(row) + rhs)
         at += len(group)
-    pivots, table, denominator = _reduced_echelon(augmented)
-    unique = pivots == list(range(d))
+    solved = _integer_solve(_integer_rows(augmented)[0], d)
+    unique = solved is not None and not solved[1]
     selectors = list(_member_tuples(k + 2 for k in ks))
     for selector in selectors:
         checks.append(
@@ -205,12 +206,13 @@ def _general_position_checks(ks, points):
         )
     tuple_points = {}
     if unique:
-        # Point c's reduced column, read in point order.  Summing one member
-        # per family in product order walks the tuples in sorted order.
-        solved = zip(*(row[d:] for row in table))
+        # Point c's particular solution, read in point order.  Summing one
+        # member per family in product order walks the tuples in sorted order.
+        particulars, _, denominator = solved
+        particulars = iter(particulars)
         sums = [[0] * d]
         for group in parts:
-            members = [next(solved) for _ in group]
+            members = [next(particulars) for _ in group]
             sums = [[a + b for a, b in zip(s, m)] for s in sums for m in members]
         tuple_points = {
             selector: QVector([Fraction(v, denominator) for v in numerators])

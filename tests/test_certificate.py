@@ -408,13 +408,13 @@ class TestVerifyClaim:
         assert not origin_in_hull([vec(1, 2, 3)])
 
     def test_corrupted_functional_fails_substitution(self, monkeypatch):
-        eliminate = certificate_module._reduced_echelon
+        solve = certificate_module._integer_solve
 
-        def corrupted(rows):
-            pivots, table, denominator = eliminate(rows)
-            return pivots, [row[:-1] + [-row[-1]] for row in table], denominator
+        def corrupted(table, width):
+            particulars, kernel, denominator = solve(table, width)
+            return [[-v for v in z] for z in particulars], kernel, denominator
 
-        monkeypatch.setattr(certificate_module, "_reduced_echelon", corrupted)
+        monkeypatch.setattr(certificate_module, "_integer_solve", corrupted)
         with pytest.raises(AssertionError, match="Gordan functional"):
             origin_in_hull([vec(1, 0), vec(0, 1)])
 

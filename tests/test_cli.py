@@ -17,6 +17,7 @@ from transversals.cli import (
     InstanceFormatError,
     ReportWriteError,
     _parse_ks,
+    build_parser,
     cmd_certificate,
     cmd_check_colorful,
     cmd_generate,
@@ -535,11 +536,7 @@ class TestExitTable:
         capsys.readouterr()
         # Every audit's [V | 1] reads inconsistent, as for normals that no
         # functional settles, so the audit LP answers with stubbed weights.
-        monkeypatch.setattr(
-            certificate_module,
-            "_reduced_echelon",
-            lambda rows: ([len(rows[0]) - 1], rows, 1),
-        )
+        monkeypatch.setattr(certificate_module, "_integer_solve", lambda table, width: None)
         monkeypatch.setattr(
             certificate_module,
             "hull_weights",
@@ -557,13 +554,13 @@ class TestExitTable:
         path = str(tmp_path / "ce.json")
         assert cmd_generate("counterexample", [0, 0], 3, out_path=path) == EXIT_OK
         capsys.readouterr()
-        eliminate = certificate_module._reduced_echelon
+        solve = certificate_module._integer_solve
 
-        def corrupted(rows):
-            pivots, table, denominator = eliminate(rows)
-            return pivots, [row[:-1] + [row[-1] + 1] for row in table], denominator
+        def corrupted(table, width):
+            particulars, kernel, denominator = solve(table, width)
+            return [[v + 1 for v in z] for z in particulars], kernel, denominator
 
-        monkeypatch.setattr(certificate_module, "_reduced_echelon", corrupted)
+        monkeypatch.setattr(certificate_module, "_integer_solve", corrupted)
         assert main(["certificate", path]) == EXIT_THEOREM_VIOLATION
         printed = capsys.readouterr()
         assert printed.out.splitlines() == [
@@ -899,6 +896,66 @@ class TestEntryPoint:
 
     def test_ks_items_are_ascii_digits(self):
         assert _parse_ks("0,10,007") == [0, 10, 7]
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--seed", "1_0"),
+            ("--seed", "١٠"),
+            ("--seed", "+1"),
+            ("--seed", " 1"),
+            ("--seed", "1.0"),
+            ("--dim", "٣"),
+            ("--dim", "3_0"),
+        ],
+    )
+    def test_non_digit_generate_integer_is_rejected(self, tmp_path, capsys, option, value):
+        path = tmp_path / "r.json"
+        argv = ["generate", "planted", "--ks", "1,1", "--seed", "1", "--out", str(path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, value])
+        assert exc.value.code == EXIT_PRECONDITION
+        assert f"argument {option}: invalid integer {value!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["١", "1_0", "+1"])
+    def test_non_digit_family_is_rejected(self, tmp_path, capsys, value):
+        path = tmp_path / "inst.json"
+        save_instance(str(path), interval_instance())
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["transversal", str(path), "--family", value, "--out", str(out)])
+        assert exc.value.code == EXIT_PRECONDITION
+        assert f"argument --family: invalid integer {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_options_take_ascii_digits_and_a_minus_sign(self, tmp_path):
+        path = str(tmp_path / "r.json")
+        argv = ["generate", "planted", "--ks", "1,1", "--seed", "-7", "--dim", "03"]
+        args = build_parser().parse_args(argv + ["--out", path])
+        assert (args.seed, args.dim) == (-7, 3)
+        args = build_parser().parse_args(["transversal", path, "--family", "2"])
+        assert args.family == 2
+
+    @pytest.mark.parametrize(
+        "kind,extra",
+        [("random", []), ("counterexample", []), ("counterexample", ["--representation", "flats"])],
+    )
+    def test_dim_outside_planted_is_refused(self, tmp_path, capsys, kind, extra):
+        path = tmp_path / "inst.json"
+        argv = ["generate", kind, "--ks", "1,0", "--seed", "1", "--dim", "7", "--out", str(path)]
+        assert main(argv + extra) == EXIT_PRECONDITION
+        assert capsys.readouterr().out.splitlines() == [
+            f"error: --dim applies to the planted kind only, not {kind}"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dim_still_sets_the_planted_dimension(self, tmp_path):
+        path = tmp_path / "inst.json"
+        argv = ["generate", "planted", "--ks", "1,0", "--seed", "1", "--dim", "4"]
+        assert main(argv + ["--out", str(path)]) == EXIT_OK
+        doc = json.loads(path.read_text())
+        assert doc["dimension"] == 4 and doc["meta"]["dim"] == 4
 
     def test_jobs_flag_is_rejected(self, tmp_path):
         path = tmp_path / "inst.json"

@@ -122,7 +122,8 @@ class TestCommonPoint:
 
 def reference_affine_span(points):
     """The incremental Fraction echelon ``affine_span`` used before it read
-    the pivot columns of ``_reduced_echelon``: each difference from the first
+    the pivot columns of a fraction-free elimination (now ``exactla._echelon``):
+    each difference from the first
     point is reduced against the stored normalised rows and kept when a
     nonzero residue remains."""
     base = points[0]

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transversals import certificate, exactla
+from transversals import certificate, convex, exactla
 from transversals.cli import main
 from transversals.exactla import (
     LinearConstraint,
@@ -15,8 +15,8 @@ from transversals.exactla import (
     QVector,
     Relation,
     _integer_rows,
+    _integer_solve,
     _phase_one,
-    _reduced_echelon,
     _simplest_between,
     farkas_separator,
     format_rational,
@@ -437,6 +437,32 @@ class TestSolveLinearColumns:
             solve_linear([])
 
 
+class TestIntegerKernels:
+    def test_no_rational_round_trip(self, monkeypatch):
+        """``VPolytope.hull_normals`` and ``independent_subsets`` read the
+        integer kernel of ``_integer_solve``: neither calls ``solve_linear``
+        for Fractions only to scale them back to integers."""
+        rng = random.Random(77)
+        cases = [
+            [QVector(random_rational(rng, (1, 2, 3)) for _ in range(4)) for _ in range(count)]
+            for count in (1, 2, 3, 6)
+        ]
+        normals = [convex.VPolytope(points).hull_normals for points in cases]
+        subsets = [list(independent_subsets(points, 3)) for points in cases]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve_linear(*args)
+
+        monkeypatch.setattr(exactla, "solve_linear", counting)
+        monkeypatch.setattr(convex, "solve_linear", counting)
+        assert [convex.VPolytope(points).hull_normals for points in cases] == normals
+        assert [list(independent_subsets(points, 3)) for points in cases] == subsets
+        assert calls == []
+        assert [len(n) for n in normals] == [4, 3, 2, 0]
+
+
 class TestLpFeasible:
     def test_empty_interval(self):
         constraints = [
@@ -642,7 +668,67 @@ class TestSimplexTermination:
 # ---------------------------------------------------------------------------
 # Rational reference kernels.  These are the Fraction implementations the
 # fraction-free kernels replaced; the fraction-free ones must return the same
-# values, pivot for pivot.
+# values, pivot for pivot.  The fraction-free Gauss-Jordan elimination that
+# the forward elimination with back substitution replaced is kept beside
+# them.
+
+
+def reference_fraction_free_echelon(rows) -> tuple:
+    """Fraction-free Gauss-Jordan elimination; returns ``(pivots, table,
+    denominator)`` with the reduced row echelon form ``table / denominator``
+    cell by cell, ``denominator`` the last pivot, whatever its sign.  Every
+    row is updated at every pivot by ``(p*T[i] - T[i][c]*T[r]) // D``
+    (Bareiss 1968)."""
+    table, _ = _integer_rows(rows)
+    num_rows = len(table)
+    num_cols = len(table[0]) if num_rows else 0
+    pivots = []
+    denominator = 1
+    row = 0
+    for col in range(num_cols):
+        if row == num_rows:
+            break
+        pivot_row = next((i for i in range(row, num_rows) if table[i][col]), None)
+        if pivot_row is None:
+            continue
+        table[row], table[pivot_row] = table[pivot_row], table[row]
+        lead = table[row]
+        pivot = lead[col]
+        for i in range(num_rows):
+            if i != row:
+                f = table[i][col]
+                table[i] = [
+                    (pivot * a - f * b) // denominator for a, b in zip(table[i], lead)
+                ]
+        denominator = pivot
+        pivots.append(col)
+        row += 1
+    return pivots, table, denominator
+
+
+def solution_from_echelon(pivots, table, width, unit):
+    """``(particulars, kernel)`` read from a reduced row echelon form
+    ``table`` of ``[M | b_1 ... b_t]`` with ``M`` of ``width`` columns, as
+    ``solve_linear`` did before it read them from ``_integer_solve``; None
+    when a pivot lies in a right-hand-side column.  ``unit`` is 1 in the
+    table's units: 1 for the rational form, the denominator for the
+    fraction-free one, whose entries are numerators over it."""
+    if pivots and pivots[-1] >= width:
+        return None
+    particulars = []
+    for column in range(width, len(table[0])):
+        particular = [0] * width
+        for r, c in enumerate(pivots):
+            particular[c] = table[r][column]
+        particulars.append(particular)
+    kernel = []
+    for free in sorted(set(range(width)) - set(pivots)):
+        vec = [0] * width
+        vec[free] = unit
+        for r, c in enumerate(pivots):
+            vec[c] = -table[r][free]
+        kernel.append(vec)
+    return particulars, kernel
 
 
 def reference_reduced_echelon(cells: list) -> list:
@@ -831,8 +917,14 @@ class TestFractionFreeKernels:
         assert phase_one_optimum(rows, rhs) == reference_phase_one(rows, rhs) == expected
 
     def test_reduced_echelon_matches_rational_reference(self):
+        """The Gauss-Jordan reference against the rational one, and ``rank``,
+        ``_integer_solve`` and ``solve_linear`` against both, on systems split
+        at a seeded width into a matrix and right-hand-side columns: some
+        consistent (a combination of the matrix columns), some not, some
+        with all-zero rows and some of matrix width zero."""
         rng = random.Random(2718)
         negative_pivots = deficient = 0
+        seen = dict.fromkeys(["inconsistent", "consistent", "zero-row", "zero-width"], 0)
         for trial in range(300):
             num_rows = rng.randint(1, 6)
             num_cols = rng.randint(1, 7)
@@ -848,14 +940,56 @@ class TestFractionFreeKernels:
             if trial % 7 == 0:
                 for row in cells:
                     row[0] = F(0)  # an all-zero column
+            width = rng.randint(0, num_cols)
+            if trial % 4 == 1:
+                # one more column, a combination of the matrix columns
+                x = [random_rational(rng, denominators) for _ in range(width)]
+                for row in cells:
+                    row.append(sum((a * b for a, b in zip(row, x)), F(0)))
+            if trial % 5 == 2:
+                cells[rng.randrange(num_rows)] = [F(0)] * len(cells[0])
             reference = [list(row) for row in cells]
             expected_pivots = reference_reduced_echelon(reference)
-            pivots, table, denominator = _reduced_echelon(cells)
+            pivots, table, denominator = reference_fraction_free_echelon(cells)
             assert pivots == expected_pivots
             assert [[F(v, denominator) for v in row] for row in table] == reference
             negative_pivots += denominator < 0
-            deficient += len(pivots) < min(num_rows, num_cols)
+            deficient += len(pivots) < min(num_rows, len(cells[0]))
+            assert rank(cells) == len(pivots)
+
+            rational = solution_from_echelon(pivots, reference, width, F(1))
+            expected = solution_from_echelon(pivots, table, width, denominator)
+            solved = _integer_solve(_integer_rows(cells)[0], width)
+            matrix = [row[:width] for row in cells]
+            columns = list(zip(*(row[width:] for row in cells)))
+            solution = solve_linear(matrix, columns)
+            seen["zero-row"] += any(not any(row) for row in cells)
+            seen["zero-width"] += width == 0
+            if rational is None:
+                assert expected is None and solved is None and solution is None
+                seen["inconsistent"] += 1
+                continue
+            seen["consistent"] += len(columns) > 0
+            particulars, kernel, positive = solved
+            sign = 1 if denominator > 0 else -1
+            assert positive == sign * denominator > 0
+            assert (particulars, kernel) == tuple(
+                [[sign * v for v in z] for z in vectors] for vectors in expected
+            )
+            assert solution == tuple(
+                tuple(QVector(z) for z in vectors) for vectors in rational
+            )
         assert negative_pivots >= 10 and deficient >= 10
+        assert min(seen.values()) >= 10, seen
+
+    def test_zero_width_rows(self):
+        assert rank([[], []]) == 0
+        assert _integer_solve([[], []], 0) == ([], [], 1)
+        assert _integer_solve([[0], [0]], 0) == ([[]], [], 1)
+        assert _integer_solve([[0], [3]], 0) is None
+        assert solve_linear([[], []], [[0, 0]]) == ((QVector([]),), ())
+        assert solve_linear([[], []], [[0, 1]]) is None
+        assert solve_linear([[], []]) == ((), ())
 
 
 def reference_dot(u, v):
@@ -1126,7 +1260,7 @@ def reference_farkas(original, basis, n):
             unit[i] = 1
             unit[m] = -1 if original[i][-1] < 0 else 1
             system.append(unit)
-    _, table, denominator = _reduced_echelon(system)
+    _, table, denominator = reference_fraction_free_echelon(system)
     sign = 1 if denominator > 0 else -1
     y = [sign * row[m] for row in table]
     *columns, value = [sum(y[i] * column[i] for i in range(m)) for column in zip(*original)]
@@ -1236,12 +1370,12 @@ class TestShortBackSolve:
         )
 
     def test_corrupted_solution_fails_substitution(self, monkeypatch):
-        solve = exactla._fraction_free_solve
+        solve = exactla._integer_solve
 
-        def corrupted(system):
-            numerators, denominator = solve(system)
-            return [-v for v in numerators], denominator
+        def corrupted(table, width):
+            particulars, kernel, denominator = solve(table, width)
+            return [[-v for v in z] for z in particulars], kernel, denominator
 
-        monkeypatch.setattr(exactla, "_fraction_free_solve", corrupted)
+        monkeypatch.setattr(exactla, "_integer_solve", corrupted)
         with pytest.raises(AssertionError, match="substitution check"):
             _phase_one([[F(1), F(0)], [F(1), F(0)]], [F(1), F(2)])

@@ -6,7 +6,7 @@ import pytest
 
 from transversals import convex, generators
 from transversals.convex import VPolytope, contains
-from transversals.exactla import QVector, _reduced_echelon, rank, solve_linear
+from transversals.exactla import QVector, _integer_solve, rank, solve_linear
 from transversals.generators import (
     FLATS,
     TRUNCATED,
@@ -325,14 +325,14 @@ class TestWorkCounts:
     def test_one_right_hand_side_per_member(self, monkeypatch):
         shapes = []
 
-        def counting(rows):
-            shapes.append((len(rows), len(rows[0])))
-            return _reduced_echelon(rows)
+        def counting(table, width):
+            shapes.append((len(table), len(table[0]), width))
+            return _integer_solve(table, width)
 
-        monkeypatch.setattr(generators, "_reduced_echelon", counting)
+        monkeypatch.setattr(generators, "_integer_solve", counting)
         gen_counterexample([1, 1, 1, 1], 0)
         # d = 8 matrix columns and 4 * 3 member columns, not 3**4 = 81.
-        assert shapes and set(shapes) == {(8, 8 + 12)}
+        assert shapes and set(shapes) == {(8, 8 + 12, 8)}
 
     @pytest.mark.parametrize("ks", [[1, 1, 1, 1], [2, 1, 1], [1, 0]])
     def test_directions_ranked_once_per_group(self, monkeypatch, ks):
