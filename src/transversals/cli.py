@@ -31,7 +31,13 @@ from .certificate import (
     full_certificate,
 )
 from .convex import AffineFlat, UnsupportedRepresentationError, VPolytope
-from .exactla import MalformedInputError, QVector, format_rational, parse_rational
+from .exactla import (
+    MalformedInputError,
+    QVector,
+    _over_digit_limit,
+    format_rational,
+    parse_rational,
+)
 from .generators import (
     FLATS,
     TRUNCATED,
@@ -524,18 +530,22 @@ _INTEGER = re.compile("-?[0-9]+")
 
 
 def _parse_int(text: str) -> int:
+    """An integer option; one above the digit limit is refused without
+    being echoed."""
     if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(str(_over_digit_limit("integer"))) from None
 
 
 def _parse_ks(text: str):
-    """Comma list of non-negative integers, each read as ``_parse_int``
-    reads one."""
+    """Comma list of non-negative integers, each read by ``_parse_int``."""
     parts = text.split(",")
     if not all(_INTEGER.fullmatch(part) and part[0] != "-" for part in parts):
         raise argparse.ArgumentTypeError(f"bad --ks list {text!r}")
-    return [int(part) for part in parts]
+    return [_parse_int(part) for part in parts]
 
 
 @functools.cache

@@ -918,6 +918,17 @@ class TestEntryPoint:
         assert f"argument {option}: invalid integer {value!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("option", ["--seed", "--dim", "--ks"])
+    def test_integer_over_the_digit_limit_is_not_echoed(self, tmp_path, capsys, option):
+        path = tmp_path / "r.json"
+        argv = ["generate", "planted", "--ks", "1,1", "--seed", "1", "--out", str(path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, "7" * 5000])
+        assert exc.value.code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert f"argument {option}: integer exceeds the" in err and "7" * 100 not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["١", "1_0", "+1"])
     def test_non_digit_family_is_rejected(self, tmp_path, capsys, value):
         path = tmp_path / "inst.json"
