@@ -39,6 +39,7 @@ from .transversal import (
     Instance,
     Partition,
     PartitionScan,
+    TheoremPreconditionError,
     TransversalWitness,
     check_colorful,
     check_member_count,
@@ -56,10 +57,6 @@ _AUDIT_STRIDE = 10
 # Most maximal join simplices a certificate run may enumerate; the count is
 # prod((k_i + 2)!), which --ks 4,4 already takes to 518400.
 _JOIN_BUDGET = 100_000
-
-
-class ColorfulViolationError(ValueError):
-    """A tuple intersection required by the certificate is empty."""
 
 
 class CertificateInconsistencyError(RuntimeError):
@@ -224,16 +221,12 @@ def build_join(complexes) -> JoinComplex:
 class CertificateReport:
     """Outcome of the certificate pipeline: one verdict plus the ledger of
     named checks (structural sphere checks, antipodality, and one line per
-    maximal simplex)."""
+    maximal simplex).  Every record passed; a failed check raises."""
 
     verdict: str
     checks: list = field(default_factory=list)
     confirmed_family: Optional[int] = None
     confirmed_witness: Optional[TransversalWitness] = None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
     def ledger_lines(self):
         lines = [c.ledger_line() for c in self.checks]
@@ -529,7 +522,9 @@ def full_certificate(instance: Instance) -> CertificateReport:
 
     Raises MalformedInputError before any other work when the join would
     have more than ``_JOIN_BUDGET`` maximal simplices, and then before the
-    colorful check when some family does not have exactly k+2 members.
+    colorful check when some family does not have exactly k+2 members;
+    raises TheoremPreconditionError when some member tuple has no common
+    point.
     """
     factors = itertools.chain.from_iterable(range(1, f.k + 3) for f in instance.families)
     simplices = itertools.accumulate(factors, operator.mul, initial=1)  # prod (k_i + 2)!
@@ -538,7 +533,7 @@ def full_certificate(instance: Instance) -> CertificateReport:
         check_member_count(fam)
     failing = first_failing_tuple(instance)
     if failing is not None:
-        raise ColorfulViolationError(f"colorful intersection fails at tuple {failing}")
+        raise TheoremPreconditionError(f"colorful intersection fails at tuple {failing}")
     assignments = []
     for i, fam in enumerate(instance.families, start=1):
         scan = scan_partitions(fam)

@@ -26,7 +26,6 @@ import tempfile
 
 from .certificate import (
     CertificateInconsistencyError,
-    ColorfulViolationError,
     assign_from_scan,
     full_certificate,
 )
@@ -477,7 +476,7 @@ def cmd_generate(
         cert_path = out_path + ".cert.txt"
         _refuse_non_regular(cert_path)  # before inst.json is written
         save_instance(out_path, ce.instance, meta)
-        cert_lines = [c.ledger_line() for c in ce.certificate.checks]
+        cert_lines = [c.ledger_line() for c in ce.checks]
         atomic_write(cert_path, "\n".join(cert_lines) + "\n")
         print(f"wrote {out_path} and {cert_path}")
         return EXIT_OK
@@ -625,7 +624,6 @@ def main(argv=None) -> int:
         MalformedInputError,
         ReportWriteError,
         TheoremPreconditionError,
-        ColorfulViolationError,
     ) as exc:
         print(f"error: {exc}")
         return EXIT_PRECONDITION

@@ -112,7 +112,7 @@ class AffineFlat:
         checked when this flat was made, so they are not ranked again."""
         base = base if isinstance(base, QVector) else QVector(base)
         if base.dim != self.dim:
-            raise MalformedInputError("flat directions have mixed dimensions")
+            raise MalformedInputError(f"flat base has dimension {base.dim}, not {self.dim}")
         flat = object.__new__(AffineFlat)
         object.__setattr__(flat, "base", base)
         object.__setattr__(flat, "directions", self.directions)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .convex import AffineFlat, VPolytope
@@ -36,8 +36,6 @@ from .transversal import (
     Instance,
     _check_tuple_budget,
     _member_tuples,
-    first_failing_tuple,
-    k_transversal,
 )
 
 FLATS = "flats"
@@ -69,14 +67,6 @@ class RetryExhaustedError(RuntimeError):
     """The rejection sampler ran out of attempts (pathological seed)."""
 
 
-class CounterexampleInvalidError(ValueError):
-    """A counterexample instance failed verification; names the check."""
-
-    def __init__(self, check: CheckRecord):
-        super().__init__(f"counterexample check failed: {check.name} {check.params}")
-        self.check = check
-
-
 def derive_seed(*parts) -> int:
     """Stable sub-seed from labels and integers; hash-based, so it does not
     depend on ``PYTHONHASHSEED`` or the interpreter."""
@@ -85,20 +75,11 @@ def derive_seed(*parts) -> int:
 
 
 @dataclass
-class GeneralPositionCertificate:
-    """Named rank conditions certifying the sampled points are generic."""
-
-    point_set: tuple
-    parts: tuple  # one tuple of points per family
-    checks: list = field(default_factory=list)
-
-
-@dataclass
 class CounterexampleInstance:
     instance: Instance
     representation: str  # FLATS or TRUNCATED
     tuple_points: dict  # member tuple (1-based) -> QVector
-    certificate: GeneralPositionCertificate
+    checks: list  # the passed rank certificates, in ledger order
 
 
 def _check_counterexample_budgets(ks) -> None:
@@ -113,15 +94,6 @@ def _check_counterexample_budgets(ks) -> None:
     check_budget(subsets, _SUBSET_BUDGET, "the counterexample", "point subsets to rank-check")
     _check_tuple_budget([k + 2 for k in ks], "the counterexample")
     check_budget([n + m], _DIMENSION_BUDGET, "the counterexample", "ambient dimensions")
-
-
-def _difference_rows(points):
-    base = points[0]
-    return [p - base for p in points[1:]]
-
-
-def _homogenized_rank(points) -> int:
-    return rank(list(p.entries) + [1] for p in points)
 
 
 def _general_position_checks(ks, points):
@@ -178,11 +150,11 @@ def _general_position_checks(ks, points):
 
     family_rows = []
     for i, group in enumerate(parts, start=1):
-        passed = _homogenized_rank(group) == ks[i - 1] + 2
+        passed = rank(list(p.entries) + [1] for p in group) == ks[i - 1] + 2
         checks.append(
             CheckRecord("family-affine-dim", f"family={i} expected={ks[i-1]+1}", passed)
         )
-        family_rows.append(_difference_rows(group))
+        family_rows.append([p - group[0] for p in group[1:]])
 
     # Right-hand side c belongs to point c, the member it anchors.
     augmented = []
@@ -262,8 +234,6 @@ def counterexample_from_points(ks, points, representation: str = TRUNCATED) -> C
     if not ok:
         raise GeneralPositionError(next(c for c in checks if not c.passed))
 
-    certificate = GeneralPositionCertificate(tuple(points), tuple(parts), checks)
-
     if representation == TRUNCATED:
         families = _truncated_families(ks, tuple_points)
     else:
@@ -277,7 +247,7 @@ def counterexample_from_points(ks, points, representation: str = TRUNCATED) -> C
             families.append(Family(ks[i], fibers))
 
     instance = Instance(d, tuple(families))
-    return CounterexampleInstance(instance, representation, tuple_points, certificate)
+    return CounterexampleInstance(instance, representation, tuple_points, checks)
 
 
 def gen_counterexample(ks, seed: int, representation: str = TRUNCATED) -> CounterexampleInstance:
@@ -311,55 +281,6 @@ def gen_counterexample(ks, seed: int, representation: str = TRUNCATED) -> Counte
     raise RetryExhaustedError(
         f"no generic point set found in {_MAX_TRIES} attempts (seed {seed})"
     )
-
-
-def verify_counterexample(ce: CounterexampleInstance):
-    """Re-verify both halves of the optimality claim.
-
-    (1) the colorful property holds on the instance as represented, (2) each
-    color group spans k_i+1 affine dimensions, so no k_i-flat's projection
-    can contain it, and (3) the partition decision returns no transversal
-    for any family of the truncated representation.  Raises
-    CounterexampleInvalidError on the first failed check; returns the check
-    ledger otherwise.
-    """
-    checks = []
-
-    failing = first_failing_tuple(ce.instance)
-    record = CheckRecord(
-        "colorful-property",
-        f"tuples={len(ce.tuple_points)}",
-        failing is None,
-        "" if failing is None else f"failing tuple {failing}",
-    )
-    checks.append(record)
-    if failing is not None:
-        raise CounterexampleInvalidError(record)
-
-    for i, group in enumerate(ce.certificate.parts, start=1):
-        k = ce.instance.families[i - 1].k
-        passed = _homogenized_rank(list(group)) == k + 2
-        record = CheckRecord("family-affine-dim", f"family={i} expected={k+1}", passed)
-        checks.append(record)
-        if not passed:
-            raise CounterexampleInvalidError(record)
-
-    families = ce.instance.families
-    if ce.representation != TRUNCATED:
-        families = _truncated_families([f.k for f in families], ce.tuple_points)
-    for i, fam in enumerate(families, start=1):
-        witness = k_transversal(fam)
-        record = CheckRecord(
-            "no-transversal",
-            f"family={i} k={fam.k}",
-            witness is None,
-            "" if witness is None else f"witness partition {witness.partition.label()}",
-        )
-        checks.append(record)
-        if witness is not None:
-            raise CounterexampleInvalidError(record)
-
-    return checks
 
 
 def gen_planted(dim: int, ks, seed: int) -> Instance:

@@ -47,7 +47,7 @@ _TUPLE_BUDGET = 100_000
 
 class TheoremPreconditionError(ValueError):
     """The instance is not in theorem mode (dimension, family sizes, or the
-    colorful property fail)."""
+    colorful property fail); the certificate needs the colorful property too."""
 
 
 class TheoremViolationError(RuntimeError):

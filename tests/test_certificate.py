@@ -12,7 +12,6 @@ from transversals.certificate import (
     CERTIFICATE_COMPLETE,
     THEOREM_CONFIRMED,
     CertificateInconsistencyError,
-    ColorfulViolationError,
     NormalAssignment,
     assign_normals,
     build_chain_complex,
@@ -45,6 +44,7 @@ from transversals.transversal import (
     Family,
     Instance,
     Partition,
+    TheoremPreconditionError,
     check_colorful,
     partitions,
 )
@@ -296,7 +296,7 @@ class TestVerifyClaim:
         )
         claim_checks = [c for c in report.checks if c.name == "claim-simplex"]
         assert len(claim_checks) == 4
-        assert report.passed
+        assert all(c.passed for c in report.checks)
         assert report.verdict == CERTIFICATE_COMPLETE
         # first simplex selects the two members through (0,1) and the two
         # through (1,2); both tuple intersections are single points, so the
@@ -714,7 +714,7 @@ class TestFullCertificate:
                 Family(0, (segment([2], [3]), segment([2], [3]))),
             ),
         )
-        with pytest.raises(ColorfulViolationError):
+        with pytest.raises(TheoremPreconditionError, match=r"at tuple \(1, 1\)$"):
             full_certificate(instance)
 
     def test_confirmed_family_matches_first_inseparable(self):

@@ -35,7 +35,7 @@ from transversals import certificate as certificate_module
 from transversals import cli as cli_module
 from transversals import generators as generators_module
 from transversals import transversal as transversal_module
-from transversals.certificate import CertificateInconsistencyError, ColorfulViolationError
+from transversals.certificate import CertificateInconsistencyError
 from transversals.convex import AffineFlat, UnsupportedRepresentationError, VPolytope
 from transversals.exactla import MalformedInputError, QVector
 from transversals.generators import (
@@ -67,6 +67,18 @@ def interval_instance():
         (
             Family(0, (segment([0], [2]), segment([1], [3]))),
             Family(0, (segment([0], [3]), segment([1], [2]))),
+        ),
+    )
+
+
+def non_colorful_instance():
+    """Theorem mode on the line with k+2 members per family, and no member
+    of the first family meets a member of the second."""
+    return Instance(
+        1,
+        (
+            Family(0, (segment([0], [1]), segment([0], [1]))),
+            Family(0, (segment([2], [3]), segment([2], [3]))),
         ),
     )
 
@@ -305,10 +317,13 @@ class TestCommands:
         witness = witness_from_json(report["witness"])
         validate_witness(instance.families[report["family"] - 1], witness)
 
-    def test_certificate_rejects_non_colorful(self, tmp_path):
+    def test_certificate_rejects_non_colorful(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        save_instance(str(path), disjoint_instance())
-        assert main(["certificate", str(path)]) == EXIT_PRECONDITION
+        save_instance(str(path), non_colorful_instance())
+        for command in ("certificate", "verify-theorem"):
+            assert main([command, str(path)]) == EXIT_PRECONDITION
+            lines = capsys.readouterr().out.splitlines()
+            assert lines == ["error: colorful intersection fails at tuple (1, 1)"]
 
     def test_certificate_advises_truncation_for_flats(self, tmp_path):
         path = tmp_path / "flats.json"
@@ -513,7 +528,6 @@ class TestExitTable:
             (MalformedInputError, EXIT_PRECONDITION),
             (ReportWriteError, EXIT_PRECONDITION),
             (TheoremPreconditionError, EXIT_PRECONDITION),
-            (ColorfulViolationError, EXIT_PRECONDITION),
             (UnsupportedRepresentationError, EXIT_PRECONDITION),
             (CertificateInconsistencyError, EXIT_THEOREM_VIOLATION),
             (RetryExhaustedError, EXIT_RETRY_EXHAUSTED),

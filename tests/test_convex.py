@@ -65,7 +65,7 @@ class TestTranslatedFlat:
                 assert first.translated(list(anchor)) == made
 
     def test_refuses_another_dimension(self):
-        with pytest.raises(MalformedInputError):
+        with pytest.raises(MalformedInputError, match="^flat base has dimension 3, not 2$"):
             AffineFlat(vec(0, 0), (vec(1, 1),)).translated(vec(1, 2, 3))
 
     def test_constructor_still_refuses_dependent_directions(self):

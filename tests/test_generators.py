@@ -5,26 +5,25 @@ from fractions import Fraction as F
 import pytest
 
 from transversals import convex, generators
+from transversals.cli import EXIT_PRECONDITION, main, save_instance
 from transversals.convex import VPolytope, contains
 from transversals.exactla import QVector, _integer_solve, rank, solve_linear
 from transversals.generators import (
     FLATS,
     TRUNCATED,
-    CounterexampleInstance,
-    CounterexampleInvalidError,
     GeneralPositionError,
     _general_position_checks,
     counterexample_from_points,
     gen_colorful_random,
     gen_counterexample,
     gen_planted,
-    verify_counterexample,
 )
 from transversals.reporting import CheckRecord
 from transversals.transversal import (
     Family,
     _member_tuples,
     check_colorful,
+    first_failing_tuple,
     k_transversal,
     validate_witness,
     verify_theorem,
@@ -33,6 +32,17 @@ from transversals.transversal import (
 
 def vec(*entries):
     return QVector(entries)
+
+
+def assert_optimal(ce, twin):
+    """The colorful property holds on ``ce``, every group spans its affine
+    dimension, and no family of ``twin``, the truncated form, has a
+    transversal."""
+    assert first_failing_tuple(ce.instance) is None
+    spans = [c for c in ce.checks if c.name == "family-affine-dim"]
+    assert len(spans) == len(ce.instance.families) and all(c.passed for c in spans)
+    assert twin.tuple_points == ce.tuple_points
+    assert all(k_transversal(f) is None for f in twin.instance.families)
 
 
 HAND_POINTS = [vec(0, 0), vec(1, 0), vec(0, 1), vec(1, 2)]
@@ -79,10 +89,10 @@ class TestHandConstruction:
             assert report.witnesses == ce.tuple_points
 
     def test_verification_passes(self):
+        twin = counterexample_from_points([0, 0], HAND_POINTS, TRUNCATED)
         for representation in (FLATS, TRUNCATED):
             ce = counterexample_from_points([0, 0], HAND_POINTS, representation)
-            checks = verify_counterexample(ce)
-            assert all(c.passed for c in checks)
+            assert_optimal(ce, twin)
 
     def test_degenerate_points_rejected(self):
         collinear = [vec(0, 0), vec(0, 0), vec(0, 1), vec(1, 2)]
@@ -201,7 +211,7 @@ class TestSharedEliminationMatchesReference:
                 assert info.value.check == first_failure
             return checks
         ce = counterexample_from_points(ks, points, FLATS)
-        assert ce.certificate.checks == checks and ce.tuple_points == tuple_points
+        assert ce.checks == checks and ce.tuple_points == tuple_points
         kernels = [[fiber.directions for fiber in f.bodies] for f in ce.instance.families]
         assert kernels == reference_fiber_kernels(parts, family_rows)
         return checks
@@ -361,15 +371,16 @@ class TestSingleFamilyBoundary:
         assert gens[0] != gens[1]
         assert check_colorful(ce.instance).holds
         assert k_transversal(family) is None
-        assert all(c.passed for c in verify_counterexample(ce))
+        assert all(c.passed for c in ce.checks)
 
 
 class TestGenCounterexample:
     @pytest.mark.parametrize("ks", [(0, 0), (1, 0), (1, 1), (0, 0, 0), (2, 1)])
     def test_verifies_across_seeds(self, ks):
         for seed in range(4):
-            ce = gen_counterexample(list(ks), seed)
-            assert all(c.passed for c in verify_counterexample(ce))
+            twin = gen_counterexample(list(ks), seed)
+            assert_optimal(twin, twin)
+            assert_optimal(gen_counterexample(list(ks), seed, FLATS), twin)
 
     def test_retry_budget(self, monkeypatch):
         from transversals.generators import RetryExhaustedError
@@ -400,47 +411,34 @@ class TestGenCounterexample:
 
     def test_certificate_names_every_condition(self):
         ce = gen_counterexample([0, 0], seed=1)
-        names = {c.name for c in ce.certificate.checks}
+        names = {c.name for c in ce.checks}
         assert names == {
             "affine-span-unique",
             "family-affine-dim",
             "tuple-intersection-unique",
         }
-        assert all(c.passed for c in ce.certificate.checks)
+        assert all(c.passed for c in ce.checks)
 
 
 class TestTamperedInstances:
     def test_dependent_group_fails_rank_check(self):
-        ce = gen_counterexample([1, 0], seed=3)
-        # overwrite the first group with collinear points
-        collinear = (vec(0, 0, 0), vec(1, 0, 0), vec(2, 0, 0))
-        tampered = CounterexampleInstance(
-            ce.instance,
-            ce.representation,
-            ce.tuple_points,
-            type(ce.certificate)(
-                ce.certificate.point_set,
-                (collinear,) + ce.certificate.parts[1:],
-                ce.certificate.checks,
-            ),
-        )
-        with pytest.raises(CounterexampleInvalidError, match="family-affine-dim"):
-            verify_counterexample(tampered)
+        with pytest.raises(GeneralPositionError) as info:
+            counterexample_from_points([0], [vec(3), vec(3)])
+        assert info.value.check.name == "family-affine-dim"
 
-    def test_deleted_tuple_point_fails_colorful(self):
+    def test_deleted_tuple_point_fails_colorful(self, tmp_path, capsys):
         ce = gen_counterexample([0, 0], seed=4)
         families = list(ce.instance.families)
         first = families[0]
         pruned = VPolytope((first.bodies[0].generators[0],))
         families[0] = Family(first.k, (pruned,) + first.bodies[1:])
-        tampered = CounterexampleInstance(
-            type(ce.instance)(ce.instance.dim, tuple(families)),
-            ce.representation,
-            ce.tuple_points,
-            ce.certificate,
-        )
-        with pytest.raises(CounterexampleInvalidError, match="colorful"):
-            verify_counterexample(tampered)
+        tampered = type(ce.instance)(ce.instance.dim, tuple(families))
+        assert first_failing_tuple(tampered) == (1, 2)
+        path = str(tmp_path / "tampered.json")
+        save_instance(path, tampered)
+        assert main(["certificate", path]) == EXIT_PRECONDITION
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["error: colorful intersection fails at tuple (1, 2)"]
 
 
 class TestGenPlanted:
