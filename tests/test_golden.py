@@ -26,9 +26,13 @@ where each colourful hull LP is 28 x 108; every tuple's members share one
 generator, their only common point, so its colourful checks solve no LP.
 
 Each pipeline also records every distinct ``(rows, rhs)`` system the
-phase-one simplex receives.  The digest of that sorted set is compared too,
-so a system builder that reorders columns or rows fails here even when it
-happens to find the same witnesses.  The certificate's audits solve no LP
+phase-one simplex receives, as the integer table ``[rows | rhs]`` it pivots
+on: ``exactla._integer_rows``, the rows times the lcm of every denominator
+in the system.  That table is the same whether the system arrives as
+Fractions or already scaled to integers.  The digest of that sorted set is
+compared too, so a system builder that reorders columns or rows, or scales
+them differently, fails here even when it happens to find the same
+witnesses.  The certificate's audits solve no LP
 when a Gordan functional settles them, which it does on every audited
 simplex of these instances, so the six certificate pipelines record only
 their partition-scan and colourful systems: each set is a subset of the
@@ -226,7 +230,7 @@ GOLDEN = {
         "family2.json": "3bb0829495032f4319799ffd624f88d610e1f66ab8293f6972fb16323892a6d6",
         "certificate.json": "fb0b0cd3dc11a8cac88e55bc308285bc12131020ca9b6bf5a6a933f90e52a9c0",
         "stdout": "25e3af24bd60d941530cd58b294f3b620df352ff4e4d4b2779c41a0b06b01980",
-        "lp-systems": "4a741c2cc36daddde4916d8be848017362d98420bc41836139a7adb6e0e0eea4",
+        "lp-systems": "27c3811c129e6cd6a7ebca222d81a248e638b529009294636ee768def4105660",
     },
     "counterexample": {
         "inst.json": "029a6e86f86f9fb8e4f8e775eb8ee68c87454c5b9e749d3dc143463074126bc4",
@@ -236,7 +240,7 @@ GOLDEN = {
         "family2.json": "c5644ba3562d1ae53bd9573fd6bd436d1b9c0960c069057ed98b9b30e0f3c707",
         "certificate.json": "a4fa4a7f4a19628723fcf5c728de88186c160ee64e5e0e9ac9d5d42824c058d8",
         "stdout": "87ab848e5d338b6bf6dbea1100ed4faf473738a0971eac15c1d8b4be8d59a730",
-        "lp-systems": "8afb54ace76dc96d10f1cd82803e58a08ab2854bde25bd4755744ea4781acbaa",
+        "lp-systems": "5f0350a19874e37509f18e2fede35979422a6259ad07676fd1ff500842e537bf",
     },
     "join": {
         "inst.json": "032d0527aafc38233660ccde4031bdc95b54bb8789d5d0d1f49e34ed1681ec6c",
@@ -246,7 +250,7 @@ GOLDEN = {
         "family2.json": "258969d37432c6a4d800a710b7db69f2c33f0bbe191d0e3059f3a26a38dad91d",
         "certificate.json": "888cb70aa09b47cfe686f0fa8a64991382300d3e30dc7850000801e474d19b9e",
         "stdout": "5dab7d8c4b228cbf5fa8dec65baca86f56a963ca231fc8348243475a6bf4025a",
-        "lp-systems": "8d37351bf3e143d365881861bb3e858f5ccc50ec3916e59a7c23cf0a5957a124",
+        "lp-systems": "e8708c382345465ac6b285859423558d2aec59fe401460cf93ac41aaca66bcc5",
     },
     "join-2-2": {
         "inst.json": "54570e492f4d59fc710ce44c491ab2c270da60bbc976536f38f7cf62290517fa",
@@ -256,7 +260,7 @@ GOLDEN = {
         "family2.json": "e9285fc52ce80fec616127f9494ec6826b161c67e25e33e2bf657968e576d2bb",
         "certificate.json": "f1549b456aa0d80f7b03a96d18a5c6e54ace1f38b64aafebb20b118acc452d25",
         "stdout": "1133eda8f8c1b5bc5354361cbd3acb3cced39a17fce0d983d21c6163bc863a34",
-        "lp-systems": "52d20b5d565d20b2001351cfbb0835d92bdd2113b5577b75888f0b91e93c7de1",
+        "lp-systems": "98e639e4297c918429bef94d818479d5b8bca526c9b4b56b1c060b9f5b68a1db",
     },
     "join-3-1": {
         "inst.json": "280bd997be63734a43790831c4221eb07adc8d2f55a3b608098c3ced1e2ff24a",
@@ -266,7 +270,7 @@ GOLDEN = {
         "family2.json": "85ec5370632cf08c111d88f642fa7a104993e4514d1215ba02dd7458f0c41970",
         "certificate.json": "9752da1fc848b1365904e11c8f3e8d7870f5ad372f08ee7b8296b18ea56663d9",
         "stdout": "17b0b2da64a24737d2566db319a0c20a9e93cb64b8ab83fa066cca6aa6b51b81",
-        "lp-systems": "71a3f01c44cb18b685aebcbc4829f69e9adffe180ae68c0c88ab1e81b33390d0",
+        "lp-systems": "629bae67dc60b9118b0d80969685703f5824b9b81b3642b2c9d024dc4f8f588b",
     },
     "join-1-1-1": {
         "inst.json": "4deb6c9121b964bceafff6d35aaa097077562f71921560f52768c3249905f6a0",
@@ -277,7 +281,7 @@ GOLDEN = {
         "family3.json": "016803e888692f70febb3159d1c513a2e656b3442b41141fd564d2918d8f4cab",
         "certificate.json": "a1783c3c8724ec76ca6ae38f3cd1dbcce8a6f0534099c40efaff323aec224158",
         "stdout": "f51b5f95e959624570087dc5c4156ecb21aac1d8079d148aef9b529c4aac7a72",
-        "lp-systems": "9a4796661c8a26a2b18bd3b848176f4512c7c05f7fa28133034a76936a46e199",
+        "lp-systems": "d2b057345ce7b7a25fc63253e8519f81318b6d5f0c81bb965894de2ba3e5470b",
     },
     "generate": {
         "inst.json": "50ef0bf5148895b735a151f0f2227225dab40477be9f272e63949e4bae542f92",
@@ -303,7 +307,7 @@ GOLDEN = {
         "colorful.json": "b200e182814c06eee78c0c1c7d28fb12cc425f1726060e8d9d78814cb8a625bc",
         "certificate.json": "ecadd08d744a14d4e070898ded30bc73fb3e932f88724074edac6f9223e93e42",
         "stdout": "a73a21a905b94c6105b84207430fa3b838d16ccad98b7a6c298eb02c7e1154bb",
-        "lp-systems": "40749eeb8795b293a17b2b92baed7a29db1ac3964ff25f1157636496fc41c6a1",
+        "lp-systems": "c32863668706f3f44361c2a508bbac2f257ba4e3cefd7c65c0ede1a0e01efb64",
     },
     "generate-16": {
         "inst.json": "5eac4af9ffac7ce19c7a8bfb2d369dad4ceb8d807fb0b38dd28907bb44bc9028",
@@ -348,9 +352,8 @@ def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
     phase_one = exactla._phase_one
 
     def recording_phase_one(rows, rhs):
-        systems.add(
-            repr(([[str(v) for v in row] for row in rows], [str(b) for b in rhs]))
-        )
+        table, _ = exactla._integer_rows(list(row) + [b] for row, b in zip(rows, rhs))
+        systems.add(repr(table))
         return phase_one(rows, rhs)
 
     monkeypatch.setattr(exactla, "_phase_one", recording_phase_one)
