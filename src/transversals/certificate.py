@@ -27,6 +27,7 @@ from .exactla import (
     QVector,
     _ZERO,
     _format_lowest,
+    _integer_rows,
     _integer_solve,
     check_budget,
     check_two_sided,
@@ -498,7 +499,7 @@ def origin_in_hull(vectors) -> bool:
         if all(sum(map(operator.mul, a, functional)) == denominator * s for a, s in forms):
             return False
         raise AssertionError("Gordan functional fails the substitution check")
-    found = hull_weights([vectors], [0], QVector([_ZERO] * d))
+    found = hull_weights([_integer_rows(vectors)], [0], QVector([_ZERO] * d))
     if found is None:
         return False
     (weights,) = found

@@ -11,7 +11,9 @@ ever approximate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
@@ -41,8 +43,11 @@ class VPolytope:
     hull of the generators: the kernel of their differences from the first
     generator, so the identity rows for a single point, read in integers
     from ``exactla._integer_solve`` and each divided by the gcd of its
-    entries, which keeps its direction and the basis's rank.  They are
-    computed on first use.
+    entries, which keeps its direction and the basis's rank.  The
+    differences are taken in the integer generator table, over one scale;
+    a uniform scale moves no pivot, and each kernel row is a positive
+    multiple of the rational one, so the primitive rows are the same.
+    They, and the table, are computed on first use.
     """
 
     generators: tuple
@@ -62,13 +67,39 @@ class VPolytope:
         return self.generators[0].dim
 
     @cached_property
+    def _table(self) -> tuple:
+        """``(table, scale)``: the generators' numerators over the lcm of
+        all their denominators, one row per generator, as
+        ``exactla._integer_rows`` makes them; every hull system of this
+        polytope is built from it."""
+        return _integer_rows(self.generators)
+
+    @cached_property
+    def _generator_keys(self) -> dict:
+        """Each generator by a key that equal vectors share, in generator
+        order: its row of ``_table`` divided by the gcd of the row and the
+        scale, with the scale so divided.  Those are its numerators over the
+        lcm of its own denominators, and the key hashes as integers."""
+        table, scale = self._table
+        keys = {}
+        for g, row in zip(self.generators, table):
+            common = math.gcd(scale, *row)
+            keys.setdefault((tuple(v // common for v in row), scale // common), g)
+        return keys
+
+    @cached_property
+    def _normal_rows(self) -> tuple:
+        """``hull_normals`` as tuples of ints."""
+        table, _ = self._table
+        base = table[0]
+        differences = [[a - b for a, b in zip(g, base)] for g in table[1:]]
+        _, kernel, _ = _integer_solve(differences or [[0] * self.dim], self.dim)
+        return tuple(tuple(e // math.gcd(*row) for e in row) for row in kernel)
+
+    @cached_property
     def hull_normals(self) -> tuple:
         # The kernel of one zero row is the identity rows, in order.
-        base = self.generators[0]
-        differences = [g - base for g in self.generators[1:]]
-        table, _ = _integer_rows(differences or [[_ZERO] * self.dim])
-        _, kernel, _ = _integer_solve(table, self.dim)
-        return tuple(QVector([e // math.gcd(*row) for e in row]) for row in kernel)
+        return tuple(QVector(row) for row in self._normal_rows)
 
 
 @dataclass(frozen=True)
@@ -151,7 +182,7 @@ def contains(body: ConvexBody, point: QVector) -> bool:
         raise MalformedInputError("point dimension does not match body")
     if isinstance(body, AffineFlat):
         return all(normal.dot(point) == value for normal, value in body.equations)
-    return hull_weights([body.generators], [0], point) is not None
+    return hull_weights([body._table], [0], point) is not None
 
 
 def common_point(bodies) -> Optional[QVector]:
@@ -162,7 +193,8 @@ def common_point(bodies) -> Optional[QVector]:
     equations at all every flat is the whole space and the point is the
     first base.  Any polytope puts the input on ``exactla.hull_weights`` of
     the polytopes, one group each, with the flat equations on group 0, the
-    first polytope.  The point is the first polytope's combination.
+    first polytope.  The point is the first polytope's combination, summed
+    in integers from the weights over their lcm and the polytope's table.
     """
     bodies = list(bodies)
     if not bodies:
@@ -179,9 +211,17 @@ def common_point(bodies) -> Optional[QVector]:
         return None if solution is None else solution.particulars[0]
 
     weights = hull_weights(
-        [p.generators for p in polytopes], range(len(polytopes)), equations=equations
+        [p._table for p in polytopes], range(len(polytopes)), equations=equations
     )
-    return None if weights is None else weighted_sum(weights[0], polytopes[0].generators)
+    if weights is None:
+        return None
+    (numerators,), denominator = _integer_rows([weights[0]])
+    table, scale = polytopes[0]._table
+    denominator *= scale
+    return QVector(
+        Fraction(sum(map(operator.mul, numerators, column)), denominator)
+        for column in zip(*table)
+    )
 
 
 def affine_span(points) -> AffineFlat:

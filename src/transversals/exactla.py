@@ -19,7 +19,10 @@ denominator (Edmonds 1967, Bareiss 1968): the input is scaled to integers
 once, every update is an exact integer division, and
 ``fractions.Fraction`` appears only in the values read in and returned.
 The pivots are the ones rational arithmetic would choose, so every result
-is the same rational.  There is one elimination, forward only
+is the same rational.  The simplex keeps a condensed tableau, only the
+nonbasic columns.  Hull-weight systems are built in integers from the
+generators' integer tables, already scaled as the simplex would scale
+them.  There is one elimination, forward only
 (``_echelon``), and one solve on top of it (``_integer_solve``: forward
 elimination, then fraction-free back substitution), which returns integer
 rows over one positive denominator; every linear solve, the Farkas
@@ -440,32 +443,42 @@ class LinearConstraint:
         return value < self.rhs
 
 
-def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+def _phase_one(rows: Sequence[Sequence], rhs: Sequence):
     """Phase-one simplex for ``{x >= 0 : rows @ x = rhs}``.
 
-    Returns ``(solution, None)`` with a list of Fractions when the system is
-    feasible, and ``(None, farkas)`` when it is not: ``farkas`` is a list
-    ``y`` of Fractions, one per row, with ``y . column <= 0`` for every
-    column of ``rows`` and ``y . rhs > 0`` (Farkas 1902).  ``y . rhs`` is the
-    optimum of the artificial objective, because ``y`` is the optimal dual
-    read from the final basis (Chvatal 1983).
+    The entries are rationals: ints or Fractions.  Returns ``(solution,
+    None)`` with a list of Fractions when the system is feasible, and
+    ``(None, farkas)`` when it is not: ``farkas`` is a list ``y`` of
+    Fractions, one per row, with ``y . column <= 0`` for every column of
+    ``rows`` and ``y . rhs > 0`` (Farkas 1902).  ``y . rhs`` is the optimum
+    of the artificial objective, because ``y`` is the optimal dual read from
+    the final basis (Chvatal 1983).
 
     Pivoting starts with Dantzig's rule and switches permanently to Bland's
     rule after a run of degenerate pivots, so degenerate systems cannot
-    cycle.  Artificial columns are never stored: an artificial variable that
+    cycle.  Both rules, and the ratio test's ties, break on the variable
+    index.  Artificial columns are never stored: an artificial variable that
     leaves the basis is dropped for good, which is sound because any feasible
     point of the system is expressible in original columns alone.
 
     The tableau is integers over one common denominator ``D`` (Edmonds
     1967).  The whole system is scaled once by ``L``, the lcm of its
-    denominators; a pivot on ``p`` maps every other row to
-    ``(p*T[i] - T[i][e]*T[r]) // D``, exact by Sylvester's identity, and
-    sets ``D = p``.  A row whose basic variable is original then reads
-    ``T / D`` and a row still held by an artificial, like the cost row, reads
-    ``T / (D*L)``.  Each row keeps its own ratios and the cost row is a
+    denominators (1 for integer input); a pivot on ``p`` maps every other
+    row to ``(p*T[i] - T[i][e]*T[r]) // D``, exact by Sylvester's identity,
+    and sets ``D = p``.  A row whose basic variable is original then reads
+    ``T / D`` and a row still held by an artificial, like the cost row,
+    reads ``T / (D*L)``.  Each row keeps its own ratios and the cost row is a
     positive multiple of the rational one, so the pivot rules choose exactly
     the pivots rational arithmetic would.  Fractions are made only for the
     returned values.
+
+    The tableau is condensed (Tucker's form): only nonbasic original columns
+    are stored, ``columns[s]`` naming the variable in slot ``s``, because a
+    basic column is ``D`` in its row and 0 elsewhere.  The entering
+    variable's slot goes to the leaving variable: an original one takes the
+    entries the full update would give its unit column, ``-T[i][e]`` in
+    every other row, the old ``D`` in the pivot row and ``-c_e`` in the cost
+    row; a leaving artificial is dropped with the slot.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -473,15 +486,18 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
         return [_ZERO] * n, None
 
     original, _ = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
-    tableau = [[-v for v in vals] if vals[-1] < 0 else vals for vals in original]
+    # Copies: the pivots below edit rows in place, and ``_farkas`` reads the
+    # original rows.
+    tableau = [[-v for v in vals] if vals[-1] < 0 else vals[:] for vals in original]
     # Basic variable per row; artificial for row i is indexed n + i so that
     # Bland tie-breaking prefers original variables.
     basis = [n + i for i in range(m)]
+    columns = list(range(n))
 
     # Reduced costs for minimizing the artificial sum under the all-artificial
     # basis: column j prices to the negated column sum, the objective cell to
     # the negated right-hand-side sum.
-    cost = [-sum(tableau[i][j] for i in range(m)) for j in range(n + 1)]
+    cost = [-sum(column) for column in zip(*tableau)]
     denominator = 1
 
     bland = False
@@ -490,17 +506,16 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     while True:
         enter = -1
         if bland:
-            for j in range(n):
-                if cost[j] < 0:
-                    enter = j
-                    break
+            for s, var in enumerate(columns):
+                if cost[s] < 0 and (enter < 0 or var < columns[enter]):
+                    enter = s
         else:
             best = 0
-            for j in range(n):
-                cj = cost[j]
-                if cj < best:
-                    best = cj
-                    enter = j
+            for s, var in enumerate(columns):
+                cs = cost[s]
+                if cs < best or (cs == best and enter >= 0 and var < columns[enter]):
+                    best = cs
+                    enter = s
         if enter < 0:
             break
         leave = -1
@@ -538,16 +553,29 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
 
         lead = tableau[leave]
         pivot = lead[enter]
+        leaving = basis[leave]
+        leaving_original = leaving < n
         for i in range(m):
             if i != leave:
                 f = tableau[i][enter]
-                tableau[i] = [
+                row = [
                     (pivot * a - f * b) // denominator for a, b in zip(tableau[i], lead)
                 ]
+                if leaving_original:
+                    row[enter] = -f
+                else:
+                    del row[enter]
+                tableau[i] = row
         f = cost[enter]
         cost = [(pivot * a - f * b) // denominator for a, b in zip(cost, lead)]
+        basis[leave] = columns[enter]
+        if leaving_original:
+            cost[enter] = -f
+            lead[enter] = denominator
+            columns[enter] = leaving
+        else:
+            del cost[enter], lead[enter], columns[enter]
         denominator = pivot
-        basis[leave] = enter
 
     if cost[-1]:
         return None, _farkas(original, basis, n)
@@ -675,40 +703,95 @@ def _free_solution(constraints, dim: int) -> Optional[list]:
 
 
 def _hull_system(blocks, groups, target=None, equations=()) -> tuple:
-    """``(rows, rhs)`` of the hull-weight system; see ``hull_weights``.
+    """``(rows, rhs)`` of the hull-weight system, in integers; see
+    ``hull_weights``.
 
     One weight column per generator, in block order; ``groups[i]`` is the
     group of block i.  Coordinate rows come first: group 0's combination
     equals ``target`` when one is given, and otherwise each other group's
     combination in turn.  One row per group then sums its weights to one.
-    Last, each ``(normal, value)`` of ``equations`` puts group 0's combination
-    on that hyperplane: ``normal . g`` under group 0's generators ``g``.
+    Last, each ``(normal, value)`` of ``equations`` puts group 0's
+    combination on that hyperplane: ``normal . g`` under group 0's
+    generators ``g``.
+
+    The rows are the rational system times ``L``, the lcm of every
+    denominator in it, which is the table ``_integer_rows`` makes of it,
+    entry for entry.  The denominators are read off the integer tables: a
+    block's coordinates have the lcm ``scale``, and an equation's entries
+    ``e_j / D`` on a block, with ``D`` the normal's scale times the block's,
+    have in lowest terms the lcm ``D / gcd(D, e_1, e_2, ...)``.
     """
-    columns = [(group, g) for block, group in zip(blocks, groups) for g in block]
+    groups = list(groups)
     count = max(groups) + 1
-    d = columns[0][1].dim
+    # A block's coordinates appear beside a target when it is in group 0,
+    # and with no target when two or more groups are compared.
+    shown = [group == 0 if target is not None else count > 1 for group in groups]
+    scales = [scale for (_, scale), show in zip(blocks, shown) if show]
+    if target is not None:
+        target_row, target_scale = target._integer_form()
+        scales.append(target_scale)
+    hyperplanes = []  # per equation: its value and, per block, (dots, D) or None
+    for normal, value in equations:
+        numerators, normal_scale = normal._integer_form()
+        parts = []
+        for (table, scale), group in zip(blocks, groups):
+            part = None
+            if group == 0:
+                dots = [sum(map(operator.mul, numerators, g)) for g in table]
+                common = math.gcd(normal_scale * scale, *dots)
+                part = ([e // common for e in dots], normal_scale * scale // common)
+                scales.append(part[1])
+            parts.append(part)
+        scales.append(value.denominator)
+        hyperplanes.append((value, parts))
+    lcm = math.lcm(*scales)
+
+    def row(parts):
+        # One part per block; None stands for that block's zeros.
+        cells = []
+        for part, (table, _) in zip(parts, blocks):
+            cells.extend([0] * len(table) if part is None else part)
+        return cells
+
+    # Per shown block, its coordinate rows times L: group 0's as they are,
+    # the other groups' negated.
+    coordinates = []
+    for (table, scale), group, show in zip(blocks, groups, shown):
+        factor = lcm // scale if group == 0 else -(lcm // scale)
+        coordinates.append(
+            [[v * factor for v in column] for column in zip(*table)] if show else None
+        )
     rows = []
     rhs = []
     if target is not None:
-        for c in range(d):
-            rows.append([g[c] if group == 0 else _ZERO for group, g in columns])
-            rhs.append(target[c])
+        for c, entry in enumerate(target_row):
+            rows.append(row([None if part is None else part[c] for part in coordinates]))
+            rhs.append(entry * (lcm // target_scale))
     else:
+        d = len(blocks[0][0][0])
         for other in range(1, count):
             for c in range(d):
                 rows.append(
-                    [
-                        g[c] if group == 0 else -g[c] if group == other else _ZERO
-                        for group, g in columns
-                    ]
+                    row(
+                        [
+                            part[c] if group in (0, other) else None
+                            for part, group in zip(coordinates, groups)
+                        ]
+                    )
                 )
-                rhs.append(_ZERO)
+                rhs.append(0)
     for index in range(count):
-        rows.append([_ONE if group == index else _ZERO for group, _ in columns])
-        rhs.append(_ONE)
-    for normal, value in equations:
-        rows.append([normal.dot(g) if group == 0 else _ZERO for group, g in columns])
-        rhs.append(value)
+        rows.append(
+            row([[lcm] * len(table) if group == index else None
+                 for (table, _), group in zip(blocks, groups)])
+        )
+        rhs.append(lcm)
+    for value, parts in hyperplanes:
+        rows.append(
+            row([None if part is None else [e * (lcm // part[1]) for e in part[0]]
+                 for part in parts])
+        )
+        rhs.append(value.numerator * (lcm // value.denominator))
     return rows, rhs
 
 
@@ -716,9 +799,9 @@ def _per_block(solution, blocks) -> list:
     """A hull system's solution split into one weight list per block."""
     weights = []
     at = 0
-    for block in blocks:
-        weights.append(solution[at : at + len(block)])
-        at += len(block)
+    for table, _ in blocks:
+        weights.append(solution[at : at + len(table)])
+        at += len(table)
     return weights
 
 
@@ -726,10 +809,11 @@ def hull_weights(blocks, groups, target=None, equations=()) -> Optional[list]:
     """Convex weights, one list per block, under which the pooled group
     hulls meet (``_hull_system``), or None: the one-way answer.
 
-    ``blocks`` are generator sequences in column order and ``groups[i]`` is
-    the group, 0, 1, ..., of block i.  Polytope membership, intersections
-    with polytopes and the join certificate's origin audit ask it; the
-    partition scan asks ``hull_certificate``, which also answers "no".
+    ``blocks`` are the generators' integer tables ``(table, scale)`` from
+    ``_integer_rows``, in column order, and ``groups[i]`` is the group, 0,
+    1, ..., of block i.  Polytope membership, intersections with polytopes
+    and the join certificate's origin audit ask it; the partition scan asks
+    ``hull_certificate``, which also answers "no".
     """
     solution = standard_form_feasible(*_hull_system(blocks, groups, target, equations))
     if solution is None:
@@ -741,6 +825,7 @@ def hull_certificate(blocks, groups) -> tuple:
     """The hull-weight system without target, answered both ways by one
     phase-one solve: ``(weights, None)`` with one weight list per block when
     the pooled group hulls meet, ``(None, farkas)`` when they do not.
+    ``blocks`` are integer tables, as for ``hull_weights``.
 
     With two groups the Farkas vector is ``(u, alpha, beta)``: ``u`` over
     the coordinate rows, then one entry per group row.  Every generator
@@ -830,7 +915,7 @@ def strict_separation(points_p, points_q):
     for p in points_p + points_q:
         if p.dim != d:
             raise MalformedInputError("mixed dimensions in separation input")
-    _, farkas = hull_certificate([points_p, points_q], [0, 1])
+    _, farkas = hull_certificate([_integer_rows(points_p), _integer_rows(points_q)], [0, 1])
     if farkas is None:
         return None
     return farkas_separator(farkas, points_p, points_q)

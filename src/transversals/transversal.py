@@ -30,10 +30,10 @@ from .exactla import (
     MalformedInputError,
     QVector,
     _ZERO,
+    _echelon,
     check_budget,
     format_rational,
     hull_certificate,
-    rank,
 )
 
 # Most canonical partitions one family may enumerate, one LP each; a family
@@ -204,7 +204,7 @@ def scan_partitions(family: Family) -> PartitionScan:
     check_member_count(family)
     size = family.k + 2
     members = family.bodies
-    blocks = [member.generators for member in members]
+    blocks = [member._table for member in members]
     farkas = {}
     for part in partitions(size):
         in_a = set(part.part_a)
@@ -303,12 +303,13 @@ def _colorful_tuples(instance: Instance):
 
 def _shared_generator(bodies) -> Optional[QVector]:
     """The first generator of the first body that every body lists, by
-    exact equality, or None; always None when a body is a flat."""
+    exact equality, or None; always None when a body is a flat.  Equality
+    is looked up in each polytope's ``_generator_keys``."""
     if not all(isinstance(body, VPolytope) for body in bodies):
         return None
     first, *rest = bodies
-    for g in first.generators:
-        if all(g in body.generators for body in rest):
+    for key, g in first._generator_keys.items():
+        if all(key in body._generator_keys for body in rest):
             return g
     return None
 
@@ -334,12 +335,13 @@ def _unique_shared_point(bodies) -> Optional[QVector]:
     point, else None.  The stacked ``hull_normals`` have rank d exactly
     when the affine hulls, all through ``g``, meet in ``g`` alone; then the
     intersection is ``{g}`` and ``common_point`` would return ``g`` too.
-    Fewer than d normals cannot have rank d, so they are not ranked."""
+    Fewer than d normals cannot have rank d, so they are not ranked; the
+    others are ranked by ``exactla._echelon`` on their cached integer rows."""
     g = _shared_generator(bodies)
     if g is None:
         return None
-    normals = [n for body in bodies for n in body.hull_normals]
-    if len(normals) < g.dim or rank(normals) < g.dim:
+    normals = [n for body in bodies for n in body._normal_rows]
+    if len(normals) < g.dim or len(_echelon(normals)[0]) < g.dim:
         return None
     return g
 

@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import os
 import stat
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1124,3 +1126,27 @@ class TestLoaderFuzz:
             parent[key] = data.draw(st.sampled_from(wrong))
         with pytest.raises(InstanceFormatError):
             loader(mutated)
+
+
+class TestTracedColorfulLps:
+    def test_benchmark_trace_sees_every_colourful_lp(self, tmp_path, monkeypatch, capsys):
+        """The benchmark's tracer wraps the package's names in its ``TRACED``
+        table; every colourful hull LP of ``check-colorful`` must still pass
+        through ``convex.common_point`` and ``exactla.standard_form_feasible``
+        for its traced runs to book it.  Every one of the 27 tuples of this
+        instance solves one LP."""
+        path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing_for_cli", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        monkeypatch.chdir(tmp_path)
+        argv = ["generate", "random", "--ks", "1,1,1", "--seed", "0", "--out", "inst.json"]
+        assert main(argv) == EXIT_OK
+        with tracing.Tracer() as tracer:
+            tracer.active = True
+            assert cli_module.main(["check-colorful", "inst.json"]) == EXIT_OK
+        calls = tracer.summary()["calls"]
+        assert calls["convex.common_point"] == 27
+        assert calls["exactla.standard_form_feasible"] == 27
+        assert calls["cli.main"] == 1
+        capsys.readouterr()

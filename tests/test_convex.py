@@ -242,7 +242,7 @@ def reference_common_point(bodies):
         solution = solve_linear(rows, [rhs])
         return None if solution is None else QVector(solution.particulars[0].entries[:d])
     if not flats:
-        weights = hull_weights([p.generators for p in polytopes], range(len(polytopes)))
+        weights = hull_weights([p._table for p in polytopes], range(len(polytopes)))
         return None if weights is None else weighted_sum(weights[0], polytopes[0].generators)
     num_weights = sum(len(p.generators) for p in polytopes)
     num_params = sum(f.dimension for f in flats)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from transversals import certificate, convex, exactla
 from transversals.cli import main
+from transversals.generators import gen_colorful_random
 from transversals.exactla import (
     LinearConstraint,
     MalformedInputError,
@@ -1379,3 +1380,274 @@ class TestShortBackSolve:
         monkeypatch.setattr(exactla, "_integer_solve", corrupted)
         with pytest.raises(AssertionError, match="substitution check"):
             _phase_one([[F(1), F(0)], [F(1), F(0)]], [F(1), F(2)])
+
+
+def full_tableau_phase_one(rows, rhs, events=None):
+    """``_phase_one`` with the full tableau: every original column stored,
+    basic ones included, each updated by every pivot.  ``events`` (a list)
+    receives ``"bland"`` when the run switches to Bland's rule and
+    ``"original-left"`` for each pivot whose leaving variable is original."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0:
+        return [F(0)] * n, None
+
+    original, _ = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
+    tableau = [[-v for v in vals] if vals[-1] < 0 else vals for vals in original]
+    basis = [n + i for i in range(m)]
+    cost = [-sum(tableau[i][j] for i in range(m)) for j in range(n + 1)]
+    denominator = 1
+
+    bland = False
+    stall = 0
+    stall_limit = 3 * (m + n) + 10
+    while True:
+        enter = -1
+        if bland:
+            for j in range(n):
+                if cost[j] < 0:
+                    enter = j
+                    break
+        else:
+            best = 0
+            for j in range(n):
+                cj = cost[j]
+                if cj < best:
+                    best = cj
+                    enter = j
+        if enter < 0:
+            break
+        leave = -1
+        best_num = best_den = 0
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                b = tableau[i][-1]
+                if leave < 0:
+                    leave, best_num, best_den = i, b, a
+                else:
+                    diff = b * best_den - best_num * a
+                    if diff < 0:
+                        leave, best_num, best_den = i, b, a
+                    elif diff == 0:
+                        if bland:
+                            better = basis[i] < basis[leave]
+                        else:
+                            better = basis[i] > basis[leave]
+                        if better:
+                            leave, best_num, best_den = i, b, a
+        if leave < 0:
+            raise AssertionError("phase-one simplex reported unbounded")
+        if best_num == 0:
+            stall += 1
+            if stall > stall_limit and not bland:
+                bland = True
+                if events is not None:
+                    events.append("bland")
+        else:
+            stall = 0
+        if events is not None and basis[leave] < n:
+            events.append("original-left")
+
+        lead = tableau[leave]
+        pivot = lead[enter]
+        for i in range(m):
+            if i != leave:
+                f = tableau[i][enter]
+                tableau[i] = [
+                    (pivot * a - f * b) // denominator for a, b in zip(tableau[i], lead)
+                ]
+        f = cost[enter]
+        cost = [(pivot * a - f * b) // denominator for a, b in zip(cost, lead)]
+        denominator = pivot
+        basis[leave] = enter
+
+    if cost[-1]:
+        return None, exactla._farkas(original, basis, n)
+    solution = [F(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            solution[var] = F(tableau[i][-1], denominator)
+    return solution, None
+
+
+def random_hull_polytopes(rng, dim, count):
+    """``count`` small random point sets in dimension ``dim`` over mixed
+    denominators, so their integer tables have different scales."""
+    return [
+        [
+            QVector(random_rational(rng, rng.choice([(1,), (1, 2), (3, 4, 8)])) for _ in range(dim))
+            for _ in range(rng.randint(1, 4))
+        ]
+        for _ in range(count)
+    ]
+
+
+def colorful_hull_systems():
+    """The hull systems ``common_point`` builds for every colourful tuple of
+    a few random ``--ks 1,1,1`` instances: the guarantee-wide shape."""
+    systems = []
+    for seed in range(3):
+        instance = gen_colorful_random([1, 1, 1], seed)
+        for selector in itertools.product(*(range(len(f.bodies)) for f in instance.families)):
+            bodies = [f.bodies[c] for f, c in zip(instance.families, selector)]
+            systems.append(
+                exactla._hull_system([b._table for b in bodies], range(len(bodies)))
+            )
+    return systems
+
+
+class TestCondensedTableau:
+    """The condensed kernel makes the full tableau's pivots: the same
+    ``(solution, farkas)`` on every system."""
+
+    def check(self, cases):
+        seen = {"feasible": 0, "infeasible": 0, "negative_rhs": 0, "bland": 0, "original-left": 0}
+        for rows, rhs in cases:
+            events = []
+            expected = full_tableau_phase_one(rows, rhs, events)
+            assert _phase_one(rows, rhs) == expected
+            seen["infeasible" if expected[0] is None else "feasible"] += 1
+            seen["negative_rhs"] += any(b < 0 for b in rhs)
+            seen["bland"] += "bland" in events
+            seen["original-left"] += "original-left" in events
+        return seen
+
+    def test_random_and_degenerate_systems(self):
+        rng = random.Random(2301)
+        cases = []
+        for trial in range(300):
+            m = rng.randint(1, 6)
+            n = rng.randint(1, 8)
+            denominators = rng.choice([(1,), (1, 2, 3), (8,), (8, 9, 16)])
+            rows = [[random_rational(rng, denominators) for _ in range(n)] for _ in range(m)]
+            if trial % 4 == 0 and m > 1:
+                rows[-1] = list(rows[0])
+            if trial % 5 == 0:
+                rhs = [F(0)] * m
+            else:
+                rhs = [random_rational(rng, denominators) for _ in range(m)]
+            cases.append((rows, rhs))
+        for u in (-1, 3):
+            for beta in (1, 2, 5):
+                for scale in (F(1), F(1, 8), F(3, 16)):
+                    cases.append(beale_system(u, beta, scale))
+        cases.extend(farkas_cases(random.Random(3301)))
+        seen = self.check(cases)
+        assert min(seen.values()) >= 10, seen
+
+    def test_hull_systems(self):
+        seen = self.check(colorful_hull_systems())
+        assert seen["feasible"] == 81 and seen["original-left"] > 0, seen
+
+    def test_original_column_leaves(self):
+        # Row 0 is negated to x1 + x2 = 1.  x2 enters at the lowest cost and
+        # takes row 1 by the zero ratio; then x1 enters, and row 1's zero
+        # ratio pushes x2 out again, so x2's column comes back with the old
+        # denominator in the pivot row.  x3 enters last.
+        rows = [[F(-1), F(-1), F(0)], [F(1), F(2), F(-1)]]
+        rhs = [F(-1), F(0)]
+        events = []
+        expected = full_tableau_phase_one(rows, rhs, events)
+        assert "original-left" in events
+        assert _phase_one(rows, rhs) == expected == ([F(1), F(0), F(1)], None)
+
+    def test_negative_rows_keep_the_original_for_farkas(self):
+        """The simplex negates rows with ``rhs < 0``; ``_farkas`` reads the
+        rows as given, so the kernel edits copies of them only."""
+        cases = [
+            ([[F(1), F(1)], [F(-1), F(0)]], [F(-1), F(-2)]),
+            ([[F(2), F(-1)], [F(1), F(1)], [F(0), F(1)]], [F(-2), F(3), F(-1)]),
+            ([[F(1), F(0)], [F(1), F(0)]], [F(1), F(2)]),
+        ]
+        for rows, rhs in cases:
+            frozen = [list(row) for row in rows], list(rhs)
+            assert _phase_one(rows, rhs) == full_tableau_phase_one(rows, rhs)
+            assert (rows, rhs) == frozen
+        assert self.check(cases)["negative_rhs"] == 2
+
+
+def reference_hull_system(blocks, groups, target=None, equations=()):
+    """The hull-weight system as Fractions, built from generator sequences:
+    the builder ``_hull_system`` replaced."""
+    columns = [(group, g) for block, group in zip(blocks, groups) for g in block]
+    count = max(groups) + 1
+    d = columns[0][1].dim
+    rows = []
+    rhs = []
+    if target is not None:
+        for c in range(d):
+            rows.append([g[c] if group == 0 else F(0) for group, g in columns])
+            rhs.append(target[c])
+    else:
+        for other in range(1, count):
+            for c in range(d):
+                rows.append(
+                    [
+                        g[c] if group == 0 else -g[c] if group == other else F(0)
+                        for group, g in columns
+                    ]
+                )
+                rhs.append(F(0))
+    for index in range(count):
+        rows.append([F(1) if group == index else F(0) for group, _ in columns])
+        rhs.append(F(1))
+    for normal, value in equations:
+        rows.append([normal.dot(g) if group == 0 else F(0) for group, g in columns])
+        rhs.append(value)
+    return rows, rhs
+
+
+def hull_case(rng, trial):
+    """``(blocks, groups, target, equations)``: two or three groups, or one
+    with equations, some with a target inside or outside group 0's hull, some
+    with hyperplanes through a point of it or off it."""
+    dim = 1 + trial % 4
+    count = 1 + trial % 3
+    groups = list(range(count)) + [rng.randrange(count) for _ in range(rng.randint(0, 2))]
+    blocks = random_hull_polytopes(rng, dim, len(groups))
+    group_zero = [g for block, group in zip(blocks, groups) if group == 0 for g in block]
+    inside = group_zero[0] if trial % 2 else sum(group_zero[1:], group_zero[0]) * F(1, len(group_zero))
+    target = None
+    if trial % 5 in (1, 2):
+        target = inside if trial % 5 == 1 else QVector(random_rational(rng, (1, 5)) for _ in range(dim))
+    equations = []
+    if count == 1 or trial % 3 == 0:
+        for _ in range(rng.randint(1, dim)):
+            normal = QVector(random_rational(rng, (1, 2, 3, 7)) for _ in range(dim))
+            value = normal.dot(inside) if rng.random() < 0.6 else random_rational(rng, (1, 4))
+            equations.append((normal, value))
+    return blocks, groups, target, equations
+
+
+class TestIntegerHullSystem:
+    """``_hull_system`` reads the integer tables and makes the table
+    ``_integer_rows`` makes of the Fraction system, entry for entry, so the
+    answers are the Fraction system's answers."""
+
+    def test_matches_the_fraction_builder(self):
+        rng = random.Random(2302)
+        seen = {"groups=1": 0, "groups=2": 0, "groups=3": 0, "target": 0, "equations": 0,
+                "feasible": 0, "infeasible": 0}
+        for trial in range(240):
+            blocks, groups, target, equations = hull_case(rng, trial)
+            tables = [_integer_rows(block) for block in blocks]
+            rows, rhs = reference_hull_system(blocks, groups, target, equations)
+            built = exactla._hull_system(tables, groups, target, equations)
+            expected, _ = _integer_rows([row + [b] for row, b in zip(rows, rhs)])
+            assert [row + [b] for row, b in zip(*built)] == expected
+            solution, farkas = _phase_one(rows, rhs)
+            weights = exactla.hull_weights(tables, groups, target, equations)
+            assert (weights is None) == (solution is None)
+            if weights is not None:
+                assert [w for block in weights for w in block] == solution
+            if target is None and not equations:
+                assert exactla.hull_certificate(tables, groups) == (
+                    None if solution is None else weights,
+                    farkas,
+                )
+            seen[f"groups={max(groups) + 1}"] += 1
+            seen["target"] += target is not None
+            seen["equations"] += bool(equations)
+            seen["feasible" if solution is not None else "infeasible"] += 1
+        assert min(seen.values()) >= 20, seen

@@ -11,6 +11,7 @@ from transversals.exactla import (
     MalformedInputError,
     QVector,
     Relation,
+    _integer_rows,
     lp_feasible,
     solve_linear,
 )
@@ -26,6 +27,7 @@ from transversals.transversal import (
     Instance,
     Partition,
     TheoremPreconditionError,
+    _shared_generator,
     check_colorful,
     common_point,
     first_failing_tuple,
@@ -341,13 +343,13 @@ class TestColorfulShortcut:
         # can have its shared generator proven unique and none is ranked.
         instance = gen_colorful_random([1, 1, 1], seed)
         ranked = []
-        rank = transversal_module.rank
+        echelon = transversal_module._echelon
 
         def counted(rows):
             ranked.append(rows)
-            return rank(rows)
+            return echelon(rows)
 
-        monkeypatch.setattr(transversal_module, "rank", counted)
+        monkeypatch.setattr(transversal_module, "_echelon", counted)
         report = check_colorful(instance)
         monkeypatch.undo()
         assert ranked == []
@@ -392,8 +394,8 @@ class TestColorfulShortcut:
     def test_integer_hull_normals_keep_the_witnesses(self, ks, seed, monkeypatch):
         """``hull_normals`` are primitive integer rows, each a positive
         multiple of a row of the rational kernel basis, so the rank tests of
-        ``_unique_shared_point`` and the witnesses are those the rational
-        kernel gives."""
+        ``_unique_shared_point``, which ranks their cached integer rows, and
+        the witnesses are those the rational kernel gives."""
 
         def rational_kernel(body):
             base = body.generators[0]
@@ -411,8 +413,27 @@ class TestColorfulShortcut:
                     assert math.gcd(*(e.numerator for e in normal)) == 1
                     ratio = next(a / b for a, b in zip(normal, row) if b)
                     assert ratio > 0 and normal == row * ratio
-        monkeypatch.setattr(VPolytope, "hull_normals", property(rational_kernel))
+        monkeypatch.setattr(
+            VPolytope,
+            "_normal_rows",
+            property(lambda body: [_integer_rows([row])[0][0] for row in rational_kernel(body)]),
+        )
         assert check_colorful(instance).witnesses == witnesses
+
+    def test_shared_generator_across_table_scales(self):
+        """Equal generators get equal keys in polytopes whose tables have
+        different scales, and unequal ones never do."""
+        half = F(1, 2)
+        first = VPolytope((vec(F(1, 3), 5), vec(half, 1)))  # table scale 6
+        second = VPolytope((vec(0, F(1, 4)), vec(half, 1)))  # table scale 4
+        third = VPolytope((vec(half, 1), vec(1, 2)))  # table scale 2
+        assert _shared_generator([first, second, third]) == vec(half, 1)
+        assert _shared_generator([first, VPolytope((vec(half, 2), vec(1, 1)))]) is None
+        for body in (first, second, third):
+            assert list(body._generator_keys.values()) == list(body.generators)
+            for key, g in body._generator_keys.items():
+                numerators, scale = g._integer_form()
+                assert key == (tuple(numerators), scale)
 
     def test_hand_made_failing_tuple_is_reported_first(self):
         # (1, 1) shares the generator 0, (1, 2) meets only by LP, and (1, 3)
