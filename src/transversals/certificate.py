@@ -25,7 +25,6 @@ from .exactla import (
     MalformedInputError,
     PreconditionError,
     QVector,
-    _ZERO,
     _format_lowest,
     _integer_rows,
     _integer_solve,
@@ -325,23 +324,17 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
     positive on all of the simplex's normals, excluding the origin from
     their hull (and from every subsimplex's, by monotonicity).
 
-    The straddling is checked once per (first tuple, last tuple) pair, not
-    once per simplex.  In a family of ``k + 2`` members, the vertices on
-    some maximal chain from ``{f}`` to the complement of ``{l}`` are exactly
-    the subsets that contain ``f`` and not ``l``, so one two-sided check
-    over those separators of every family checks the same bounds as all of
-    the pair's simplices together, and the functional is the same
-    difference vector.  The bounds are read as signs from a table made
-    once per certificate on integers (``_dot_table``: every separator
-    against every tuple point), and the functional is formatted from the
-    two points' integer forms, each coordinate reduced by one gcd; the
+    Each simplex is checked on its own separators.  The bounds are read as
+    signs from a table made once per certificate on integers
+    (``_dot_table``: every separator against every tuple point), and the
+    functional is formatted once per (first tuple, last tuple) pair from
+    the two points' integer forms, each coordinate reduced by one gcd; the
     difference's product with a normal is ``hi - lo`` by linearity, which
-    the check has shown positive.  Only a failing check makes Fractions:
+    the check has shown positive.  Only a failing simplex makes Fractions:
     its bounds go to ``check_two_sided``, the check ``positive_functional``
-    makes, so failures read the same.  When a pair's check fails, each of
-    its simplices is checked on its own normals, in index order, so the
-    first failing simplex is the one reported.  Every tenth simplex is
-    audited independently by ``origin_in_hull``.
+    makes, so failures read the same, and the first failing simplex in
+    index order is the one reported.  Every tenth simplex is audited
+    independently by ``origin_in_hull``.
     """
     families = instance.families
     assignments = list(assignments)
@@ -365,10 +358,8 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
     count_position = len(checks)
 
     # Per family, in ``maximal_chains`` order: each chain's first and last
-    # member, table entries and label; and, per (first, last) member pair,
-    # the entries of every subset holding the first and not the last.
+    # member, table entries and label.
     chain_rows = []
-    straddled = []
     for i, (cx, assignment) in enumerate(zip(complexes, assignments), start=1):
         entries = _dot_table(assignment, points)
         size = cx.k + 2
@@ -379,64 +370,46 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
             label = "F%d:%s" % (i, "<".join(_label(v) for v in chain))
             rows.append((first, last, [entries[v] for v in chain], label))
         chain_rows.append(rows)
-        pairs = {}
-        for vertex in cx.vertices:
-            entry = entries[vertex]
-            for first in vertex:
-                for last in range(1, size + 1):
-                    if last not in vertex:
-                        pairs.setdefault((first, last), []).append(entry)
-        straddled.append(pairs)
 
-    def functional(separators, first_tuple, last_tuple):
-        above, below = points[first_tuple], points[last_tuple]
-        if not all(
-            sides[last_tuple] < 0 < sides[first_tuple] for _, _, sides in separators
-        ):
-            check_two_sided(
-                (normal.dot(below), offset, normal.dot(above))
-                for normal, offset, _ in separators
-            )
-        (x, x_scale), (y, y_scale) = above._integer_form(), below._integer_form()
-        scale = x_scale * y_scale
-        coordinates = []
-        for a, b in zip(x, y):
-            num = a * y_scale - b * x_scale
-            g = math.gcd(num, scale)
-            coordinates.append(_format_lowest(num // g, scale // g))
-        return ",".join(coordinates)
-
-    # (first tuple, last tuple) -> formatted functional, or None when the
-    # pair's check failed and each of its simplices is checked on its own.
-    # The product of the row lists walks the maximal join simplices, one
-    # maximal chain per family, without storing them.
+    # (first tuple, last tuple) -> formatted functional.  The product of the
+    # row lists walks the maximal join simplices, one maximal chain per
+    # family, without storing them.
     functionals = {}
     walked = 0
     for index, rows in enumerate(itertools.product(*chain_rows)):
         firsts, lasts, chain_separators, labels = zip(*rows)
-        key = (firsts, lasts)
-        if key not in functionals:
-            union = [
-                separator
-                for pairs, first, last in zip(straddled, *key)
-                for separator in pairs[first, last]
-            ]
-            try:
-                functionals[key] = functional(union, *key)
-            except PreconditionError:
-                functionals[key] = None
-        formatted = functionals[key]
+        straddled = True
+        for group in chain_separators:
+            for _, _, sides in group:
+                if not sides[lasts] < 0 < sides[firsts]:
+                    straddled = False
         audited = index % _AUDIT_STRIDE == 0
-        if formatted is None or audited:
+        if not straddled or audited:
             separators = [s for group in chain_separators for s in group]
-        if formatted is None:
+        if not straddled:
+            above, below = points[firsts], points[lasts]
             try:
-                formatted = functional(separators, *key)
+                check_two_sided(
+                    (normal.dot(below), offset, normal.dot(above))
+                    for normal, offset, _ in separators
+                )
             except PreconditionError as exc:
                 raise CertificateInconsistencyError(
                     f"simplex {index}: separator orientation broke the two-sided "
                     f"bounds ({exc})"
                 ) from exc
+        key = (firsts, lasts)
+        formatted = functionals.get(key)
+        if formatted is None:
+            x, x_scale = points[firsts]._integer_form()
+            y, y_scale = points[lasts]._integer_form()
+            scale = x_scale * y_scale
+            coordinates = []
+            for a, b in zip(x, y):
+                num = a * y_scale - b * x_scale
+                g = math.gcd(num, scale)
+                coordinates.append(_format_lowest(num // g, scale // g))
+            formatted = functionals[key] = ",".join(coordinates)
 
         if audited and origin_in_hull([normal for normal, _, _ in separators]):
             raise CertificateInconsistencyError(
@@ -482,9 +455,9 @@ def origin_in_hull(vectors) -> bool:
     Only an inconsistent ``[V | 1]`` (a zero vector, or a dependency among
     the vectors whose coefficients do not sum to zero) is decided by
     ``{w >= 0 : sum_j w_j v_j = 0, sum_j w_j = 1}``, which is
-    ``exactla.hull_weights`` with one block and the origin as target.
-    Weights it finds are substituted back exactly before the answer is
-    trusted.
+    ``exactla.hull_weights`` with the vectors as group 0 and the origin as
+    a one-generator group 1.  Group 0's weights are substituted back
+    exactly before the answer is trusted.
     """
     vectors = list(vectors)
     if not vectors:
@@ -499,10 +472,10 @@ def origin_in_hull(vectors) -> bool:
         if all(sum(map(operator.mul, a, functional)) == denominator * s for a, s in forms):
             return False
         raise AssertionError("Gordan functional fails the substitution check")
-    found = hull_weights([_integer_rows(vectors)], [0], QVector([_ZERO] * d))
+    found = hull_weights([_integer_rows(vectors), ([[0] * d], 1)], [0, 1])
     if found is None:
         return False
-    (weights,) = found
+    weights, _ = found
     if min(weights) < 0 or sum(weights) != 1 or any(weighted_sum(weights, vectors)):
         raise AssertionError("simplex produced weights outside the hull system")
     return True

@@ -39,15 +39,15 @@ class VPolytope:
     """Convex hull of the generator points.  Generators need not be in
     convex position; a single point is a valid polytope.
 
-    ``hull_normals`` are a basis of the vectors orthogonal to the affine
-    hull of the generators: the kernel of their differences from the first
-    generator, so the identity rows for a single point, read in integers
-    from ``exactla._integer_solve`` and each divided by the gcd of its
-    entries, which keeps its direction and the basis's rank.  The
-    differences are taken in the integer generator table, over one scale;
-    a uniform scale moves no pivot, and each kernel row is a positive
-    multiple of the rational one, so the primitive rows are the same.
-    They, and the table, are computed on first use.
+    ``_normal_rows`` are a basis of the vectors orthogonal to the affine
+    hull of the generators, as tuples of ints: the kernel of their
+    differences from the first generator, so the identity rows for a single
+    point, read in integers from ``exactla._integer_solve`` and each divided
+    by the gcd of its entries, which keeps its direction and the basis's
+    rank.  The differences are taken in the integer generator table, over
+    one scale; a uniform scale moves no pivot, and each kernel row is a
+    positive multiple of the rational one, so the primitive rows are the
+    same.  They, and the table, are computed on first use.
     """
 
     generators: tuple
@@ -89,17 +89,12 @@ class VPolytope:
 
     @cached_property
     def _normal_rows(self) -> tuple:
-        """``hull_normals`` as tuples of ints."""
+        # The kernel of one zero row is the identity rows, in order.
         table, _ = self._table
         base = table[0]
         differences = [[a - b for a, b in zip(g, base)] for g in table[1:]]
         _, kernel, _ = _integer_solve(differences or [[0] * self.dim], self.dim)
         return tuple(tuple(e // math.gcd(*row) for e in row) for row in kernel)
-
-    @cached_property
-    def hull_normals(self) -> tuple:
-        # The kernel of one zero row is the identity rows, in order.
-        return tuple(QVector(row) for row in self._normal_rows)
 
 
 @dataclass(frozen=True)
@@ -176,13 +171,14 @@ def weighted_sum(weights, points) -> QVector:
 
 
 def contains(body: ConvexBody, point: QVector) -> bool:
-    """Exact membership: ``exactla.hull_weights`` with the point as target
-    for polytopes, substitution into the ``equations`` for flats."""
+    """Exact membership: ``exactla.hull_weights`` with the point as a
+    one-generator group 1 for polytopes, substitution into the
+    ``equations`` for flats."""
     if point.dim != body.dim:
         raise MalformedInputError("point dimension does not match body")
     if isinstance(body, AffineFlat):
         return all(normal.dot(point) == value for normal, value in body.equations)
-    return hull_weights([body._table], [0], point) is not None
+    return hull_weights([body._table, _integer_rows([point])], [0, 1]) is not None
 
 
 def common_point(bodies) -> Optional[QVector]:

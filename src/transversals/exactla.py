@@ -702,17 +702,16 @@ def _free_solution(constraints, dim: int) -> Optional[list]:
     return [solution[j] - solution[dim + j] for j in range(dim)]
 
 
-def _hull_system(blocks, groups, target=None, equations=()) -> tuple:
+def _hull_system(blocks, groups, equations=()) -> tuple:
     """``(rows, rhs)`` of the hull-weight system, in integers; see
     ``hull_weights``.
 
     One weight column per generator, in block order; ``groups[i]`` is the
     group of block i.  Coordinate rows come first: group 0's combination
-    equals ``target`` when one is given, and otherwise each other group's
-    combination in turn.  One row per group then sums its weights to one.
-    Last, each ``(normal, value)`` of ``equations`` puts group 0's
-    combination on that hyperplane: ``normal . g`` under group 0's
-    generators ``g``.
+    equals each other group's combination in turn.  One row per group then
+    sums its weights to one.  Last, each ``(normal, value)`` of
+    ``equations`` puts group 0's combination on that hyperplane:
+    ``normal . g`` under group 0's generators ``g``.
 
     The rows are the rational system times ``L``, the lcm of every
     denominator in it, which is the table ``_integer_rows`` makes of it,
@@ -723,13 +722,8 @@ def _hull_system(blocks, groups, target=None, equations=()) -> tuple:
     """
     groups = list(groups)
     count = max(groups) + 1
-    # A block's coordinates appear beside a target when it is in group 0,
-    # and with no target when two or more groups are compared.
-    shown = [group == 0 if target is not None else count > 1 for group in groups]
-    scales = [scale for (_, scale), show in zip(blocks, shown) if show]
-    if target is not None:
-        target_row, target_scale = target._integer_form()
-        scales.append(target_scale)
+    # Coordinates appear only when two or more groups are compared.
+    scales = [scale for _, scale in blocks] if count > 1 else []
     hyperplanes = []  # per equation: its value and, per block, (dots, D) or None
     for normal, value in equations:
         numerators, normal_scale = normal._integer_form()
@@ -753,24 +747,17 @@ def _hull_system(blocks, groups, target=None, equations=()) -> tuple:
             cells.extend([0] * len(table) if part is None else part)
         return cells
 
-    # Per shown block, its coordinate rows times L: group 0's as they are,
-    # the other groups' negated.
-    coordinates = []
-    for (table, scale), group, show in zip(blocks, groups, shown):
-        factor = lcm // scale if group == 0 else -(lcm // scale)
-        coordinates.append(
-            [[v * factor for v in column] for column in zip(*table)] if show else None
-        )
     rows = []
     rhs = []
-    if target is not None:
-        for c, entry in enumerate(target_row):
-            rows.append(row([None if part is None else part[c] for part in coordinates]))
-            rhs.append(entry * (lcm // target_scale))
-    else:
-        d = len(blocks[0][0][0])
+    if count > 1:
+        # Per block, its coordinate rows times L: group 0's as they are, the
+        # other groups' negated.
+        coordinates = []
+        for (table, scale), group in zip(blocks, groups):
+            factor = lcm // scale if group == 0 else -(lcm // scale)
+            coordinates.append([[v * factor for v in column] for column in zip(*table)])
         for other in range(1, count):
-            for c in range(d):
+            for c in range(len(coordinates[0])):
                 rows.append(
                     row(
                         [
@@ -805,24 +792,25 @@ def _per_block(solution, blocks) -> list:
     return weights
 
 
-def hull_weights(blocks, groups, target=None, equations=()) -> Optional[list]:
+def hull_weights(blocks, groups, equations=()) -> Optional[list]:
     """Convex weights, one list per block, under which the pooled group
     hulls meet (``_hull_system``), or None: the one-way answer.
 
     ``blocks`` are the generators' integer tables ``(table, scale)`` from
     ``_integer_rows``, in column order, and ``groups[i]`` is the group, 0,
-    1, ..., of block i.  Polytope membership, intersections with polytopes
-    and the join certificate's origin audit ask it; the partition scan asks
-    ``hull_certificate``, which also answers "no".
+    1, ..., of block i.  A point is asked about as a one-generator group:
+    polytope membership and the join certificate's origin audit compare it
+    with group 0, and intersections with polytopes compare the polytopes.
+    The partition scan asks ``hull_certificate``, which also answers "no".
     """
-    solution = standard_form_feasible(*_hull_system(blocks, groups, target, equations))
+    solution = standard_form_feasible(*_hull_system(blocks, groups, equations))
     if solution is None:
         return None
     return _per_block(solution, blocks)
 
 
 def hull_certificate(blocks, groups) -> tuple:
-    """The hull-weight system without target, answered both ways by one
+    """The hull-weight system without equations, answered both ways by one
     phase-one solve: ``(weights, None)`` with one weight list per block when
     the pooled group hulls meet, ``(None, farkas)`` when they do not.
     ``blocks`` are integer tables, as for ``hull_weights``.

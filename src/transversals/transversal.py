@@ -254,6 +254,13 @@ def validate_witness(family: Family, witness: TransversalWitness) -> None:
         raise ValueError("partition size does not match the family")
     if len(witness.anchor_points) != size:
         raise ValueError("witness must carry one anchor per member")
+    seen = set()
+    for idx, _ in witness.anchor_points:
+        if not 1 <= idx <= size:
+            raise ValueError(f"anchor member {idx} is not a member index 1..{size}")
+        if idx in seen:
+            raise ValueError(f"anchor member {idx} is repeated")
+        seen.add(idx)
     for idx, point in witness.anchor_points:
         if not contains(family.bodies[idx - 1], point):
             raise ValueError(f"anchor for member {idx} lies outside the member")
@@ -332,11 +339,11 @@ def first_failing_tuple(instance: Instance) -> Optional[tuple]:
 
 def _unique_shared_point(bodies) -> Optional[QVector]:
     """A shared generator ``g`` when it is provably the bodies' only common
-    point, else None.  The stacked ``hull_normals`` have rank d exactly
+    point, else None.  The stacked ``_normal_rows`` have rank d exactly
     when the affine hulls, all through ``g``, meet in ``g`` alone; then the
     intersection is ``{g}`` and ``common_point`` would return ``g`` too.
     Fewer than d normals cannot have rank d, so they are not ranked; the
-    others are ranked by ``exactla._echelon`` on their cached integer rows."""
+    others are ranked by ``exactla._echelon``."""
     g = _shared_generator(bodies)
     if g is None:
         return None

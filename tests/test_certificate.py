@@ -441,8 +441,10 @@ class TestVerifyClaim:
 
 
 class TestClaimAgainstPerSimplexReference:
-    """``verify_claim`` checks each (first, last) tuple pair once; the
-    per-simplex loop it replaced is kept above as the reference."""
+    """``verify_claim`` reads each simplex's bounds as integer signs and
+    formats each (first, last) tuple pair's functional once; the
+    ``positive_functional`` loop it replaced is kept above as the
+    reference."""
 
     def setup(self, ks, seed):
         instance = gen_counterexample(ks, seed=seed).instance
@@ -493,11 +495,11 @@ class TestClaimAgainstPerSimplexReference:
             errors += outcome[0] == "error"
         assert errors >= 6
 
-    def test_offset_off_the_straddle_falls_back_per_simplex(self, monkeypatch):
-        """Move family 2's ``{1}`` offset far out.  Simplex 0's pair check,
-        over 6 separators with that one at index 5, fails; the fallback then
-        checks simplex 0 on its own 5 separators, where it is at index 4, and
-        its error must read as the reference's."""
+    def test_offset_off_the_straddle_fails_at_its_simplex(self, monkeypatch):
+        """Move family 2's ``{1}`` offset far out.  Simplex 0 is checked on
+        its own 5 separators, where that one is at index 4: one
+        ``check_two_sided`` call of 5 bounds, whose error must read as the
+        reference's."""
         instance, assignments, points = self.setup([2, 1], 0)
         family = assignments[1]
         normal, offset = family.normals[frozenset({1})]
@@ -517,7 +519,21 @@ class TestClaimAgainstPerSimplexReference:
         kind, message = outcome
         assert kind == "error"
         assert message.startswith("simplex 0: ") and "at index 4: " in message
-        assert sizes == [6, 5]
+        assert sizes == [5]
+
+    @pytest.mark.parametrize("ks", [[2, 1], [3, 1]])
+    def test_valid_certificate_checks_no_bounds_in_fractions(self, ks, monkeypatch):
+        """On the golden joins' valid certificates (seed 5) every simplex
+        straddles by its integer signs, so ``check_two_sided`` is never
+        called."""
+        instance, assignments, points = self.setup(ks, 5)
+
+        def fail(bounds):
+            raise AssertionError("a valid certificate should not reach this")
+
+        monkeypatch.setattr(certificate_module, "check_two_sided", fail)
+        lines = verify_claim_lines(instance, assignments, points)
+        assert len(lines) == math.prod(math.factorial(k + 2) for k in ks)
 
 
 def fraction_dot_table(assignment, points):

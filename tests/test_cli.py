@@ -556,7 +556,7 @@ class TestExitTable:
         monkeypatch.setattr(
             certificate_module,
             "hull_weights",
-            lambda blocks, groups, target: [[-1] * len(blocks[0])],
+            lambda blocks, groups: [[-1] * len(table) for table, _ in blocks],
         )
         assert main(["certificate", path]) == EXIT_THEOREM_VIOLATION
         printed = capsys.readouterr()

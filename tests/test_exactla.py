@@ -440,7 +440,7 @@ class TestSolveLinearColumns:
 
 class TestIntegerKernels:
     def test_no_rational_round_trip(self, monkeypatch):
-        """``VPolytope.hull_normals`` and ``independent_subsets`` read the
+        """``VPolytope._normal_rows`` and ``independent_subsets`` read the
         integer kernel of ``_integer_solve``: neither calls ``solve_linear``
         for Fractions only to scale them back to integers."""
         rng = random.Random(77)
@@ -448,7 +448,7 @@ class TestIntegerKernels:
             [QVector(random_rational(rng, (1, 2, 3)) for _ in range(4)) for _ in range(count)]
             for count in (1, 2, 3, 6)
         ]
-        normals = [convex.VPolytope(points).hull_normals for points in cases]
+        normals = [convex.VPolytope(points)._normal_rows for points in cases]
         subsets = [list(independent_subsets(points, 3)) for points in cases]
         calls = []
 
@@ -458,7 +458,7 @@ class TestIntegerKernels:
 
         monkeypatch.setattr(exactla, "solve_linear", counting)
         monkeypatch.setattr(convex, "solve_linear", counting)
-        assert [convex.VPolytope(points).hull_normals for points in cases] == normals
+        assert [convex.VPolytope(points)._normal_rows for points in cases] == normals
         assert [list(independent_subsets(points, 3)) for points in cases] == subsets
         assert calls == []
         assert [len(n) for n in normals] == [4, 3, 2, 0]
@@ -1569,7 +1569,9 @@ class TestCondensedTableau:
 
 def reference_hull_system(blocks, groups, target=None, equations=()):
     """The hull-weight system as Fractions, built from generator sequences:
-    the builder ``_hull_system`` replaced."""
+    the builder ``_hull_system`` replaced.  Its ``target`` mode, group 0's
+    combination equal to a given point, is kept only as the oracle of the
+    one-point group 1 that ``contains`` and ``origin_in_hull`` ask."""
     columns = [(group, g) for block, group in zip(blocks, groups) for g in block]
     count = max(groups) + 1
     d = columns[0][1].dim
@@ -1599,25 +1601,22 @@ def reference_hull_system(blocks, groups, target=None, equations=()):
 
 
 def hull_case(rng, trial):
-    """``(blocks, groups, target, equations)``: two or three groups, or one
-    with equations, some with a target inside or outside group 0's hull, some
-    with hyperplanes through a point of it or off it."""
+    """``(blocks, groups, equations)``: two or three groups, or one with
+    equations, some with hyperplanes through a point of group 0's hull, some
+    off it."""
     dim = 1 + trial % 4
     count = 1 + trial % 3
     groups = list(range(count)) + [rng.randrange(count) for _ in range(rng.randint(0, 2))]
     blocks = random_hull_polytopes(rng, dim, len(groups))
     group_zero = [g for block, group in zip(blocks, groups) if group == 0 for g in block]
     inside = group_zero[0] if trial % 2 else sum(group_zero[1:], group_zero[0]) * F(1, len(group_zero))
-    target = None
-    if trial % 5 in (1, 2):
-        target = inside if trial % 5 == 1 else QVector(random_rational(rng, (1, 5)) for _ in range(dim))
     equations = []
     if count == 1 or trial % 3 == 0:
         for _ in range(rng.randint(1, dim)):
             normal = QVector(random_rational(rng, (1, 2, 3, 7)) for _ in range(dim))
             value = normal.dot(inside) if rng.random() < 0.6 else random_rational(rng, (1, 4))
             equations.append((normal, value))
-    return blocks, groups, target, equations
+    return blocks, groups, equations
 
 
 class TestIntegerHullSystem:
@@ -1627,27 +1626,68 @@ class TestIntegerHullSystem:
 
     def test_matches_the_fraction_builder(self):
         rng = random.Random(2302)
-        seen = {"groups=1": 0, "groups=2": 0, "groups=3": 0, "target": 0, "equations": 0,
+        seen = {"groups=1": 0, "groups=2": 0, "groups=3": 0, "equations": 0,
                 "feasible": 0, "infeasible": 0}
         for trial in range(240):
-            blocks, groups, target, equations = hull_case(rng, trial)
+            blocks, groups, equations = hull_case(rng, trial)
             tables = [_integer_rows(block) for block in blocks]
-            rows, rhs = reference_hull_system(blocks, groups, target, equations)
-            built = exactla._hull_system(tables, groups, target, equations)
+            rows, rhs = reference_hull_system(blocks, groups, equations=equations)
+            built = exactla._hull_system(tables, groups, equations)
             expected, _ = _integer_rows([row + [b] for row, b in zip(rows, rhs)])
             assert [row + [b] for row, b in zip(*built)] == expected
             solution, farkas = _phase_one(rows, rhs)
-            weights = exactla.hull_weights(tables, groups, target, equations)
+            weights = exactla.hull_weights(tables, groups, equations)
             assert (weights is None) == (solution is None)
             if weights is not None:
                 assert [w for block in weights for w in block] == solution
-            if target is None and not equations:
+            if not equations:
                 assert exactla.hull_certificate(tables, groups) == (
                     None if solution is None else weights,
                     farkas,
                 )
             seen[f"groups={max(groups) + 1}"] += 1
-            seen["target"] += target is not None
             seen["equations"] += bool(equations)
             seen["feasible" if solution is not None else "infeasible"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_contains_matches_the_target_system(self):
+        """``contains`` asks with the point as a one-generator group 1; the
+        target system on group 0 alone decides the same, for points inside,
+        on the boundary (the lexicographically largest generator, a vertex)
+        and just outside it."""
+        rng = random.Random(2401)
+        seen = {True: 0, False: 0}
+        for trial in range(150):
+            dim = 1 + trial % 3
+            (points,) = random_hull_polytopes(rng, dim, 1)
+            vertex = max(points, key=tuple)
+            point = [
+                sum(points[1:], points[0]) * F(1, len(points)),
+                vertex,
+                QVector([vertex[0] + F(1, 97), *vertex[1:]]),
+            ][trial % 3]
+            solution, _ = _phase_one(*reference_hull_system([points], [0], point))
+            expected = solution is not None
+            assert convex.contains(convex.VPolytope(points), point) is expected
+            assert expected is (trial % 3 != 2)
+            seen[expected] += 1
+        assert min(seen.values()) >= 40, seen
+
+    def test_origin_lp_matches_the_target_system(self, monkeypatch):
+        """With ``_integer_solve`` stubbed to None no Gordan functional
+        settles anything, so every ``origin_in_hull`` asks its LP, the origin
+        as a one-generator group 1; the target system decides the same."""
+        monkeypatch.setattr(certificate, "_integer_solve", lambda table, width: None)
+        rng = random.Random(2402)
+        seen = {True: 0, False: 0}
+        for trial in range(150):
+            dim = 1 + trial % 3
+            (vectors,) = random_hull_polytopes(rng, dim, 1)
+            if trial % 2:
+                vectors.append(-vectors[0] * F(rng.randint(1, 3)))
+            origin = QVector([F(0)] * dim)
+            solution, _ = _phase_one(*reference_hull_system([vectors], [0], origin))
+            expected = solution is not None
+            assert certificate.origin_in_hull(vectors) is expected
+            seen[expected] += 1
         assert min(seen.values()) >= 20, seen

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -132,6 +133,42 @@ class TestKTransversal:
         witness = k_transversal(family)
         assert witness is not None
         validate_witness(family, witness)
+
+
+class TestValidateWitnessIndices:
+    """Anchors must name the members 1..k+2, each once; any other index set
+    is refused with a ValueError naming the bad index before any anchor is
+    looked up."""
+
+    def witness(self):
+        segments = [VPolytope((vec(x, 0), vec(x, 2))) for x in range(3)]
+        family = Family(1, tuple(segments))
+        witness = k_transversal(family)
+        validate_witness(family, witness)
+        return family, witness
+
+    def relabelled(self, witness, indices):
+        anchors = tuple((idx, point) for idx, (_, point) in zip(indices, witness.anchor_points))
+        return dataclasses.replace(witness, anchor_points=anchors)
+
+    def test_member_zero(self):
+        # member 3's anchor lies in bodies[-1], which index 0 would read
+        family, witness = self.witness()
+        with pytest.raises(ValueError, match=r"^anchor member 0 is not a member index 1\.\.3$"):
+            validate_witness(family, self.relabelled(witness, (1, 2, 0)))
+
+    def test_repeated_member(self):
+        # member 1's anchor twice, in place of member 2's: each lies in its member
+        family, witness = self.witness()
+        first, _, third = witness.anchor_points
+        repeated = dataclasses.replace(witness, anchor_points=(first, first, third))
+        with pytest.raises(ValueError, match=r"^anchor member 1 is repeated$"):
+            validate_witness(family, repeated)
+
+    def test_member_past_the_family(self):
+        family, witness = self.witness()
+        with pytest.raises(ValueError, match=r"^anchor member 4 is not a member index 1\.\.3$"):
+            validate_witness(family, self.relabelled(witness, (1, 2, 4)))
 
 
 def random_polytope(rng, dim, max_gens=4, spread=6):
@@ -392,10 +429,10 @@ class TestColorfulShortcut:
 
     @pytest.mark.parametrize("ks,seed", [([1, 0], 5), ([2, 1], 5), ([2, 2], 1), ([1, 1, 1], 3)])
     def test_integer_hull_normals_keep_the_witnesses(self, ks, seed, monkeypatch):
-        """``hull_normals`` are primitive integer rows, each a positive
+        """``_normal_rows`` are primitive integer rows, each a positive
         multiple of a row of the rational kernel basis, so the rank tests of
-        ``_unique_shared_point``, which ranks their cached integer rows, and
-        the witnesses are those the rational kernel gives."""
+        ``_unique_shared_point``, which ranks them, and the witnesses are
+        those the rational kernel gives."""
 
         def rational_kernel(body):
             base = body.generators[0]
@@ -407,12 +444,12 @@ class TestColorfulShortcut:
         for family in instance.families:
             for body in family.bodies:
                 rational = rational_kernel(body)
-                assert len(body.hull_normals) == len(rational)
-                for normal, row in zip(body.hull_normals, rational):
-                    assert all(e.denominator == 1 for e in normal)
-                    assert math.gcd(*(e.numerator for e in normal)) == 1
+                assert len(body._normal_rows) == len(rational)
+                for normal, row in zip(body._normal_rows, rational):
+                    assert all(type(e) is int for e in normal)
+                    assert math.gcd(*normal) == 1
                     ratio = next(a / b for a, b in zip(normal, row) if b)
-                    assert ratio > 0 and normal == row * ratio
+                    assert ratio > 0 and QVector(normal) == row * ratio
         monkeypatch.setattr(
             VPolytope,
             "_normal_rows",
