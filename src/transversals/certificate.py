@@ -156,21 +156,16 @@ def assign_from_scan(
     """``assign_normals`` from a finished scan of a family with no witness.
 
     Each partition's Farkas vector, whose group 0 is block A, becomes a
-    small separator by ``farkas_separator``: an integer normal with block A
-    strictly below the simplest offset and block B strictly above.  Block A
-    takes its negation, so its own members are on the positive side.
-    Raises CertificateInconsistencyError when a partition has no Farkas
+    small separator by ``farkas_separator`` on the members' cached integer
+    tables: an integer normal with block A strictly below the simplest
+    offset and block B strictly above.  Block A takes its negation, so its
+    own members are on the positive side.  Raises
+    CertificateInconsistencyError when a partition has no Farkas
     vector, because the scan then found an inseparable partition yet no
     transversal.
     """
     size = family.k + 2
-
-    def pooled(block):
-        gens = []
-        for idx in block:
-            gens.extend(family.bodies[idx - 1].generators)
-        return gens
-
+    tables = [body._table for body in family.bodies]
     normals = {}
     for part in partitions(size):
         farkas = scan.farkas.get(part)
@@ -180,7 +175,7 @@ def assign_from_scan(
                 "inseparable yet no transversal was found"
             )
         normal, offset = farkas_separator(
-            farkas, pooled(part.part_a), pooled(part.part_b)
+            farkas, *([tables[idx - 1] for idx in block] for block in (part.part_a, part.part_b))
         )
         normals[frozenset(part.part_a)] = (-normal, -offset)
         normals[frozenset(part.part_b)] = (normal, offset)

@@ -263,6 +263,8 @@ def load_instance(path: str):
         ) from exc
     except (OSError, ValueError) as exc:
         raise InstanceFormatError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceFormatError(f"{path}: nested too deeply to decode") from exc
     try:
         return instance_from_json(doc)
     except InstanceFormatError as exc:
@@ -462,15 +464,20 @@ def cmd_generate(
     kind: str,
     ks,
     seed: int,
-    representation: str = TRUNCATED,
+    representation=None,
     out_path: str = "instance.json",
     dim=None,
 ) -> int:
     ks = list(ks)
     if dim is not None and kind != "planted":
         raise MalformedInputError(f"--dim applies to the planted kind only, not {kind}")
+    if representation is not None and kind != "counterexample":
+        raise MalformedInputError(
+            f"--representation applies to the counterexample kind only, not {kind}"
+        )
     meta = {"generator": kind, "ks": ks, "seed": seed}
     if kind == "counterexample":
+        representation = representation or TRUNCATED
         ce = gen_counterexample(ks, seed, representation)
         meta["representation"] = representation
         cert_path = out_path + ".cert.txt"
@@ -581,8 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--representation",
         choices=[FLATS, TRUNCATED],
-        default=TRUNCATED,
-        help="counterexample member representation",
+        default=None,
+        help="counterexample member representation (default truncated)",
     )
     p.add_argument(
         "--dim", type=_parse_int, default=None, help="ambient dimension (planted kind only)"

@@ -7,22 +7,22 @@ simplex for feasibility of equality systems over nonnegative variables
 substitution checks.  There is no floating point on any decision path.
 
 Every LP answers both ways.  A feasible system returns its point; an
-infeasible one returns a Farkas vector ``y`` with ``y . column <= 0`` for
-every column and ``y . rhs > 0`` (Farkas 1902), the dual read from the
-final basis (Chvatal 1983) and checked by substitution.  On the system
-asking whether two pooled hulls meet, ``y`` holds a strictly separating
-direction; ``farkas_separator`` rounds it to a small integer normal, with
-the simplest rational offset inside the gap, and checks it exactly.
+infeasible one returns an integer Farkas vector ``y`` with ``y . column <=
+0`` for every column and ``y . rhs > 0`` (Farkas 1902), a positive multiple
+of the dual read from the final basis (Chvatal 1983), checked by
+substitution.  On the system asking whether two pooled hulls meet, ``y``
+holds a strictly separating direction; ``farkas_separator`` rounds it, on
+the blocks' integer tables, to a small integer normal with the simplest
+rational offset inside the gap, and checks it exactly.
 
 The elimination and the simplex pivot on integers over one common
 denominator (Edmonds 1967, Bareiss 1968): the input is scaled to integers
-once, every update is an exact integer division, and
+once, before the simplex, every update is an exact integer division, and
 ``fractions.Fraction`` appears only in the values read in and returned.
 The pivots are the ones rational arithmetic would choose, so every result
 is the same rational.  The simplex keeps a condensed tableau, only the
 nonbasic columns.  Hull-weight systems are built in integers from the
-generators' integer tables, already scaled as the simplex would scale
-them.  There is one elimination, forward only
+generators' integer tables.  There is one elimination, forward only
 (``_echelon``), and one solve on top of it (``_integer_solve``: forward
 elimination, then fraction-free back substitution), which returns integer
 rows over one positive denominator; every linear solve, the Farkas
@@ -446,13 +446,14 @@ class LinearConstraint:
 def _phase_one(rows: Sequence[Sequence], rhs: Sequence):
     """Phase-one simplex for ``{x >= 0 : rows @ x = rhs}``.
 
-    The entries are rationals: ints or Fractions.  Returns ``(solution,
-    None)`` with a list of Fractions when the system is feasible, and
-    ``(None, farkas)`` when it is not: ``farkas`` is a list ``y`` of
-    Fractions, one per row, with ``y . column <= 0`` for every column of
-    ``rows`` and ``y . rhs > 0`` (Farkas 1902).  ``y . rhs`` is the optimum
-    of the artificial objective, because ``y`` is the optimal dual read from
-    the final basis (Chvatal 1983).
+    The entries are ints; a rational system is scaled to integers first
+    (``_integer_rows``).  Returns ``(solution, None)`` with a list of
+    Fractions when the system is feasible, and ``(None, farkas)`` when it is
+    not: ``farkas`` is a list ``y`` of ints, one per row, with ``y . column
+    <= 0`` for every column of ``rows`` and ``y . rhs > 0`` (Farkas 1902).
+    ``y`` is a positive multiple of the optimal dual read from the final
+    basis (Chvatal 1983), whose ``y . rhs`` is the optimum of the artificial
+    objective.
 
     Pivoting starts with Dantzig's rule and switches permanently to Bland's
     rule after a run of degenerate pivots, so degenerate systems cannot
@@ -462,15 +463,12 @@ def _phase_one(rows: Sequence[Sequence], rhs: Sequence):
     point of the system is expressible in original columns alone.
 
     The tableau is integers over one common denominator ``D`` (Edmonds
-    1967).  The whole system is scaled once by ``L``, the lcm of its
-    denominators (1 for integer input); a pivot on ``p`` maps every other
-    row to ``(p*T[i] - T[i][e]*T[r]) // D``, exact by Sylvester's identity,
-    and sets ``D = p``.  A row whose basic variable is original then reads
-    ``T / D`` and a row still held by an artificial, like the cost row,
-    reads ``T / (D*L)``.  Each row keeps its own ratios and the cost row is a
-    positive multiple of the rational one, so the pivot rules choose exactly
-    the pivots rational arithmetic would.  Fractions are made only for the
-    returned values.
+    1967): a pivot on ``p`` maps every other row to ``(p*T[i] - T[i][e]*T[r])
+    // D``, exact by Sylvester's identity, and sets ``D = p``, so every row
+    reads ``T / D``.  A system scaled from rationals by ``L`` has the same
+    solutions, and each of its rows and its cost row are positive multiples
+    of the rational ones, so the pivot rules choose exactly the pivots
+    rational arithmetic would.  Fractions are made only for the solution.
 
     The tableau is condensed (Tucker's form): only nonbasic original columns
     are stored, ``columns[s]`` naming the variable in slot ``s``, because a
@@ -485,7 +483,7 @@ def _phase_one(rows: Sequence[Sequence], rhs: Sequence):
     if m == 0:
         return [_ZERO] * n, None
 
-    original, _ = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
+    original = [list(row) + [b] for row, b in zip(rows, rhs)]
     # Copies: the pivots below edit rows in place, and ``_farkas`` reads the
     # original rows.
     tableau = [[-v for v in vals] if vals[-1] < 0 else vals[:] for vals in original]
@@ -587,7 +585,7 @@ def _phase_one(rows: Sequence[Sequence], rhs: Sequence):
 
 
 def _farkas(original, basis, n: int) -> list:
-    """Farkas vector of an infeasible system from its final phase-one basis.
+    """Integer Farkas vector of an infeasible system from its final basis.
 
     ``original`` is the system ``[rows | rhs]`` as integers, before any row
     was negated.  The vector is the dual ``y`` of the final basis, solved
@@ -602,7 +600,7 @@ def _farkas(original, basis, n: int) -> list:
     ``y_i`` moved to the right-hand side, their equations are one square
     integer system, nonsingular because ``B`` is, and ``_integer_solve``
     solves it over ``D > 0``; with no unknown rows, ``D = 1``.  The result
-    is checked by exact integer substitution before it is returned.
+    is ``D y``, checked by exact integer substitution and returned as ints.
     """
     fixed = [
         (i, -1 if original[i][-1] < 0 else 1) for i, var in enumerate(basis) if var >= n
@@ -625,11 +623,12 @@ def _farkas(original, basis, n: int) -> list:
     *columns, value = [sum(map(operator.mul, y, column)) for column in zip(*original)]
     if any(c > 0 for c in columns) or value <= 0:
         raise AssertionError("Farkas vector fails the substitution check")
-    return [Fraction(v, denominator) for v in y]
+    return y
 
 
 def standard_form_feasible(rows, rhs):
-    """Exact feasible point of ``{x >= 0 : rows @ x = rhs}``, or None."""
+    """Exact feasible point of ``{x >= 0 : rows @ x = rhs}``, or None; the
+    rows and the right-hand side are ints, as for ``_phase_one``."""
     return _phase_one(rows, rhs)[0]
 
 
@@ -680,23 +679,23 @@ def lp_feasible(constraints, dim: int) -> Optional[QVector]:
 
 def _free_solution(constraints, dim: int) -> Optional[list]:
     """Free variables satisfying EQ and LE constraints, through the phase-one
-    simplex in standard form, or None."""
+    simplex in standard form, or None.  The system ``[rows | rhs]`` is
+    scaled to integers once."""
     slack_count = sum(1 for c in constraints if c.relation is not Relation.EQ)
     width = 2 * dim + slack_count
-    rows = []
-    rhs = []
+    system = []
     slack_at = 2 * dim
     for c in constraints:
-        row = [_ZERO] * width
+        row = [_ZERO] * width + [c.rhs]
         for j, coef in enumerate(c.normal):
             row[j] = coef
             row[dim + j] = -coef
         if c.relation is not Relation.EQ:
             row[slack_at] = _ONE
             slack_at += 1
-        rows.append(row)
-        rhs.append(c.rhs)
-    solution = standard_form_feasible(rows, rhs)
+        system.append(row)
+    table, _ = _integer_rows(system)
+    solution = standard_form_feasible([row[:-1] for row in table], [row[-1] for row in table])
     if solution is None:
         return None
     return [solution[j] - solution[dim + j] for j in range(dim)]
@@ -830,26 +829,28 @@ def hull_certificate(blocks, groups) -> tuple:
 def _simplest_between(low: Fraction, high: Fraction) -> Fraction:
     """The simplest rational strictly between ``low < high``: least
     denominator, then least absolute numerator.  Found by descending the
-    Stern-Brocot tree, one continued-fraction term at a time."""
+    Stern-Brocot tree, one continued-fraction term per step of a loop."""
     if low < 0 < high:
         return _ZERO
     if high <= 0:
         return -_simplest_between(-high, -low)
-    whole = math.floor(low)
-    if whole + 1 < high:
-        return Fraction(whole + 1)
-    # Both ends lie in [whole, whole + 1]: the answer is whole + 1/x with x
-    # the simplest rational between the reciprocals of the fractional parts.
-    if low == whole:
-        inner = Fraction(math.floor(1 / (high - whole)) + 1)
-    else:
-        inner = _simplest_between(1 / (high - whole), 1 / (low - whole))
-    return whole + 1 / inner
+    # The answer is (p*x + p0) / (q*x + q0), x the simplest rational between
+    # 0 <= a/b < c/d (d = 0 is infinity).  Both ends in [whole, whole + 1]
+    # make x = whole + 1/x', x' between the fractional parts' reciprocals.
+    a, b, c, d = low.numerator, low.denominator, high.numerator, high.denominator
+    p, q, p0, q0 = 1, 0, 0, 1
+    whole = a // b
+    while (whole + 1) * d >= c:
+        p, q, p0, q0 = whole * p + p0, whole * q + q0, p, q
+        a, b, c, d = d, c - whole * d, b, a - whole * b
+        whole = a // b
+    return Fraction((whole + 1) * p + p0, (whole + 1) * q + q0)
 
 
 def farkas_separator(farkas, first, second) -> tuple:
     """Small strict separator from a two-group ``hull_certificate`` Farkas
-    vector whose group 0 is ``first`` and group 1 is ``second``.
+    vector whose group 0 is ``first`` and group 1 is ``second``, two lists
+    of integer tables ``(table, scale)``.
 
     Returns ``(normal, offset)`` with ``normal . p < offset`` for every p in
     ``first`` and ``normal . q > offset`` for every q in ``second``.  The
@@ -859,16 +860,16 @@ def farkas_separator(farkas, first, second) -> tuple:
     separation is an open condition that ``u`` itself meets, so some t
     succeeds.  The offset is the simplest rational inside the gap.
 
-    All of it runs on integers: ``u`` over the lcm of its denominators, so
-    ``e * 2^t / top`` is a quotient of integers rounded by ``divmod``, and
-    both point sets in one table over the lcm of all their denominators, so
-    an attempt costs one integer dot product per point.  The gap's two ends
-    are the only Fractions made.
+    All of it runs on integers: ``e * 2^t / top`` is a quotient of integers
+    rounded by ``divmod``, and every table is rescaled to the lcm of all the
+    scales, so an attempt costs one integer dot product per point.  The
+    gap's two ends are the only Fractions made.
     """
-    (u,), _ = _integer_rows([farkas[: first[0].dim]])
+    scale = math.lcm(*(s for _, s in first + second))
+    below, above = ([[v * (scale // s) for v in row] for table, s in blocks for row in table]
+                    for blocks in (first, second))
+    u = farkas[: len(below[0])]
     top = max(map(abs, u))
-    table, scale = _integer_rows(itertools.chain(first, second))
-    below, above = table[: len(first)], table[len(first) :]
     power = 2
     while True:
         normal = []
@@ -903,10 +904,11 @@ def strict_separation(points_p, points_q):
     for p in points_p + points_q:
         if p.dim != d:
             raise MalformedInputError("mixed dimensions in separation input")
-    _, farkas = hull_certificate([_integer_rows(points_p), _integer_rows(points_q)], [0, 1])
+    blocks = [_integer_rows(points_p), _integer_rows(points_q)]
+    _, farkas = hull_certificate(blocks, [0, 1])
     if farkas is None:
         return None
-    return farkas_separator(farkas, points_p, points_q)
+    return farkas_separator(farkas, blocks[:1], blocks[1:])
 
 
 def check_two_sided(bounds) -> None:

@@ -172,7 +172,7 @@ class PartitionScan:
     """
 
     witness: Optional[TransversalWitness]
-    farkas: dict  # Partition -> list of Fractions
+    farkas: dict  # Partition -> list of ints
 
 
 def check_member_count(family: Family) -> None:

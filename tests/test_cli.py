@@ -509,6 +509,19 @@ def long_literal_doc():
     }
 
 
+def fibonacci_points_doc(n):
+    """One k = 0 family in dimension 1 of two one-point polytopes at
+    F(n)/F(n+1) and F(n+1)/F(n+2), Fibonacci ratios whose gap's simplest
+    offset has a continued fraction of about n terms."""
+    fib = [0, 1]
+    while len(fib) < n + 3:
+        fib.append(fib[-1] + fib[-2])
+    sets = [
+        {"type": "vpolytope", "points": [[f"{fib[i]}/{fib[i + 1]}"]]} for i in (n, n + 1)
+    ]
+    return {"dimension": 1, "families": [{"k": 0, "sets": sets}]}
+
+
 def crossing_segments_doc():
     """One k = 0 family of two crossing segments in the plane, (0,0)-(a,b)
     and (c,0)-(0,e).  Every literal is under the integer string limit, but
@@ -599,8 +612,12 @@ class TestExitTable:
 
     @pytest.mark.parametrize(
         "text",
-        [b"\xff\xfe{", ('{"dimension": ' + "1" * 5000 + "}").encode()],
-        ids=["not-utf-8", "long-json-integer"],
+        [
+            b"\xff\xfe{",
+            ('{"dimension": ' + "1" * 5000 + "}").encode(),
+            b"[" * 200_000 + b"]" * 200_000,
+        ],
+        ids=["not-utf-8", "long-json-integer", "deeply-nested"],
     )
     def test_undecodable_instance_exits_two(self, text, tmp_path, capsys):
         path = tmp_path / "inst.json"
@@ -608,6 +625,17 @@ class TestExitTable:
         assert main(["check-colorful", str(path)]) == EXIT_PRECONDITION
         (line,) = capsys.readouterr().out.splitlines()
         assert line.startswith(f"error: {path}: ")
+
+    def test_deep_continued_fraction_offset(self, tmp_path, monkeypatch, capsys):
+        """The separator's offset, simplest between two ends of 837 digits,
+        has about 4000 continued-fraction terms: found by a loop, not by
+        recursion."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fib.json").write_text(json.dumps(fibonacci_points_doc(4000)))
+        assert main(["transversal", "fib.json", "--family", "1"]) == EXIT_NEGATIVE
+        assert "separated partition={1}/{2}" in capsys.readouterr().out
+        assert main(["certificate", "fib.json"]) == EXIT_OK
+        assert "CERTIFICATE-COMPLETE" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", [["transversal", "--family", "1"], ["certificate"]])
     def test_result_over_the_digit_limit_is_refused(
@@ -976,6 +1004,30 @@ class TestEntryPoint:
             f"error: --dim applies to the planted kind only, not {kind}"
         ]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "kind,extra",
+        [("random", []), ("planted", []), ("planted", ["--dim", "3"])],
+    )
+    @pytest.mark.parametrize("representation", ["flats", "truncated"])
+    def test_representation_outside_counterexample_is_refused(
+        self, tmp_path, capsys, kind, extra, representation
+    ):
+        path = tmp_path / "inst.json"
+        argv = ["generate", kind, "--ks", "1,1", "--seed", "0", "--out", str(path)]
+        assert main(argv + extra + ["--representation", representation]) == EXIT_PRECONDITION
+        assert capsys.readouterr().out.splitlines() == [
+            f"error: --representation applies to the counterexample kind only, not {kind}"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_counterexample_representation_defaults_to_truncated(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["generate", "counterexample", "--ks", "1,0", "--seed", "1", "--out"]
+        assert main(argv + [str(first)]) == EXIT_OK
+        assert main(argv + [str(second), "--representation", "truncated"]) == EXIT_OK
+        assert json.loads(first.read_text())["meta"]["representation"] == "truncated"
+        assert first.read_bytes() == second.read_bytes()
 
     def test_dim_still_sets_the_planted_dimension(self, tmp_path):
         path = tmp_path / "inst.json"

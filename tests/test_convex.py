@@ -15,6 +15,7 @@ from transversals.convex import (
 from transversals.exactla import (
     MalformedInputError,
     QVector,
+    _integer_rows,
     hull_weights,
     rank,
     solve_linear,
@@ -278,7 +279,9 @@ def reference_common_point(bodies):
             rows.append(row)
             rhs.append(flat.base[c])
         offset += flat.dimension
-    solution = standard_form_feasible(rows, rhs)
+    # The kernel takes integers: the system times the lcm of its denominators.
+    table, _ = _integer_rows(row + [b] for row, b in zip(rows, rhs))
+    solution = standard_form_feasible([row[:-1] for row in table], [row[-1] for row in table])
     if solution is None:
         return None
     return QVector(solution[c] - solution[d + c] for c in range(d))

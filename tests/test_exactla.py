@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -30,19 +31,49 @@ from transversals.exactla import (
     strict_separation,
 )
 
-from test_golden import COUNTEREXAMPLE, JOIN, JOIN_2_2, JOIN_3_1
+from test_golden import COUNTEREXAMPLE, JOIN, JOIN_2_2, JOIN_3_1, THEOREM
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
 
+def scaled(rows, rhs):
+    """A rational system as the integer one ``_phase_one`` takes: every
+    entry times ``L``, the lcm of every denominator in it.  Returns
+    ``(rows, rhs, L)``."""
+    table, scale = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
+    return [row[:-1] for row in table], [row[-1] for row in table], scale
+
+
 def phase_one_optimum(rows, rhs):
-    """``_phase_one`` as ``(solution, optimum)``: the optimum of the
-    artificial objective is ``y . rhs`` for the Farkas vector ``y`` of an
-    infeasible system, and 0 for a feasible one."""
+    """``_phase_one`` of the scaled system as ``(solution, optimum)``, 0 for
+    a feasible system.  For an infeasible one it is ``y . rhs`` in the
+    input's units, ``y`` the integer Farkas vector: the optimum of the
+    artificial objective times the positive integer by which ``y`` exceeds
+    the dual (``multiple_of_optimum``)."""
+    rows, rhs, scale = scaled(rows, rhs)
     solution, farkas = _phase_one(rows, rhs)
     if farkas is None:
         return solution, F(0)
-    return None, sum((y * b for y, b in zip(farkas, rhs)), F(0))
+    return None, F(sum(map(operator.mul, farkas, rhs)), scale)
+
+
+def multiple_of_optimum(found, expected) -> bool:
+    """``phase_one_optimum``'s answer against the rational reference's
+    ``(solution, optimum)``: the same solution, or the optimum times a
+    positive integer."""
+    if expected[0] is not None or found[0] is not None:
+        return found == expected
+    factor = found[1] / expected[1]
+    return factor > 0 and factor.denominator == 1
+
+
+def assert_positive_multiple(y, reference):
+    """``y`` is a list of ints equal to ``reference`` times one positive
+    integer."""
+    assert all(type(v) is int for v in y), y
+    factor = next(v / r for v, r in zip(y, reference) if r)
+    assert factor > 0 and factor.denominator == 1, (y, reference)
+    assert y == [factor * r for r in reference]
 
 
 def vectors(dim):
@@ -903,19 +934,22 @@ class TestFractionFreeKernels:
         for rows, rhs in cases:
             switched = []
             expected = reference_phase_one(rows, rhs, switched)
-            assert phase_one_optimum(rows, rhs) == expected
+            assert multiple_of_optimum(phase_one_optimum(rows, rhs), expected)
             seen["infeasible" if expected[0] is None else "feasible"] += 1
             seen["negative_rhs"] += any(b < 0 for b in rhs)
             seen["bland"] += switched[0]
         assert min(seen.values()) >= 10, seen
 
     def test_infeasibility_is_unscaled(self):
-        # x = 1/8 and x = 3/8 at once: the optimum is 1/4 in the input's units,
-        # not in the units of the integer tableau (8 times larger).
+        # x = 1/8 and x = 3/8 at once: the optimum is 1/32 in the input's
+        # units, and 64 times that in the units of the scaled system
+        # 8x = 1, 8x = 3, whose integer Farkas vector is (-8, 8): the dual
+        # (-1, 1) times the back-solve's denominator 8.
         rows = [[F(1, 8)], [F(1, 8)]]
         rhs = [F(1, 64), F(3, 64)]
-        expected = (None, F(1, 32))
-        assert phase_one_optimum(rows, rhs) == reference_phase_one(rows, rhs) == expected
+        assert reference_phase_one(rows, rhs) == (None, F(1, 32))
+        assert _phase_one(*scaled(rows, rhs)[:2]) == (None, [-8, 8])
+        assert phase_one_optimum(rows, rhs) == (None, F(8, 32))
 
     def test_reduced_echelon_matches_rational_reference(self):
         """The Gauss-Jordan reference against the rational one, and ``rank``,
@@ -1105,14 +1139,16 @@ class TestFarkasVectors:
         seen = {"negative_rhs": 0, "duplicated": 0, "zero_row": 0, "bland": 0}
         for rows, rhs in farkas_cases(rng):
             switched = []
-            _, optimum = reference_phase_one(rows, rhs, switched)
-            solution, farkas = _phase_one(rows, rhs)
+            expected = reference_phase_one(rows, rhs, switched)
+            integer_rows, integer_rhs, scale = scaled(rows, rhs)
+            solution, farkas = _phase_one(integer_rows, integer_rhs)
             assert solution is None and len(farkas) == len(rows)
-            for j in range(len(rows[0])):
-                assert sum(y * row[j] for y, row in zip(farkas, rows)) <= 0
-            value = sum(y * b for y, b in zip(farkas, rhs))
+            assert all(type(y) is int for y in farkas)
+            for column in zip(*integer_rows):
+                assert sum(map(operator.mul, farkas, column)) <= 0
+            value = sum(map(operator.mul, farkas, integer_rhs))
             assert value > 0
-            assert value == optimum
+            assert multiple_of_optimum((None, F(value, scale)), expected)
             seen["negative_rhs"] += any(b < 0 for b in rhs)
             seen["duplicated"] += any(
                 rows[i] == rows[j] for i in range(len(rows)) for j in range(i)
@@ -1124,9 +1160,9 @@ class TestFarkasVectors:
     def test_flipped_row_keeps_its_sign(self):
         # x = -2 has no x >= 0.  The simplex negates the row to -x = 2; read
         # back in the row as given, the Farkas vector is y = -1, y . b = 2.
-        assert _phase_one([[F(1)]], [F(-2)]) == (None, [F(-1)])
+        assert _phase_one([[1]], [-2]) == (None, [-1])
         # -x = 2 is already the negated row, so there y = 1.
-        assert _phase_one([[F(-1)]], [F(2)]) == (None, [F(1)])
+        assert _phase_one([[-1]], [2]) == (None, [1])
 
 
 def simplest_by_search(low, high):
@@ -1202,6 +1238,21 @@ class TestSmallSeparators:
         for low, high in cases:
             assert _simplest_between(low, high) == simplest_by_search(low, high)
 
+    def test_simplest_between_deep_continued_fractions(self):
+        """Consecutive Fibonacci ratios are Farey neighbours, so the simplest
+        rational strictly between them is their mediant; their continued
+        fractions have about n terms each."""
+        fib = [0, 1]
+        while len(fib) < 4004:
+            fib.append(fib[-1] + fib[-2])
+        for n in (10, 11, 1500, 4000):
+            ends = sorted([F(fib[n], fib[n + 1]), F(fib[n + 1], fib[n + 2])])
+            mediant = F(fib[n + 2], fib[n + 3])
+            if n < 20:
+                assert simplest_by_search(*ends) == mediant
+            assert _simplest_between(*ends) == mediant
+            assert _simplest_between(-ends[1], -ends[0]) == -mediant
+
     def test_agrees_with_margin_one_oracle(self):
         rng = random.Random(5521)
         seen = {"separated": 0, "meeting": 0}
@@ -1234,9 +1285,9 @@ class TestSmallSeparators:
 
 
 def reference_farkas_separator(farkas, first, second):
-    """Separator rounding in Fractions: ``round`` on each scaled entry and
-    one ``QVector.dot`` per point and attempt."""
-    u = farkas[: first[0].dim]
+    """Separator rounding in Fractions, on point lists: ``round`` on each
+    scaled entry and one ``QVector.dot`` per point and attempt."""
+    u = [F(e) for e in farkas[: first[0].dim]]
     top = max(abs(e) for e in u)
     power = 2
     while True:
@@ -1295,6 +1346,22 @@ def separable_case(rng, trial):
     return farkas, first, [q + t * direction for q in second]
 
 
+def points(blocks):
+    """The points of integer tables ``(table, scale)``, in order."""
+    return [QVector(F(v, scale) for v in row) for table, scale in blocks for row in table]
+
+
+def tables(rng, vectors):
+    """The vectors split into consecutive runs of seeded lengths, one
+    integer table per run."""
+    blocks = []
+    while vectors:
+        size = rng.randint(1, len(vectors))
+        blocks.append(_integer_rows(vectors[:size]))
+        vectors = vectors[size:]
+    return blocks
+
+
 class TestIntegerSeparatorRounding:
     @pytest.mark.parametrize(
         "pipeline",
@@ -1307,7 +1374,9 @@ class TestIntegerSeparatorRounding:
 
         def checked(farkas, first, second):
             result = farkas_separator(farkas, first, second)
-            assert result == reference_farkas_separator(farkas, first, second)
+            assert all(type(y) is int for y in farkas)
+            expected = reference_farkas_separator(farkas, points(first), points(second))
+            assert result == expected
             calls.append(result)
             return result
 
@@ -1317,12 +1386,17 @@ class TestIntegerSeparatorRounding:
         assert len(calls) >= 6
 
     def test_matches_reference_on_random_cases(self):
+        """The integer Farkas vector and the point sets split into blocks
+        of seeded sizes, each its own integer table."""
         rng = random.Random(6047)
+        split = random.Random(6048)
         attempts = set()
         for trial in range(500):
             farkas, first, second = separable_case(rng, trial)
             expected = reference_farkas_separator(farkas, first, second)
-            assert farkas_separator(farkas, first, second) == expected
+            (integer,), _ = _integer_rows([farkas])
+            blocks = [tables(split, first), tables(split, second)]
+            assert farkas_separator(integer, *blocks) == expected
             normal, _ = expected
             attempts.add(max(abs(e) for e in normal))  # 2^t at attempt t
         # the gap was found at several scales, not only the first
@@ -1337,7 +1411,8 @@ class TestIntegerSeparatorRounding:
         second = [QVector(F(10) * e for e in u)]
         expected = (QVector([2, 0, 2, 0, -2]), F(1))
         assert reference_farkas_separator(u, first, second) == expected
-        assert farkas_separator(u, first, second) == expected
+        blocks = [[_integer_rows(first)], [_integer_rows(second)]]
+        assert farkas_separator([4, 1, 3, -1, -3], *blocks) == expected
 
 
 class TestShortBackSolve:
@@ -1349,26 +1424,44 @@ class TestShortBackSolve:
 
         def checked(original, basis, n):
             y = solve(original, basis, n)
-            assert y == reference_farkas(original, basis, n)
+            assert_positive_multiple(y, reference_farkas(original, basis, n))
             k = sum(var < n for var in basis)
             seen["k=0" if k == 0 else "k=m-1" if k == len(basis) - 1 else "between"] += 1
             return y
 
         monkeypatch.setattr(exactla, "_farkas", checked)
         for rows, rhs in farkas_cases(random.Random(3301)):
-            solution, farkas = _phase_one(rows, rhs)
+            solution, farkas = _phase_one(*scaled(rows, rhs)[:2])
             assert solution is None and farkas is not None
         assert min(seen.values()) >= 10, seen
 
+    @pytest.mark.parametrize(
+        "pipeline", [JOIN, JOIN_2_2, JOIN_3_1], ids=["join", "join-2-2", "join-3-1"]
+    )
+    def test_golden_join_pipelines(self, pipeline, tmp_path, monkeypatch):
+        """Every back-solve of the partition scans is the reference dual
+        times one positive integer."""
+        monkeypatch.chdir(tmp_path)
+        solve = exactla._farkas
+        calls = []
+
+        def checked(original, basis, n):
+            y = solve(original, basis, n)
+            assert_positive_multiple(y, reference_farkas(original, basis, n))
+            calls.append(y)
+            return y
+
+        monkeypatch.setattr(exactla, "_farkas", checked)
+        for argv, expected in pipeline:
+            assert main(argv) == expected, argv
+        assert len(calls) >= 6
+
     def test_edge_bases(self):
-        assert _phase_one([[F(-1)], [F(-1)]], [F(1), F(1)]) == (None, [F(1), F(1)])
-        assert _phase_one([[F(0), F(0)]], [F(-3, 2)]) == (None, [F(-1)])
+        assert _phase_one([[-1], [-1]], [1, 1]) == (None, [1, 1])
+        assert _phase_one([[0, 0]], [-3]) == (None, [-1])
         # x1 = 1 takes row 0's basis; row 1 keeps its artificial, y_1 = 1,
         # and x1's column fixes y_0 = -1
-        assert _phase_one([[F(1), F(0)], [F(1), F(0)]], [F(1), F(2)]) == (
-            None,
-            [F(-1), F(1)],
-        )
+        assert _phase_one([[1, 0], [1, 0]], [1, 2]) == (None, [-1, 1])
 
     def test_corrupted_solution_fails_substitution(self, monkeypatch):
         solve = exactla._integer_solve
@@ -1379,20 +1472,79 @@ class TestShortBackSolve:
 
         monkeypatch.setattr(exactla, "_integer_solve", corrupted)
         with pytest.raises(AssertionError, match="substitution check"):
-            _phase_one([[F(1), F(0)], [F(1), F(0)]], [F(1), F(2)])
+            _phase_one([[1, 0], [1, 0]], [1, 2])
+
+
+class TestIntegerKernelInput:
+    """``_phase_one`` takes ints and does not rescan them; every caller in
+    the package scales its system first."""
+
+    def test_check_colorful_makes_no_integer_rows_in_the_kernel(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["generate", "random", "--ks", "1,1,1", "--seed", "0", "--out", "inst.json"]
+        assert main(argv) == 0
+        phase_one, integer_rows = exactla._phase_one, exactla._integer_rows
+        inside = []
+        seen = {"phase_one": 0, "integer_rows": 0}
+
+        def watched_phase_one(rows, rhs):
+            seen["phase_one"] += 1
+            inside.append(True)
+            try:
+                return phase_one(rows, rhs)
+            finally:
+                inside.pop()
+
+        def watched_integer_rows(rows):
+            seen["integer_rows"] += bool(inside)
+            return integer_rows(rows)
+
+        monkeypatch.setattr(exactla, "_phase_one", watched_phase_one)
+        monkeypatch.setattr(exactla, "_integer_rows", watched_integer_rows)
+        assert main(["check-colorful", "inst.json"]) == 0
+        assert seen == {"phase_one": 27, "integer_rows": 0}
+
+    def test_callers_pass_ints(self, tmp_path, monkeypatch):
+        """The theorem pipeline has coordinates over denominators up to 8,
+        and ``lp_feasible`` takes Fraction constraints, strict ones
+        included; every system still reaches the kernel as ints."""
+        monkeypatch.chdir(tmp_path)
+        phase_one = exactla._phase_one
+        systems = []
+
+        def checked(rows, rhs):
+            assert all(type(v) is int for row in rows for v in row)
+            assert all(type(b) is int for b in rhs)
+            systems.append(len(rows))
+            return phase_one(rows, rhs)
+
+        monkeypatch.setattr(exactla, "_phase_one", checked)
+        for argv, expected in THEOREM:
+            assert main(argv) == expected, argv
+        constraints = [
+            LinearConstraint(QVector([F(1, 3), F(-2, 5)]), Relation.LE, F(7, 2)),
+            LinearConstraint(QVector([F(1, 2), 1]), Relation.EQ, F(1, 9)),
+            LinearConstraint(QVector([-1, F(1, 4)]), Relation.LT, F(3, 7)),
+        ]
+        point = lp_feasible(constraints, 2)
+        assert point is not None and all(c.holds_at(point) for c in constraints)
+        assert len(systems) >= 2
 
 
 def full_tableau_phase_one(rows, rhs, events=None):
     """``_phase_one`` with the full tableau: every original column stored,
-    basic ones included, each updated by every pivot.  ``events`` (a list)
-    receives ``"bland"`` when the run switches to Bland's rule and
-    ``"original-left"`` for each pivot whose leaving variable is original."""
+    basic ones included, each updated by every pivot; the rows and the
+    right-hand side are ints.  ``events`` (a list) receives ``"bland"`` when
+    the run switches to Bland's rule and ``"original-left"`` for each pivot
+    whose leaving variable is original."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m == 0:
         return [F(0)] * n, None
 
-    original, _ = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
+    original = [list(row) + [b] for row, b in zip(rows, rhs)]
     tableau = [[-v for v in vals] if vals[-1] < 0 else vals for vals in original]
     basis = [n + i for i in range(m)]
     cost = [-sum(tableau[i][j] for i in range(m)) for j in range(n + 1)]
@@ -1504,6 +1656,7 @@ class TestCondensedTableau:
     def check(self, cases):
         seen = {"feasible": 0, "infeasible": 0, "negative_rhs": 0, "bland": 0, "original-left": 0}
         for rows, rhs in cases:
+            rows, rhs, _ = scaled(rows, rhs)
             events = []
             expected = full_tableau_phase_one(rows, rhs, events)
             assert _phase_one(rows, rhs) == expected
@@ -1545,8 +1698,8 @@ class TestCondensedTableau:
         # takes row 1 by the zero ratio; then x1 enters, and row 1's zero
         # ratio pushes x2 out again, so x2's column comes back with the old
         # denominator in the pivot row.  x3 enters last.
-        rows = [[F(-1), F(-1), F(0)], [F(1), F(2), F(-1)]]
-        rhs = [F(-1), F(0)]
+        rows = [[-1, -1, 0], [1, 2, -1]]
+        rhs = [-1, 0]
         events = []
         expected = full_tableau_phase_one(rows, rhs, events)
         assert "original-left" in events
@@ -1556,9 +1709,9 @@ class TestCondensedTableau:
         """The simplex negates rows with ``rhs < 0``; ``_farkas`` reads the
         rows as given, so the kernel edits copies of them only."""
         cases = [
-            ([[F(1), F(1)], [F(-1), F(0)]], [F(-1), F(-2)]),
-            ([[F(2), F(-1)], [F(1), F(1)], [F(0), F(1)]], [F(-2), F(3), F(-1)]),
-            ([[F(1), F(0)], [F(1), F(0)]], [F(1), F(2)]),
+            ([[1, 1], [-1, 0]], [-1, -2]),
+            ([[2, -1], [1, 1], [0, 1]], [-2, 3, -1]),
+            ([[1, 0], [1, 0]], [1, 2]),
         ]
         for rows, rhs in cases:
             frozen = [list(row) for row in rows], list(rhs)
@@ -1624,7 +1777,17 @@ class TestIntegerHullSystem:
     ``_integer_rows`` makes of the Fraction system, entry for entry, so the
     answers are the Fraction system's answers."""
 
-    def test_matches_the_fraction_builder(self):
+    def test_matches_the_fraction_builder(self, monkeypatch):
+        """Every Farkas vector, of the scaled Fraction system and of the
+        built one, is the reference dual times one positive integer."""
+        solve = exactla._farkas
+
+        def checked(original, basis, n):
+            y = solve(original, basis, n)
+            assert_positive_multiple(y, reference_farkas(original, basis, n))
+            return y
+
+        monkeypatch.setattr(exactla, "_farkas", checked)
         rng = random.Random(2302)
         seen = {"groups=1": 0, "groups=2": 0, "groups=3": 0, "equations": 0,
                 "feasible": 0, "infeasible": 0}
@@ -1635,7 +1798,7 @@ class TestIntegerHullSystem:
             built = exactla._hull_system(tables, groups, equations)
             expected, _ = _integer_rows([row + [b] for row, b in zip(rows, rhs)])
             assert [row + [b] for row, b in zip(*built)] == expected
-            solution, farkas = _phase_one(rows, rhs)
+            solution, farkas = _phase_one(*scaled(rows, rhs)[:2])
             weights = exactla.hull_weights(tables, groups, equations)
             assert (weights is None) == (solution is None)
             if weights is not None:
@@ -1666,7 +1829,7 @@ class TestIntegerHullSystem:
                 vertex,
                 QVector([vertex[0] + F(1, 97), *vertex[1:]]),
             ][trial % 3]
-            solution, _ = _phase_one(*reference_hull_system([points], [0], point))
+            solution, _ = _phase_one(*scaled(*reference_hull_system([points], [0], point))[:2])
             expected = solution is not None
             assert convex.contains(convex.VPolytope(points), point) is expected
             assert expected is (trial % 3 != 2)
@@ -1686,7 +1849,7 @@ class TestIntegerHullSystem:
             if trial % 2:
                 vectors.append(-vectors[0] * F(rng.randint(1, 3)))
             origin = QVector([F(0)] * dim)
-            solution, _ = _phase_one(*reference_hull_system([vectors], [0], origin))
+            solution, _ = _phase_one(*scaled(*reference_hull_system([vectors], [0], origin))[:2])
             expected = solution is not None
             assert certificate.origin_in_hull(vectors) is expected
             seen[expected] += 1
