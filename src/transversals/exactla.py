@@ -446,7 +446,8 @@ class LinearConstraint:
 def _phase_one(rows: Sequence[Sequence], rhs: Sequence):
     """Phase-one simplex for ``{x >= 0 : rows @ x = rhs}``.
 
-    The entries are ints; a rational system is scaled to integers first
+    The entries are ints, and anything else is refused with
+    MalformedInputError; a rational system is scaled to integers first
     (``_integer_rows``).  Returns ``(solution, None)`` with a list of
     Fractions when the system is feasible, and ``(None, farkas)`` when it is
     not: ``farkas`` is a list ``y`` of ints, one per row, with ``y . column
@@ -496,6 +497,10 @@ def _phase_one(rows: Sequence[Sequence], rhs: Sequence):
     # basis: column j prices to the negated column sum, the objective cell to
     # the negated right-hand-side sum.
     cost = [-sum(column) for column in zip(*tableau)]
+    # A column sums to an int only when all its entries are ints: a Fraction
+    # would be floored by the exact divisions below, a silently wrong answer.
+    if not all(type(c) is int for c in cost):
+        raise MalformedInputError("the phase-one simplex takes integer entries only")
     denominator = 1
 
     bland = False

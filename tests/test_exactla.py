@@ -1506,6 +1506,24 @@ class TestIntegerKernelInput:
         assert main(["check-colorful", "inst.json"]) == 0
         assert seen == {"phase_one": 27, "integer_rows": 0}
 
+    @pytest.mark.parametrize(
+        "rows,rhs",
+        [
+            # infeasible, yet its exact divisions, floored on these
+            # Fractions, returned the point (1, 1/2) without the refusal
+            ([[F(1, 4), F(-1, 2)], [F(-1, 3), -1], [F(4, 3), -3]], [0, -1, F(-1, 3)]),
+            ([[1, 2]], [F(1, 2)]),
+            ([[1.0]], [1]),
+            ([[F(2)]], [1]),
+        ],
+        ids=["fractions", "fraction-rhs", "float", "whole-fraction"],
+    )
+    def test_non_integer_entries_are_refused(self, rows, rhs):
+        with pytest.raises(MalformedInputError, match="integer entries only"):
+            _phase_one(rows, rhs)
+        with pytest.raises(MalformedInputError, match="integer entries only"):
+            exactla.standard_form_feasible(rows, rhs)
+
     def test_callers_pass_ints(self, tmp_path, monkeypatch):
         """The theorem pipeline has coordinates over denominators up to 8,
         and ``lp_feasible`` takes Fraction constraints, strict ones
