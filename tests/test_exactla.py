@@ -1351,7 +1351,7 @@ def points(blocks):
     return [QVector(F(v, scale) for v in row) for table, scale in blocks for row in table]
 
 
-def tables(rng, vectors):
+def split_tables(rng, vectors):
     """The vectors split into consecutive runs of seeded lengths, one
     integer table per run."""
     blocks = []
@@ -1395,7 +1395,7 @@ class TestIntegerSeparatorRounding:
             farkas, first, second = separable_case(rng, trial)
             expected = reference_farkas_separator(farkas, first, second)
             (integer,), _ = _integer_rows([farkas])
-            blocks = [tables(split, first), tables(split, second)]
+            blocks = [split_tables(split, first), split_tables(split, second)]
             assert farkas_separator(integer, *blocks) == expected
             normal, _ = expected
             attempts.add(max(abs(e) for e in normal))  # 2^t at attempt t
