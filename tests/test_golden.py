@@ -24,6 +24,11 @@ join simplices and audits 22 of them.  The ``--ks 1,1,1,1`` counterexample
 is the four-family join (1296 join simplices, 130 audits) in dimension 8,
 where each colourful hull LP is 28 x 108; every tuple's members share one
 generator, their only common point, so its colourful checks solve no LP.
+The scaled ``--ks 1,1`` counterexample is the one pipeline whose colourful
+tuples need LPs: every body is scaled by 2 about the average of its
+generators, so each still contains its old self and every tuple still
+meets, but no tuple's members list a generator in common.  Its
+``check-colorful`` and ``certificate`` both solve all 9 tuple LPs.
 
 Each pipeline also records every distinct ``(rows, rhs)`` system the
 phase-one simplex receives, as the integer table ``[rows | rhs]`` it pivots
@@ -41,6 +46,9 @@ one recorded when every audit solved its LP (6 -> 4, 25 -> 10, 72 -> 14,
 """
 
 import hashlib
+import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +229,38 @@ JOIN_1_1_1_1 = [
     (["certificate", "inst.json", "--out", "certificate.json"], EXIT_OK),
 ]
 
+
+
+def scale_bodies(path="inst.json"):
+    """Rewrite the instance at ``path`` with every body scaled by 2 about
+    the average of its generators, in exact rationals."""
+    doc = json.loads(Path(path).read_text())
+    for family in doc["families"]:
+        for body in family["sets"]:
+            points = [[Fraction(x) for x in point] for point in body["points"]]
+            center = [sum(column) / len(points) for column in zip(*points)]
+            body["points"] = [[str(2 * x - c) for x, c in zip(p, center)] for p in points]
+    Path(path).write_text(json.dumps(doc, indent=2))
+
+
+SCALED = [
+    (
+        ["generate", "counterexample", "--ks", "1,1", "--seed", "0", "--out", "inst.json"],
+        EXIT_OK,
+    ),
+    (scale_bodies, None),
+    (["check-colorful", "inst.json", "--out", "colorful.json"], EXIT_OK),
+    (
+        ["transversal", "inst.json", "--family", "1", "--out", "family1.json"],
+        EXIT_NEGATIVE,
+    ),
+    (
+        ["transversal", "inst.json", "--family", "2", "--out", "family2.json"],
+        EXIT_NEGATIVE,
+    ),
+    (["certificate", "inst.json", "--out", "certificate.json"], EXIT_OK),
+]
+
 GOLDEN = {
     "theorem": {
         "inst.json": "28be2faa9a1e5b1d0e824431ef5cf3bb1caeb9cd3b82a0bf20811e35fbc88f19",
@@ -322,6 +362,16 @@ GOLDEN = {
         "stdout": "3831af885182c5066f21a1fb6e965d31e9d88d5cadedfddc3faf4ae4db624018",
         "lp-systems": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
+    "scaled": {
+        "inst.json": "a6c047bc2a1f80a141e7a59baf229da2c24df7b3f3473f4bc92d386f81bbcd3b",
+        "inst.json.cert.txt": "08a1dc2f8f856dfc4375f6b2df311d52e007610fe3d8efb59c53e60d91493e9c",
+        "colorful.json": "b10bfc65587d94af88a35031f1ca7a93b904c53a32a7aa36712f96f812232e3e",
+        "family1.json": "f32aa19e974647b4630d41bbfd79c0bb00063fb47563b2efe78f5e01b459724e",
+        "family2.json": "f6a6e9391826beb2944113b0032f6f0c369486978d53580f3c2876ee1a8dd4dd",
+        "certificate.json": "e38f38ed10e0279a1839ddb2154601193d15b5e09701d4950e310cffd97ada4a",
+        "stdout": "1689c546b0d513feca111a9393d725bfa2425e42303f784bd588663f21a7e119",
+        "lp-systems": "74b5955d6d12141f18eb62229e5ff9a9bd8487c4980780544e12203539660b67",
+    },
 }
 
 
@@ -344,6 +394,7 @@ def sha256(data: bytes) -> str:
         ("join-1-1-1", JOIN_1_1_1),
         ("join-1-1-1-1", JOIN_1_1_1_1),
         ("generate-16", GENERATE_16),
+        ("scaled", SCALED),
     ],
 )
 def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
@@ -358,6 +409,9 @@ def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(exactla, "_phase_one", recording_phase_one)
     for argv, expected in pipeline:
+        if callable(argv):
+            argv()
+            continue
         assert main(argv) == expected, argv
     digests = {
         path.name: sha256(path.read_bytes()) for path in sorted(tmp_path.iterdir())
