@@ -38,7 +38,6 @@ from .transversal import (
     TheoremViolationError,
     TransversalWitness,
     check_colorful,
-    first_failing_tuple,
     k_transversal,
     partitions,
     validate_witness,

@@ -43,7 +43,6 @@ from .transversal import (
     TransversalWitness,
     check_colorful,
     check_member_count,
-    first_failing_tuple,
     partitions,
     scan_partitions,
 )
@@ -479,15 +478,15 @@ def origin_in_hull(vectors) -> bool:
 def full_certificate(instance: Instance) -> CertificateReport:
     """Run the whole pipeline on a colorful instance.
 
-    Decides the colorful property first, with ``first_failing_tuple``, and
-    scans each family's partitions once.  The first family with an
-    inseparable pair settles the matter: the scan's witness is its
-    transversal and the verdict is THEOREM-CONFIRMED (at the guarantee
-    dimension this always happens).  If every family separates, the scans'
-    Farkas vectors become its separators, the tuple points come from
-    ``check_colorful``, the join claim is verified and the verdict is
-    CERTIFICATE-COMPLETE, which only instances above the
-    guarantee dimension can reach.
+    Decides the colorful property first, with a ``check_colorful`` walk
+    without points, and scans each family's partitions once.  The first
+    family with an inseparable pair settles the matter: the scan's witness
+    is its transversal and the verdict is THEOREM-CONFIRMED (at the
+    guarantee dimension this always happens).  If every family separates,
+    the scans' Farkas vectors become its separators, a points walk takes
+    the tuple points, reusing every point the decision solved for, the
+    join claim is verified and the verdict is CERTIFICATE-COMPLETE, which
+    only instances above the guarantee dimension can reach.
 
     Raises MalformedInputError before any other work when the join would
     have more than ``_JOIN_BUDGET`` maximal simplices, and then before the
@@ -500,9 +499,11 @@ def full_certificate(instance: Instance) -> CertificateReport:
     check_budget(simplices, _JOIN_BUDGET, "the certificate join", "maximal simplices")
     for fam in instance.families:
         check_member_count(fam)
-    failing = first_failing_tuple(instance)
-    if failing is not None:
-        raise TheoremPreconditionError(f"colorful intersection fails at tuple {failing}")
+    colorful = check_colorful(instance, points=False)
+    if not colorful.holds:
+        raise TheoremPreconditionError(
+            f"colorful intersection fails at tuple {colorful.failing_tuple}"
+        )
     assignments = []
     for i, fam in enumerate(instance.families, start=1):
         scan = scan_partitions(fam)
@@ -523,4 +524,5 @@ def full_certificate(instance: Instance) -> CertificateReport:
                 confirmed_witness=scan.witness,
             )
         assignments.append(assign_from_scan(fam, scan, i))
-    return verify_claim(instance, assignments, check_colorful(instance).witnesses)
+    points = check_colorful(instance, solved=colorful.witnesses).witnesses
+    return verify_claim(instance, assignments, points)

@@ -277,7 +277,8 @@ def validate_witness(family: Family, witness: TransversalWitness) -> None:
 
 @dataclass
 class ColorfulReport:
-    """Outcome of the all-tuples intersection check."""
+    """Outcome of the all-tuples intersection check; see ``check_colorful``
+    for which tuples ``witnesses`` holds."""
 
     holds: bool
     witnesses: dict = field(default_factory=dict)
@@ -321,54 +322,39 @@ def _shared_generator(bodies) -> Optional[QVector]:
     return None
 
 
-def first_failing_tuple(instance: Instance) -> Optional[tuple]:
+def check_colorful(instance: Instance, points: bool = True, solved=None) -> ColorfulReport:
     """Decide the colorful intersection property: every choice of one member
-    per family must have a common point.  Returns the first failing tuple in
-    lexicographic order, or None when the property holds.
+    per family must have a common point.  Returns the first failing tuple
+    in lexicographic order, or the witness points when the property holds.
 
-    Polytopes that list one generator in common meet at it, so such a tuple
-    holds with no LP; every other tuple is decided by ``common_point``.
-    Raises MalformedInputError before deciding any when there are more than
+    Polytopes that list one generator ``g`` in common meet at it, so such a
+    tuple holds with no LP; every other tuple is decided by
+    ``common_point`` and witnessed by its point.  Without ``points`` the
+    walk only decides: ``witnesses`` keeps just the solved tuples, and
+    passing them back as ``solved`` lets a points walk reuse them instead
+    of solving again.  A points walk witnesses a shared-generator tuple by
+    ``g`` when the stacked ``_normal_rows`` have rank d, since the affine
+    hulls, all through ``g``, then meet in ``g`` alone and ``common_point``
+    would return ``g`` too; otherwise by ``common_point``.  Fewer than d
+    normals cannot have rank d, so they are not ranked.  Raises
+    MalformedInputError before deciding any when there are more than
     ``_TUPLE_BUDGET`` tuples.
-    """
-    for selector, bodies in _colorful_tuples(instance):
-        if _shared_generator(bodies) is None and common_point(bodies) is None:
-            return selector
-    return None
-
-
-def _unique_shared_point(bodies) -> Optional[QVector]:
-    """A shared generator ``g`` when it is provably the bodies' only common
-    point, else None.  The stacked ``_normal_rows`` have rank d exactly
-    when the affine hulls, all through ``g``, meet in ``g`` alone; then the
-    intersection is ``{g}`` and ``common_point`` would return ``g`` too.
-    Fewer than d normals cannot have rank d, so they are not ranked; the
-    others are ranked by ``exactla._echelon``."""
-    g = _shared_generator(bodies)
-    if g is None:
-        return None
-    normals = [n for body in bodies for n in body._normal_rows]
-    if len(normals) < g.dim or len(_echelon(normals)[0]) < g.dim:
-        return None
-    return g
-
-
-def check_colorful(instance: Instance) -> ColorfulReport:
-    """``first_failing_tuple`` with a witness point per tuple.
-
-    Returns per-tuple witness points when the property holds, otherwise the
-    first failing tuple.  A tuple whose only common point is a shared
-    generator (``_unique_shared_point``) is witnessed by it with no LP;
-    every other tuple by ``common_point``, so every witness is the point
-    ``common_point`` returns.
     """
     witnesses = {}
     for selector, bodies in _colorful_tuples(instance):
-        point = _unique_shared_point(bodies)
-        if point is None:
+        point = _shared_generator(bodies)
+        if point is not None:
+            if not points:
+                continue
+            normals = [n for body in bodies for n in body._normal_rows]
+            if len(normals) < point.dim or len(_echelon(normals)[0]) < point.dim:
+                point = common_point(bodies)
+        elif solved is not None:
+            point = solved[selector]
+        else:
             point = common_point(bodies)
-        if point is None:
-            return ColorfulReport(False, {}, selector)
+            if point is None:
+                return ColorfulReport(False, {}, selector)
         witnesses[selector] = point
     return ColorfulReport(True, witnesses)
 
@@ -386,8 +372,9 @@ def verify_theorem(instance: Instance) -> TheoremReport:
 
     Preconditions are verified, not assumed: the ambient dimension must be
     (number of families) + (sum of targets) - 1, every family must have
-    exactly k+2 members, and the colorful property must hold.  Returns the
-    first family with a witness; raises TheoremViolationError if none has
+    exactly k+2 members, and the colorful property must hold, which a
+    ``check_colorful`` walk without points decides.  Returns the first
+    family with a witness; raises TheoremViolationError if none has
     one, which is unreachable on valid input and treated as a bug signal.
     """
     n = len(instance.families)
@@ -404,7 +391,7 @@ def verify_theorem(instance: Instance) -> TheoremReport:
                 f"family {i} needs {format_rational(fam.k + 2, 'k+2')} members, "
                 f"has {len(fam.bodies)}"
             )
-    failing = first_failing_tuple(instance)
+    failing = check_colorful(instance, points=False).failing_tuple
     if failing is not None:
         raise TheoremPreconditionError(
             f"colorful intersection fails at tuple {failing}"

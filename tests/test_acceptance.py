@@ -30,7 +30,7 @@ from transversals.generators import (
 from transversals.transversal import (
     Family,
     Instance,
-    first_failing_tuple,
+    check_colorful,
     k_transversal,
     validate_witness,
     verify_theorem,
@@ -72,7 +72,7 @@ def test_criterion_2_optimality_suite():
     for ks in PARAM_SETS:
         for seed in range(50):
             ce = gen_counterexample(list(ks), seed, TRUNCATED)
-            failing = first_failing_tuple(ce.instance)
+            failing = check_colorful(ce.instance, points=False).failing_tuple
             if failing is not None:
                 failures.append((ks, seed, f"colorful fails at tuple {failing}"))
             spans = [c for c in ce.checks if c.name == "family-affine-dim"]

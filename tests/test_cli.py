@@ -654,10 +654,26 @@ class TestExitTable:
         assert main(["check-colorful", "cross.json"]) == EXIT_OK
 
 
+# The work ``full_certificate`` does after its member-count check, by the
+# module names it calls them through.
+CERTIFICATE_WORK = ("check_colorful", "scan_partitions", "assign_from_scan", "verify_claim")
+
+
+def forbid_certificate_work(monkeypatch, names, message):
+    """Make each of ``names`` in the certificate module raise ``message``,
+    after checking that ``full_certificate`` still calls every one of them,
+    so a refusal test cannot pass because the work moved to another name."""
+    assert set(names) <= set(certificate_module.full_certificate.__code__.co_names)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+
+    for name in names:
+        monkeypatch.setattr(certificate_module, name, forbidden)
+
+
 class TestJoinBudget:
     def test_limit_is_inclusive_and_checked_first(self, tmp_path, monkeypatch, capsys):
-        import transversals.certificate as certificate_module
-
         monkeypatch.setattr(certificate_module, "_JOIN_BUDGET", 144)
         at_limit = str(tmp_path / "c21.json")
         above = str(tmp_path / "c22.json")
@@ -666,16 +682,11 @@ class TestJoinBudget:
         assert main(["certificate", at_limit]) == EXIT_OK
         assert "verdict CERTIFICATE-COMPLETE" in capsys.readouterr().out
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("work started above the join budget")
-
-        for name in (
-            "first_failing_tuple",
-            "check_colorful",
-            "build_chain_complex",
-            "assign_normals",
-        ):
-            monkeypatch.setattr(certificate_module, name, forbidden)
+        forbid_certificate_work(
+            monkeypatch,
+            ("check_member_count",) + CERTIFICATE_WORK,
+            "work started above the join budget",
+        )
         assert main(["certificate", above]) == EXIT_PRECONDITION
         printed = capsys.readouterr().out
         assert "576 maximal simplices" in printed and "budget of 144" in printed
@@ -692,11 +703,9 @@ class TestMemberCount:
         doc["families"][1]["sets"].pop()
         path.write_text(json.dumps(doc))
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("colorful check started before the member count")
-
-        for name in ("first_failing_tuple", "check_colorful"):
-            monkeypatch.setattr(certificate_module, name, forbidden)
+        forbid_certificate_work(
+            monkeypatch, CERTIFICATE_WORK, "colorful check started before the member count"
+        )
         assert main(["certificate", str(path)]) == EXIT_PRECONDITION
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["error: need exactly k+2 = 4 members, got 3"]

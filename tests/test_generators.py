@@ -23,7 +23,6 @@ from transversals.transversal import (
     Family,
     _member_tuples,
     check_colorful,
-    first_failing_tuple,
     k_transversal,
     validate_witness,
     verify_theorem,
@@ -38,7 +37,7 @@ def assert_optimal(ce, twin):
     """The colorful property holds on ``ce``, every group spans its affine
     dimension, and no family of ``twin``, the truncated form, has a
     transversal."""
-    assert first_failing_tuple(ce.instance) is None
+    assert check_colorful(ce.instance, points=False).failing_tuple is None
     spans = [c for c in ce.checks if c.name == "family-affine-dim"]
     assert len(spans) == len(ce.instance.families) and all(c.passed for c in spans)
     assert twin.tuple_points == ce.tuple_points
@@ -433,7 +432,7 @@ class TestTamperedInstances:
         pruned = VPolytope((first.bodies[0].generators[0],))
         families[0] = Family(first.k, (pruned,) + first.bodies[1:])
         tampered = type(ce.instance)(ce.instance.dim, tuple(families))
-        assert first_failing_tuple(tampered) == (1, 2)
+        assert check_colorful(tampered, points=False).failing_tuple == (1, 2)
         path = str(tmp_path / "tampered.json")
         save_instance(path, tampered)
         assert main(["certificate", path]) == EXIT_PRECONDITION

@@ -53,6 +53,7 @@ from pathlib import Path
 import pytest
 
 from transversals import exactla
+from transversals import transversal as transversal_module
 from transversals.certificate import NormalAssignment, assign_normals
 from transversals.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_PRECONDITION, load_instance, main
 from transversals.exactla import strict_separation
@@ -419,6 +420,61 @@ def test_report_digests(name, pipeline, tmp_path, monkeypatch, capsys):
     digests["stdout"] = sha256(capsys.readouterr().out.encode("utf-8"))
     digests["lp-systems"] = sha256("\n".join(sorted(systems)).encode("utf-8"))
     assert digests == GOLDEN[name]
+
+
+class TestColorfulLPCount:
+    """Each command asks the colourful question once.  On the scaled
+    counterexamples every tuple is one LP, in ``check-colorful`` and in
+    ``certificate``, whose other LPs are its partition scans; on guarantee
+    instances every tuple of ``verify-theorem`` and ``certificate`` holds
+    through a shared generator, with no LP."""
+
+    def generate(self, kind, ks, seed):
+        argv = ["generate", kind, "--ks", ks, "--seed", str(seed), "--out", "inst.json"]
+        assert main(argv) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "ks,tuples,scans", [("1,1", 9, 6), ("2,1", 12, 10), ("1,1,1", 27, 9)]
+    )
+    def test_scaled_counterexamples_solve_each_tuple_once(
+        self, ks, tuples, scans, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        self.generate("counterexample", ks, 0)
+        scale_bodies()
+        calls = []
+        phase_one = exactla._phase_one
+
+        def counted(rows, rhs):
+            calls.append(rows)
+            return phase_one(rows, rhs)
+
+        monkeypatch.setattr(exactla, "_phase_one", counted)
+        assert main(["check-colorful", "inst.json"]) == EXIT_OK
+        assert len(calls) == tuples
+        assert main(["certificate", "inst.json"]) == EXIT_OK
+        assert len(calls) == tuples + tuples + scans
+        assert "verdict CERTIFICATE-COMPLETE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_guarantee_instances_decide_without_common_point(
+        self, seed, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        self.generate("random", "1,1,1", seed)
+        calls = []
+        common_point = transversal_module.common_point
+
+        def counted(bodies):
+            calls.append(bodies)
+            return common_point(bodies)
+
+        monkeypatch.setattr(transversal_module, "common_point", counted)
+        assert main(["verify-theorem", "inst.json"]) == EXIT_OK
+        assert main(["certificate", "inst.json"]) == EXIT_OK
+        assert calls == []
+        assert main(["check-colorful", "inst.json"]) == EXIT_OK
+        assert len(calls) == 27
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,6 @@ from transversals.transversal import (
     _shared_generator,
     check_colorful,
     common_point,
-    first_failing_tuple,
     k_transversal,
     partitions,
     validate_witness,
@@ -328,9 +327,9 @@ def golden_instance(kind, ks, seed, representation):
 
 
 class TestColorfulShortcut:
-    """Polytopes that share a generator meet there, so ``first_failing_tuple``
-    solves no LP for them; ``check_colorful`` prints the shared generator only
-    where it is the tuple's one common point."""
+    """Polytopes that share a generator meet there, so a ``check_colorful``
+    walk without points solves no LP for them; a points walk prints the
+    shared generator only where it is the tuple's one common point."""
 
     def counting_common_point(self, monkeypatch):
         calls = []
@@ -358,20 +357,20 @@ class TestColorfulShortcut:
         )
         for selector, point in report.witnesses.items():
             assert point == common_point(self.bodies(instance, selector))
-        assert first_failing_tuple(instance) is None
+        assert check_colorful(instance, points=False).failing_tuple is None
 
     @pytest.mark.parametrize("ks", [[1, 0], [2, 1], [1, 1, 1]])
     def test_truncated_counterexamples_solve_no_lp(self, ks, monkeypatch):
         instance = gen_counterexample(ks, 5).instance
         calls = self.counting_common_point(monkeypatch)
         assert check_colorful(instance).holds
-        assert first_failing_tuple(instance) is None
+        assert check_colorful(instance, points=False).failing_tuple is None
         assert calls == []
 
     def test_random_instances_decide_without_lp(self, monkeypatch):
         instance = gen_colorful_random([1, 1], 3)
         calls = self.counting_common_point(monkeypatch)
-        assert first_failing_tuple(instance) is None
+        assert check_colorful(instance, points=False).failing_tuple is None
         assert calls == []
 
     @pytest.mark.parametrize("seed", range(3))
@@ -424,15 +423,15 @@ class TestColorfulShortcut:
         calls = self.counting_common_point(monkeypatch)
         assert check_colorful(instance).witnesses == {(1, 1): lp_point}
         assert len(calls) == 1
-        assert first_failing_tuple(instance) is None
+        assert check_colorful(instance, points=False).failing_tuple is None
         assert len(calls) == 1
 
     @pytest.mark.parametrize("ks,seed", [([1, 0], 5), ([2, 1], 5), ([2, 2], 1), ([1, 1, 1], 3)])
     def test_integer_hull_normals_keep_the_witnesses(self, ks, seed, monkeypatch):
         """``_normal_rows`` are primitive integer rows, each a positive
         multiple of a row of the rational kernel basis, so the rank tests of
-        ``_unique_shared_point``, which ranks them, and the witnesses are
-        those the rational kernel gives."""
+        ``check_colorful``, which ranks them, and the witnesses are those
+        the rational kernel gives."""
 
         def rational_kernel(body):
             base = body.generators[0]
@@ -456,6 +455,23 @@ class TestColorfulShortcut:
             property(lambda body: [_integer_rows([row])[0][0] for row in rational_kernel(body)]),
         )
         assert check_colorful(instance).witnesses == witnesses
+
+    def test_points_walk_reuses_the_decided_points(self, monkeypatch):
+        # (1, 1) shares the generator 0, one of many common points, and
+        # (1, 2) meets only by LP.
+        instance = Instance(
+            1,
+            (
+                Family(0, (segment([0], [2]),)),
+                Family(0, (segment([0], [5]), segment([1], [3]))),
+            ),
+        )
+        witnesses = check_colorful(instance).witnesses
+        calls = self.counting_common_point(monkeypatch)
+        decided = check_colorful(instance, points=False)
+        assert decided.holds and list(decided.witnesses) == [(1, 2)]
+        assert check_colorful(instance, solved=decided.witnesses).witnesses == witnesses
+        assert calls == [tuple(self.bodies(instance, s)) for s in [(1, 2), (1, 1)]]
 
     def test_shared_generator_across_table_scales(self):
         """Equal generators get equal keys in polytopes whose tables have
@@ -482,7 +498,7 @@ class TestColorfulShortcut:
                 Family(0, (segment([0], [5]), segment([1], [3]), segment([7], [8]))),
             ),
         )
-        assert first_failing_tuple(instance) == (1, 3)
+        assert check_colorful(instance, points=False).failing_tuple == (1, 3)
         report = check_colorful(instance)
         assert not report.holds and report.failing_tuple == (1, 3)
         assert report.witnesses == {}
@@ -495,7 +511,7 @@ class TestColorfulShortcut:
         for bodies in ([line, corner], [corner, line], [point_flat, line]):
             instance = Instance(2, tuple(Family(0, (body,)) for body in bodies))
             calls = self.counting_common_point(monkeypatch)
-            assert first_failing_tuple(instance) is None
+            assert check_colorful(instance, points=False).failing_tuple is None
             assert check_colorful(instance).witnesses == {(1, 1): common_point(bodies)}
             assert calls == [tuple(bodies), tuple(bodies)]
 
