@@ -704,7 +704,7 @@ class TestMemberCount:
         path.write_text(json.dumps(doc))
 
         forbid_certificate_work(
-            monkeypatch, CERTIFICATE_WORK, "colorful check started before the member count"
+            monkeypatch, CERTIFICATE_WORK, "work started before the member count"
         )
         assert main(["certificate", str(path)]) == EXIT_PRECONDITION
         lines = capsys.readouterr().out.splitlines()
