@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .convex import weighted_sum
+from .convex import combination
 from .exactla import (
     MalformedInputError,
     PreconditionError,
@@ -41,6 +41,7 @@ from .transversal import (
     PartitionScan,
     TheoremPreconditionError,
     TransversalWitness,
+    _member_label,
     check_colorful,
     check_member_count,
     partitions,
@@ -61,10 +62,6 @@ _JOIN_BUDGET = 100_000
 class CertificateInconsistencyError(RuntimeError):
     """A structural or orientation check failed while building the
     certificate; indicates a bug rather than a property of the instance."""
-
-
-def _label(subset) -> str:
-    return "{%s}" % ",".join(str(i) for i in sorted(subset))
 
 
 def involution(subset: frozenset, size: int) -> frozenset:
@@ -361,7 +358,7 @@ def verify_claim(instance: Instance, assignments, points) -> CertificateReport:
         for chain in cx.maximal_chains:
             (first,) = chain[0]
             (last,) = involution(chain[-1], size)
-            label = "F%d:%s" % (i, "<".join(_label(v) for v in chain))
+            label = "F%d:%s" % (i, "<".join(_member_label(v) for v in chain))
             rows.append((first, last, [entries[v] for v in chain], label))
         chain_rows.append(rows)
 
@@ -451,7 +448,7 @@ def origin_in_hull(vectors) -> bool:
     ``{w >= 0 : sum_j w_j v_j = 0, sum_j w_j = 1}``, which is
     ``exactla.hull_weights`` with the vectors as group 0 and the origin as
     a one-generator group 1.  Group 0's weights are substituted back
-    exactly before the answer is trusted.
+    exactly (``combination``) before the answer is trusted.
     """
     vectors = list(vectors)
     if not vectors:
@@ -466,11 +463,12 @@ def origin_in_hull(vectors) -> bool:
         if all(sum(map(operator.mul, a, functional)) == denominator * s for a, s in forms):
             return False
         raise AssertionError("Gordan functional fails the substitution check")
-    found = hull_weights([_integer_rows(vectors), ([[0] * d], 1)], [0, 1])
+    block = _integer_rows(vectors)
+    found = hull_weights([block, ([[0] * d], 1)], [0, 1])
     if found is None:
         return False
     weights, _ = found
-    if min(weights) < 0 or sum(weights) != 1 or any(weighted_sum(weights, vectors)):
+    if min(weights) < 0 or sum(weights) != 1 or any(combination(weights, block)):
         raise AssertionError("simplex produced weights outside the hull system")
     return True
 

@@ -337,8 +337,9 @@ def _emit(report_doc, out):
 
 def cmd_check_colorful(path: str, out=None) -> int:
     instance, _ = load_instance(path)
-    report = check_colorful(instance)
+    report = check_colorful(instance, points=False)  # decide before any point
     if report.holds:
+        report = check_colorful(instance, solved=report.witnesses)
         doc = {
             "command": "check-colorful",
             "holds": True,
@@ -372,40 +373,29 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
     scan = scan_partitions(family)
     witness = scan.witness
     if witness is not None:
+        witness_doc = witness_to_json(witness)
         _emit(
             {
                 "command": "transversal",
                 "family": family_index,
                 "found": True,
-                "witness": witness_to_json(witness),
+                "witness": witness_doc,
             },
             out,
         )
+        flat = witness_doc["flat"]
         print(
             f"transversal family={family_index} k={family.k} "
             f"partition={witness.partition.label()} PASS"
         )
-        print(
-            "  flat base=(%s) directions=[%s]"
-            % (
-                ",".join(format_rational(e) for e in witness.flat.base),
-                " ".join(
-                    "(%s)" % ",".join(format_rational(e) for e in d)
-                    for d in witness.flat.directions
-                ),
-            )
-        )
+        directions = " ".join("(%s)" % ",".join(d) for d in flat["directions"])
+        print(f"  flat base=({','.join(flat['base'])}) directions=[{directions}]")
         return EXIT_OK
     assignment = assign_from_scan(family, scan, family_index)
-    lines = []
+    parts = partitions(family.k + 2)
     separations = []
-    for part in partitions(family.k + 2):
+    for part in parts:
         normal, offset = assignment.normal_for(part.part_a)
-        lines.append(
-            f"separated partition={part.label()} "
-            f"normal=({','.join(format_rational(e) for e in normal)}) "
-            f"offset={format_rational(offset)}"
-        )
         separations.append(
             {
                 "partition": partition_to_json(part),
@@ -422,8 +412,11 @@ def cmd_transversal(path: str, family_index: int, out=None) -> int:
         },
         out,
     )
-    for line in lines:
-        print(line)
+    for part, separation in zip(parts, separations):
+        print(
+            "separated partition=%s normal=(%s) offset=%s"
+            % (part.label(), ",".join(separation["normal"]), separation["offset"])
+        )
     print(f"transversal family={family_index} k={family.k} FAIL all partitions separated")
     return EXIT_NEGATIVE
 

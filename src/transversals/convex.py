@@ -161,13 +161,17 @@ def _common_dim(bodies) -> int:
     return dims.pop()
 
 
-def weighted_sum(weights, points) -> QVector:
-    """Exact ``sum_j w_j p_j``, skipping zero weights."""
-    total = QVector([_ZERO] * points[0].dim)
-    for w, p in zip(weights, points):
-        if w:
-            total = total + w * p
-    return total
+def combination(weights, block) -> QVector:
+    """Exact ``sum_j w_j g_j`` over the generators of an integer table
+    ``block = (table, scale)`` from ``exactla._integer_rows``: the weights'
+    numerators over their lcm summed in integers, one Fraction a coordinate."""
+    (numerators,), denominator = _integer_rows([weights])
+    table, scale = block
+    denominator *= scale
+    return QVector(
+        Fraction(sum(map(operator.mul, numerators, column)), denominator)
+        for column in zip(*table)
+    )
 
 
 def contains(body: ConvexBody, point: QVector) -> bool:
@@ -189,8 +193,7 @@ def common_point(bodies) -> Optional[QVector]:
     equations at all every flat is the whole space and the point is the
     first base.  Any polytope puts the input on ``exactla.hull_weights`` of
     the polytopes, one group each, with the flat equations on group 0, the
-    first polytope.  The point is the first polytope's combination, summed
-    in integers from the weights over their lcm and the polytope's table.
+    first polytope.  The point is the first polytope's ``combination``.
     """
     bodies = list(bodies)
     if not bodies:
@@ -209,15 +212,7 @@ def common_point(bodies) -> Optional[QVector]:
     weights = hull_weights(
         [p._table for p in polytopes], range(len(polytopes)), equations=equations
     )
-    if weights is None:
-        return None
-    (numerators,), denominator = _integer_rows([weights[0]])
-    table, scale = polytopes[0]._table
-    denominator *= scale
-    return QVector(
-        Fraction(sum(map(operator.mul, numerators, column)), denominator)
-        for column in zip(*table)
-    )
+    return None if weights is None else combination(weights[0], polytopes[0]._table)
 
 
 def affine_span(points) -> AffineFlat:

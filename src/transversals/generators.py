@@ -77,7 +77,6 @@ def derive_seed(*parts) -> int:
 @dataclass
 class CounterexampleInstance:
     instance: Instance
-    representation: str  # FLATS or TRUNCATED
     tuple_points: dict  # member tuple (1-based) -> QVector
     checks: list  # the passed rank certificates, in ledger order
 
@@ -247,7 +246,7 @@ def counterexample_from_points(ks, points, representation: str = TRUNCATED) -> C
             families.append(Family(ks[i], fibers))
 
     instance = Instance(d, tuple(families))
-    return CounterexampleInstance(instance, representation, tuple_points, checks)
+    return CounterexampleInstance(instance, tuple_points, checks)
 
 
 def gen_counterexample(ks, seed: int, representation: str = TRUNCATED) -> CounterexampleInstance:

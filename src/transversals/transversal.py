@@ -22,9 +22,9 @@ from .convex import (
     UnsupportedRepresentationError,
     VPolytope,
     affine_span,
+    combination,
     common_point,
     contains,
-    weighted_sum,
 )
 from .exactla import (
     MalformedInputError,
@@ -123,8 +123,11 @@ class Partition:
         return len(self.part_a) + len(self.part_b)
 
     def label(self) -> str:
-        fmt = lambda part: "{%s}" % ",".join(str(i) for i in part)
-        return f"{fmt(self.part_a)}/{fmt(self.part_b)}"
+        return f"{_member_label(self.part_a)}/{_member_label(self.part_b)}"
+
+
+def _member_label(members) -> str:
+    return "{%s}" % ",".join(str(i) for i in sorted(members))
 
 
 def partitions(size: int):
@@ -193,8 +196,8 @@ def scan_partitions(family: Family) -> PartitionScan:
     weight block per member in member order.  A disjoint partition keeps its
     Farkas vector.  On the first feasible partition the scan stops and
     reconstructs anchors from the weight blocks: a member with positive
-    aggregate weight contributes its weighted generator average, a
-    zero-weight member its first generator (any of its points is valid).
+    weight contributes the ``combination`` of its block over the block's
+    sum, a zero-weight member its first generator (any point is valid).
     """
     for body in family.bodies:
         if not isinstance(body, VPolytope):
@@ -220,7 +223,7 @@ def scan_partitions(family: Family) -> PartitionScan:
             block = weights[idx - 1]
             total = sum(block, _ZERO)
             if total > 0:
-                combo = weighted_sum(block, member.generators)
+                combo = combination(block, member._table)
                 anchors.append((idx, (1 / total) * combo))
                 if idx in in_a:
                     crossing = crossing + combo

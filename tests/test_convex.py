@@ -8,9 +8,9 @@ from transversals.convex import (
     AffineFlat,
     VPolytope,
     affine_span,
+    combination,
     common_point,
     contains,
-    weighted_sum,
 )
 from transversals.exactla import (
     MalformedInputError,
@@ -216,6 +216,38 @@ def reference_flat_contains(flat, point):
         return point == flat.base
     columns = zip(*flat.directions)
     return solve_linear(columns, [point - flat.base]) is not None
+
+
+def weighted_sum(weights, points) -> QVector:
+    """``combination`` as it was before it read the integer tables: exact
+    ``sum_j w_j p_j`` in Fraction vector arithmetic, skipping zero weights."""
+    total = QVector([F(0)] * points[0].dim)
+    for w, p in zip(weights, points):
+        if w:
+            total = total + w * p
+    return total
+
+
+class TestCombination:
+    def test_matches_fraction_reference(self):
+        # Mixed denominators across and within generators; about 40% of the
+        # weights are zero.
+        rng = random.Random(2718)
+        denominators = [1, 2, 3, 4, 6, 7, 9, 12]
+        for _ in range(200):
+            dim = rng.randint(1, 4)
+            gens = [
+                QVector(
+                    F(rng.randint(-30, 30), rng.choice(denominators)) for _ in range(dim)
+                )
+                for _ in range(rng.randint(1, 6))
+            ]
+            weights = [
+                F(rng.randint(0, 9), rng.choice(denominators)) if rng.random() < 0.6 else F(0)
+                for _ in gens
+            ]
+            expected = weighted_sum(weights, gens)
+            assert combination(weights, VPolytope(tuple(gens))._table) == expected
 
 
 def reference_common_point(bodies):

@@ -433,6 +433,17 @@ class TestColorfulLPCount:
         argv = ["generate", kind, "--ks", ks, "--seed", str(seed), "--out", "inst.json"]
         assert main(argv) == EXIT_OK
 
+    def count_common_point(self, monkeypatch):
+        calls = []
+        common_point = transversal_module.common_point
+
+        def counted(bodies):
+            calls.append(bodies)
+            return common_point(bodies)
+
+        monkeypatch.setattr(transversal_module, "common_point", counted)
+        return calls
+
     @pytest.mark.parametrize(
         "ks,tuples,scans", [("1,1", 9, 6), ("2,1", 12, 10), ("1,1,1", 27, 9)]
     )
@@ -462,19 +473,50 @@ class TestColorfulLPCount:
     ):
         monkeypatch.chdir(tmp_path)
         self.generate("random", "1,1,1", seed)
-        calls = []
-        common_point = transversal_module.common_point
-
-        def counted(bodies):
-            calls.append(bodies)
-            return common_point(bodies)
-
-        monkeypatch.setattr(transversal_module, "common_point", counted)
+        calls = self.count_common_point(monkeypatch)
         assert main(["verify-theorem", "inst.json"]) == EXIT_OK
         assert main(["certificate", "inst.json"]) == EXIT_OK
         assert calls == []
         assert main(["check-colorful", "inst.json"]) == EXIT_OK
         assert len(calls) == 27
+
+    @pytest.mark.parametrize(
+        "source,expected,solved",
+        [("hand-made", EXIT_NEGATIVE, 2), ("random", EXIT_OK, 27), ("scaled", EXIT_OK, 9)],
+    )
+    def test_check_colorful_decides_before_points(
+        self, source, expected, solved, tmp_path, monkeypatch
+    ):
+        """``check-colorful`` witnesses only a property that holds.  The
+        hand-made instance is that of
+        ``test_hand_made_failing_tuple_is_reported_first``: (1, 1) shares a
+        generator and needs no LP to decide, (1, 2) and the failing (1, 3)
+        are solved, and no point is sought for (1, 1)."""
+        monkeypatch.chdir(tmp_path)
+        if source == "hand-made":
+            segments = [[[0, 2], [9, 10]], [[0, 5], [1, 3], [7, 8]]]
+            doc = {
+                "dimension": 1,
+                "families": [
+                    {
+                        "k": 0,
+                        "sets": [
+                            {"type": "vpolytope", "points": [[str(a)], [str(b)]]}
+                            for a, b in family
+                        ],
+                    }
+                    for family in segments
+                ],
+            }
+            Path("inst.json").write_text(json.dumps(doc))
+        elif source == "random":
+            self.generate("random", "1,1,1", 0)
+        else:
+            self.generate("counterexample", "1,1", 0)
+            scale_bodies()
+        calls = self.count_common_point(monkeypatch)
+        assert main(["check-colorful", "inst.json"]) == expected
+        assert len(calls) == solved
 
 
 @pytest.mark.parametrize(

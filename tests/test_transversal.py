@@ -13,6 +13,7 @@ from transversals.exactla import (
     QVector,
     Relation,
     _integer_rows,
+    hull_certificate,
     lp_feasible,
     solve_linear,
 )
@@ -33,9 +34,11 @@ from transversals.transversal import (
     common_point,
     k_transversal,
     partitions,
+    scan_partitions,
     validate_witness,
     verify_theorem,
 )
+from test_convex import weighted_sum
 
 
 def vec(*entries):
@@ -358,6 +361,27 @@ class TestColorfulShortcut:
         for selector, point in report.witnesses.items():
             assert point == common_point(self.bodies(instance, selector))
         assert check_colorful(instance, points=False).failing_tuple is None
+        # Each scan witness's anchors and crossing point are the Fraction
+        # reference sums of its partition's hull weights.
+        for family in instance.families:
+            if representation == FLATS:
+                continue
+            witness = scan_partitions(family).witness
+            if witness is None:
+                continue
+            in_a = set(witness.partition.part_a)
+            groups = [0 if idx in in_a else 1 for idx in range(1, family.k + 3)]
+            weights, _ = hull_certificate([b._table for b in family.bodies], groups)
+            crossing = QVector([F(0)] * instance.dim)
+            for (idx, anchor), block, member in zip(
+                witness.anchor_points, weights, family.bodies
+            ):
+                combo = weighted_sum(block, member.generators)
+                total = sum(block)
+                assert anchor == ((1 / total) * combo if total else member.generators[0])
+                if idx in in_a:
+                    crossing = crossing + combo
+            assert witness.crossing_point == crossing
 
     @pytest.mark.parametrize("ks", [[1, 0], [2, 1], [1, 1, 1]])
     def test_truncated_counterexamples_solve_no_lp(self, ks, monkeypatch):
